@@ -115,8 +115,10 @@ impl ChildSelector {
         }
     }
 
-    /// Full priority ranking of `candidates`, best first. (Used to pick
-    /// which shelved transfer resumes when the active one completes.)
+    /// Full priority ranking of `candidates`, best first. The engine
+    /// never calls it: the interruptible link re-asks [`Self::best`]
+    /// over the occupied slots instead. It is the sort-based reference
+    /// that `best` is tested against.
     pub fn rank(&self, candidates: &[ChildInfo]) -> Vec<usize> {
         let mut v: Vec<&ChildInfo> = candidates.iter().collect();
         match self {

@@ -246,17 +246,6 @@ pub struct SimConfig {
     /// `fuzz_protocols --repro` does) to get the last events leading up
     /// to the failure.
     pub checked: bool,
-    /// Saturated-regime event elision: when the engine can prove that a
-    /// run of back-to-back computations at one node cannot interact with
-    /// anything else (no other event falls inside the span and every
-    /// intermediate service is provably inert), it collapses them into a
-    /// single macro-event and replays the per-completion bookkeeping at
-    /// the original timestamps. Results — `RunResult`, `FaultStats`,
-    /// traces, event counts — are bit-identical either way; only agenda
-    /// traffic is saved. Forced off by tracing sinks, checked mode, fault
-    /// injection/plans, pending platform changes, and non-fixed buffer
-    /// policies, where inertness cannot be (cheaply) proven.
-    pub elision: bool,
     /// Deliberate protocol fault, for validating the checker itself.
     /// `None` (always, outside checker tests) = faithful protocol.
     pub fault: Option<FaultInjection>,
@@ -327,7 +316,6 @@ impl SimConfig {
             changes: Vec::new(),
             max_events: 500_000_000,
             checked: cfg!(any(debug_assertions, feature = "checked")),
-            elision: true,
             fault: None,
             fault_plan: None,
             arrivals: None,
@@ -338,14 +326,6 @@ impl SimConfig {
     /// [`SimConfig::checked`]).
     pub fn with_checked(mut self, checked: bool) -> Self {
         self.checked = checked;
-        self
-    }
-
-    /// Enables or disables saturated-regime event elision (see
-    /// [`SimConfig::elision`]). Elision never changes results; turning
-    /// it off exists for differential testing and benchmarking.
-    pub fn with_elision(mut self, elision: bool) -> Self {
-        self.elision = elision;
         self
     }
 

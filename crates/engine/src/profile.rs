@@ -20,12 +20,11 @@ mod imp {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
     /// Event kinds tracked by the profiler, in histogram order. The
-    /// indices match [`super::EventKind`]'s discriminants.
-    pub const KIND_NAMES: [&str; 9] = [
+    /// indices match `Event::kind` in `sim.rs`.
+    pub const KIND_NAMES: [&str; 8] = [
         "compute_done",
         "send_done",
         "transfer_done",
-        "compute_chain",
         "fault",
         "outage_end",
         "request_timeout",

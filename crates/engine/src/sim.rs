@@ -73,15 +73,6 @@ pub(crate) enum Event {
     ComputeDone {
         node: usize,
     },
-    /// Elision macro-event: `count` back-to-back computations at `node`,
-    /// proven inert at schedule time (see `chain_len`). The handler
-    /// replays the per-completion bookkeeping at the original
-    /// timestamps, so results are bit-identical to `count` separate
-    /// `ComputeDone`s.
-    ComputeChain {
-        node: usize,
-        count: u64,
-    },
     /// Non-interruptible send completion.
     SendDone {
         node: usize,
@@ -122,12 +113,11 @@ impl Event {
             Event::ComputeDone { .. } => 0,
             Event::SendDone { .. } => 1,
             Event::TransferDone { .. } => 2,
-            Event::ComputeChain { .. } => 3,
-            Event::Fault { .. } => 4,
-            Event::OutageEnd { .. } => 5,
-            Event::RequestTimeout { .. } => 6,
-            Event::Reissue { .. } => 7,
-            Event::Arrival => 8,
+            Event::Fault { .. } => 3,
+            Event::OutageEnd { .. } => 4,
+            Event::RequestTimeout { .. } => 5,
+            Event::Reissue { .. } => 6,
+            Event::Arrival => 7,
         }
     }
 }
@@ -522,13 +512,6 @@ pub struct Simulation<S: TraceSink = NullSink> {
     pub(crate) lost_pending: u64,
     /// Fault/recovery accounting for the run result.
     pub(crate) fstats: FaultStats,
-    /// Static part of the elision gate (config- and sink-derived); the
-    /// per-decision part lives in `chain_len`.
-    elide_base: bool,
-    /// Events elided into macro-events (introspection only; never part
-    /// of `RunResult` — `events_processed` already counts replayed
-    /// completions as if they had been popped individually).
-    elided: u64,
     /// Checked-mode time travel: periodic snapshots so an invariant
     /// violation can be replayed from just before it (see
     /// `snapshot.rs`). `None` whenever checked mode is off, so the
@@ -553,6 +536,30 @@ impl Simulation {
     pub fn with_workspace(tree: Tree, cfg: SimConfig, ws: SimWorkspace) -> Self {
         Simulation::traced(tree, cfg, ws, NullSink)
     }
+}
+
+/// Calls `$sim.$method::<FA, IC, AR>()` with the const parameters that
+/// mirror the simulation's runtime mode: whether a fault plan is active,
+/// the protocol, and whether an arrival plan is active. This is the one
+/// place that triple is mapped onto the monomorphized event loop (see
+/// [`Simulation::step_mono`]).
+macro_rules! mono {
+    ($sim:expr, $method:ident) => {
+        match (
+            $sim.fault_active,
+            $sim.cfg.protocol,
+            $sim.arrivals.is_some(),
+        ) {
+            (false, Protocol::Interruptible, false) => $sim.$method::<false, true, false>(),
+            (false, Protocol::NonInterruptible, false) => $sim.$method::<false, false, false>(),
+            (true, Protocol::Interruptible, false) => $sim.$method::<true, true, false>(),
+            (true, Protocol::NonInterruptible, false) => $sim.$method::<true, false, false>(),
+            (false, Protocol::Interruptible, true) => $sim.$method::<false, true, true>(),
+            (false, Protocol::NonInterruptible, true) => $sim.$method::<false, false, true>(),
+            (true, Protocol::Interruptible, true) => $sim.$method::<true, true, true>(),
+            (true, Protocol::NonInterruptible, true) => $sim.$method::<true, false, true>(),
+        }
+    };
 }
 
 impl<S: TraceSink> Simulation<S> {
@@ -676,20 +683,6 @@ impl<S: TraceSink> Simulation<S> {
         } else {
             u8::MAX
         };
-        // Elision is sound only where every inertness argument in
-        // `chain_len` holds unconditionally: no trace stream to keep
-        // faithful, no checker sweeps between events, no faults, no
-        // streaming arrivals (an arrival or deferred-queue drain can
-        // land inside a chain and `chain_len`'s remaining-task bound
-        // assumes a fixed pool), and a fixed buffer policy (growth/decay
-        // react to the very services being elided).
-        let elide_base = cfg.elision
-            && !S::ENABLED
-            && !cfg.checked
-            && cfg.fault.is_none()
-            && !fault_active
-            && arrivals.is_none()
-            && matches!(cfg.buffers, BufferPolicy::Fixed(_));
         let time_travel = cfg.checked.then(|| Box::new(TimeTravel::from_env()));
         Simulation {
             tree,
@@ -716,19 +709,9 @@ impl<S: TraceSink> Simulation<S> {
             dead_threshold,
             lost_pending: 0,
             fstats: FaultStats::default(),
-            elide_base,
-            elided: 0,
             time_travel,
             arrivals,
         }
-    }
-
-    /// Events that were elided into macro-events (the difference between
-    /// `events_processed` and the number of agenda pops). Zero whenever
-    /// [`SimConfig::elision`] is off or force-disabled (tracing, checked
-    /// mode, faults, non-fixed buffers).
-    pub fn events_elided(&self) -> u64 {
-        self.elided
     }
 
     /// Start-up: every node issues its initial requests; the cascade
@@ -754,20 +737,7 @@ impl<S: TraceSink> Simulation<S> {
         for i in 0..self.ws.hot.len() {
             self.enqueue(i);
         }
-        match (
-            self.fault_active,
-            self.cfg.protocol,
-            self.arrivals.is_some(),
-        ) {
-            (false, Protocol::Interruptible, false) => self.drain::<false, true, false>(),
-            (false, Protocol::NonInterruptible, false) => self.drain::<false, false, false>(),
-            (true, Protocol::Interruptible, false) => self.drain::<true, true, false>(),
-            (true, Protocol::NonInterruptible, false) => self.drain::<true, false, false>(),
-            (false, Protocol::Interruptible, true) => self.drain::<false, true, true>(),
-            (false, Protocol::NonInterruptible, true) => self.drain::<false, false, true>(),
-            (true, Protocol::Interruptible, true) => self.drain::<true, true, true>(),
-            (true, Protocol::NonInterruptible, true) => self.drain::<true, false, true>(),
-        }
+        mono!(self, drain)
     }
 
     /// Processes exactly one event (plus the resulting service cascade).
@@ -775,20 +745,7 @@ impl<S: TraceSink> Simulation<S> {
     /// deadlock (empty agenda before the last completion) or event-budget
     /// exhaustion, like [`Simulation::run`].
     pub fn step(&mut self) -> bool {
-        match (
-            self.fault_active,
-            self.cfg.protocol,
-            self.arrivals.is_some(),
-        ) {
-            (false, Protocol::Interruptible, false) => self.step_mono::<false, true, false>(),
-            (false, Protocol::NonInterruptible, false) => self.step_mono::<false, false, false>(),
-            (true, Protocol::Interruptible, false) => self.step_mono::<true, true, false>(),
-            (true, Protocol::NonInterruptible, false) => self.step_mono::<true, false, false>(),
-            (false, Protocol::Interruptible, true) => self.step_mono::<false, true, true>(),
-            (false, Protocol::NonInterruptible, true) => self.step_mono::<false, false, true>(),
-            (true, Protocol::Interruptible, true) => self.step_mono::<true, true, true>(),
-            (true, Protocol::NonInterruptible, true) => self.step_mono::<true, false, true>(),
-        }
+        mono!(self, step_mono)
     }
 
     /// [`Simulation::step`], monomorphized on whether a fault plan is
@@ -845,35 +802,13 @@ impl<S: TraceSink> Simulation<S> {
     /// trace sink (with whatever it recorded).
     pub fn run_traced(mut self) -> (RunResult, SimWorkspace, S) {
         self.start();
-        match (
-            self.fault_active,
-            self.cfg.protocol,
-            self.arrivals.is_some(),
-        ) {
-            (false, Protocol::Interruptible, false) => {
-                while self.step_mono::<false, true, false>() {}
-            }
-            (false, Protocol::NonInterruptible, false) => {
-                while self.step_mono::<false, false, false>() {}
-            }
-            (true, Protocol::Interruptible, false) => {
-                while self.step_mono::<true, true, false>() {}
-            }
-            (true, Protocol::NonInterruptible, false) => {
-                while self.step_mono::<true, false, false>() {}
-            }
-            (false, Protocol::Interruptible, true) => {
-                while self.step_mono::<false, true, true>() {}
-            }
-            (false, Protocol::NonInterruptible, true) => {
-                while self.step_mono::<false, false, true>() {}
-            }
-            (true, Protocol::Interruptible, true) => while self.step_mono::<true, true, true>() {},
-            (true, Protocol::NonInterruptible, true) => {
-                while self.step_mono::<true, false, true>() {}
-            }
-        }
+        mono!(self, run_mono);
         self.into_result()
+    }
+
+    /// The run loop of one [`Simulation::step_mono`] instantiation.
+    fn run_mono<const FA: bool, const IC: bool, const AR: bool>(&mut self) {
+        while self.step_mono::<FA, IC, AR>() {}
     }
 
     /// The simulator's one trace tap: every instrumentation site funnels
@@ -955,7 +890,6 @@ impl<S: TraceSink> Simulation<S> {
     fn handle<const FA: bool, const AR: bool>(&mut self, ev: Event) {
         let node = match ev {
             Event::ComputeDone { node }
-            | Event::ComputeChain { node, .. }
             | Event::SendDone { node }
             | Event::TransferDone { node } => node,
             Event::Fault { index } => return self.on_fault(index),
@@ -974,7 +908,6 @@ impl<S: TraceSink> Simulation<S> {
         }
         match ev {
             Event::ComputeDone { node } => self.on_compute_done::<AR>(node),
-            Event::ComputeChain { node, count } => self.on_compute_chain(node, count),
             Event::SendDone { node } => self.on_send_done::<FA>(node),
             Event::TransferDone { node } => self.on_transfer_done::<FA>(node),
             _ => unreachable!("dispatched above"),
@@ -1135,13 +1068,6 @@ impl<S: TraceSink> Simulation<S> {
 
     fn record_completion<const AR: bool>(&mut self) {
         let now = self.ws.agenda.now();
-        self.record_completion_at::<AR>(now);
-    }
-
-    /// [`Self::record_completion`] with an explicit completion time —
-    /// elided chains replay intermediate completions at timestamps that
-    /// predate the agenda clock.
-    fn record_completion_at<const AR: bool>(&mut self, now: Time) {
         self.completed += 1;
         self.ws.completion_times.push(now);
         while self.next_checkpoint < self.cfg.checkpoints.len()
@@ -1411,142 +1337,7 @@ impl<S: TraceSink> Simulation<S> {
         self.ws.hot[i].computing_since = Some(self.ws.agenda.now());
         self.emit(TraceEvent::ComputeStart { node: i as u32 });
         let w = self.tree.compute_time(NodeId(i as u32));
-        if self.elide_base && self.ws.service_queue.is_empty() {
-            if let Some(count) = self.chain_len(i, w) {
-                self.ws
-                    .agenda
-                    .schedule(count * w, Event::ComputeChain { node: i, count });
-                return;
-            }
-        }
         self.ws.agenda.schedule(w, Event::ComputeDone { node: i });
-    }
-
-    /// Decides whether the computation just started at `i` can be elided
-    /// into a macro-chain, and how long the chain may run. Returns
-    /// `Some(k >= 2)` only when the unelided engine would provably do
-    /// *nothing but* `k` back-to-back compute cycles at `i` over the
-    /// span: the whole chain ends strictly before the next foreign
-    /// agenda event (so no other event can observe or perturb the
-    /// intermediate state), and every intermediate service cascade
-    /// reduces to the bookkeeping `on_compute_chain` replays:
-    ///
-    /// - the service queue is empty, so after the current cascade the
-    ///   simulation is at its service fixed point (every node's
-    ///   `uncovered` is 0, every IC link carries its best occupied
-    ///   slot), and nothing moves between chained completions;
-    /// - at the root, the outbound link is inert: non-IC with the link
-    ///   busy or no pending requests; IC with every requesting child's
-    ///   slot already occupied (so `fill_slots` finds no candidate);
-    /// - at a leaf, the parent cannot react to the per-take requests:
-    ///   it holds no task, so its processor, link, and slot paths are
-    ///   all no-ops (its own `uncovered` is 0 at the fixed point, so
-    ///   the cascade stops there);
-    /// - no platform change is pending (`next_change` exhausted) and —
-    ///   via `elide_base` — buffers are fixed, so `record_completion`'s
-    ///   checkpoint snapshots see frozen capacities.
-    ///
-    /// Interior nodes relay tasks (their own take triggers requests
-    /// *and* they field children), so they are never elided.
-    fn chain_len(&mut self, i: usize, w: u64) -> Option<u64> {
-        if self.next_change < self.cfg.changes.len() || w == 0 {
-            return None;
-        }
-        let spare = if i == 0 {
-            let inert = match self.cfg.protocol {
-                Protocol::NonInterruptible => {
-                    self.ws.sending[0].is_some() || self.ws.pending_sum[0] == 0
-                }
-                Protocol::Interruptible => {
-                    self.ws.pending_sum[0] == 0
-                        || self.ws.krange(0).all(|k| {
-                            self.ws.kid_pending[k] == 0
-                                || self.ws.kid_slot[k].is_some()
-                                || self.ws.kid_gone[k]
-                        })
-                }
-            };
-            if !inert {
-                return None;
-            }
-            self.remaining
-        } else {
-            if self.ws.kid_start[i + 1] != self.ws.kid_start[i] {
-                return None; // interior node
-            }
-            let p = self.ws.parent_of[i].expect("non-root has parent");
-            if self.has_task(p) {
-                return None;
-            }
-            self.ws.hot[i]
-                .ledger
-                .as_ref()
-                .expect("non-root has ledger")
-                .held() as u64
-        };
-        let bound = (1 + spare).min(self.cfg.total_tasks - self.completed);
-        if bound < 2 {
-            return None;
-        }
-        let t = self.ws.agenda.now();
-        let count = match self.ws.agenda.peek_time() {
-            None => bound,
-            // Largest k with t + k*w < next foreign event.
-            Some(tn) => ((tn - 1).saturating_sub(t) / w).min(bound),
-        };
-        (count >= 2).then_some(count)
-    }
-
-    /// Handles an elision macro-event: replays the `count` chained
-    /// completions' bookkeeping at their original timestamps. By
-    /// `chain_len`'s proof obligation the unelided engine would have
-    /// performed exactly this — each intermediate service cascade is a
-    /// no-op beyond the processor refill (and, for a leaf, the per-take
-    /// request to a parent that cannot respond).
-    fn on_compute_chain(&mut self, i: usize, count: u64) {
-        // `elide_base` is false whenever an arrival plan is active, so
-        // chains never carry open-world bookkeeping.
-        debug_assert!(self.arrivals.is_none(), "elision under arrivals");
-        let w = self.tree.compute_time(NodeId(i as u32));
-        let start = self.ws.agenda.now() - count * w;
-        debug_assert_eq!(self.ws.hot[i].computing_since, Some(start));
-        self.events_processed += count - 1;
-        self.elided += count - 1;
-        for j in 1..=count {
-            self.ws.hot[i].computing_since = None;
-            self.ws.hot[i].busy_compute += w;
-            self.ws.hot[i].tasks_computed += 1;
-            self.record_completion_at::<false>(start + j * w);
-            if self.finished {
-                return;
-            }
-            if j < count {
-                self.chain_take(i);
-                self.ws.hot[i].computing_since = Some(start + j * w);
-            }
-        }
-        self.enqueue(i);
-    }
-
-    /// The take half of an elided intermediate service: pull the next
-    /// task and, at a leaf, cover the freed buffer with a request —
-    /// `take_task` + `issue_requests` minus the paths `chain_len` proved
-    /// dead (growth, decay, traces, faults, parent reaction).
-    fn chain_take(&mut self, i: usize) {
-        if i == 0 {
-            self.remaining -= 1;
-            return;
-        }
-        let ledger = self.ws.hot[i].ledger.as_mut().expect("non-root has ledger");
-        ledger.take_task();
-        let n = ledger.uncovered();
-        debug_assert!(n > 0, "chained take must free a buffer to cover");
-        ledger.note_requests_sent(n);
-        self.requests_sent += n as u64;
-        let p = self.ws.parent_of[i].expect("non-root has parent");
-        let k = self.ws.kid_start[p] as usize + self.ws.child_pos[i];
-        self.ws.kid_pending[k] += n;
-        self.ws.pending_sum[p] += n;
     }
 
     /// Takes one task for local use (compute or send start). Returns false
@@ -2478,7 +2269,6 @@ impl<S: TraceSink> Simulation<S> {
                 dead_threshold: self.dead_threshold,
                 lost_pending: self.lost_pending,
                 fstats: self.fstats.clone(),
-                elided: self.elided,
                 finish_target: self.finish_target,
                 arrivals: self.arrivals.as_deref().map(|ar| ArrivalCursor {
                     cursor: ar.cursor as u64,
@@ -2502,11 +2292,7 @@ impl<S: TraceSink> Simulation<S> {
     /// Rebuilds the captured run from `snap`, reusing `ws`'s
     /// allocations and streaming the continuation into `sink`. The
     /// continuation behaves exactly as the captured run would have:
-    /// same `RunResult`, same trace suffix, same event counts. The
-    /// elision gate is recomputed from the configuration and the sink
-    /// (it is config- and sink-derived, not runtime state), so a traced
-    /// restore of an untraced capture elides nothing — results are
-    /// bit-identical either way, per the elision-equivalence guarantee.
+    /// same `RunResult`, same trace suffix, same event counts.
     pub fn from_snapshot_traced(
         snap: &SimSnapshot,
         mut ws: SimWorkspace,
@@ -2514,13 +2300,6 @@ impl<S: TraceSink> Simulation<S> {
     ) -> Simulation<S> {
         ws.restore(&snap.ws);
         let c = &snap.cur;
-        let elide_base = snap.cfg.elision
-            && !S::ENABLED
-            && !snap.cfg.checked
-            && snap.cfg.fault.is_none()
-            && !c.fault_active
-            && matches!(snap.cfg.buffers, BufferPolicy::Fixed(_))
-            && snap.cfg.arrivals.is_none();
         let time_travel = snap.cfg.checked.then(|| Box::new(TimeTravel::from_env()));
         // The arrival schedule is a pure function of the plan, so the
         // restore regenerates it and overlays the captured cursor state.
@@ -2569,8 +2348,6 @@ impl<S: TraceSink> Simulation<S> {
             dead_threshold: c.dead_threshold,
             lost_pending: c.lost_pending,
             fstats: c.fstats.clone(),
-            elide_base,
-            elided: c.elided,
             finish_target: c.finish_target,
             arrivals,
             time_travel,
@@ -2579,9 +2356,7 @@ impl<S: TraceSink> Simulation<S> {
 
     /// Runs until the clock is about to reach `t`: processes every
     /// event scheduled strictly before `t`, leaving events at or after
-    /// `t` pending. Returns `false` if the run finished first. With
-    /// elision enabled the boundary granularity is macro-events (a
-    /// chain ending at or past `t` is left pending).
+    /// `t` pending. Returns `false` if the run finished first.
     pub fn run_to_time(&mut self, t: Time) -> bool {
         self.start();
         while !self.finished {
@@ -2623,8 +2398,6 @@ impl<S: TraceSink> Simulation<S> {
                 self.fault_seed = seed;
                 self.dead_threshold = recovery.missed_ack_threshold;
             }
-            // Injected faults void `chain_len`'s inertness argument.
-            self.elide_base = false;
             if self.started {
                 for (j, f) in injected.iter().enumerate() {
                     self.ws
@@ -2641,20 +2414,7 @@ impl<S: TraceSink> Simulation<S> {
                 self.enqueue(i);
             }
         }
-        match (
-            self.fault_active,
-            self.cfg.protocol,
-            self.arrivals.is_some(),
-        ) {
-            (false, Protocol::Interruptible, false) => self.drain::<false, true, false>(),
-            (false, Protocol::NonInterruptible, false) => self.drain::<false, false, false>(),
-            (true, Protocol::Interruptible, false) => self.drain::<true, true, false>(),
-            (true, Protocol::NonInterruptible, false) => self.drain::<true, false, false>(),
-            (false, Protocol::Interruptible, true) => self.drain::<false, true, true>(),
-            (false, Protocol::NonInterruptible, true) => self.drain::<false, false, true>(),
-            (true, Protocol::Interruptible, true) => self.drain::<true, true, true>(),
-            (true, Protocol::NonInterruptible, true) => self.drain::<true, false, true>(),
-        }
+        mono!(self, drain)
     }
 }
 

@@ -8,7 +8,7 @@
 //! valid — and every progress cursor. A simulation rebuilt from a
 //! snapshot continues **bit-identically**: same `RunResult`, same trace
 //! suffix, same panics (the `snapshot_roundtrip` suite proptests this
-//! across protocols, fault legs, and elision regimes).
+//! across protocols, fault legs, scripted changes, and arrival legs).
 //!
 //! Three consumers:
 //!
@@ -110,7 +110,6 @@ pub(crate) struct CursorSnapshot {
     pub(crate) dead_threshold: u8,
     pub(crate) lost_pending: u64,
     pub(crate) fstats: FaultStats,
-    pub(crate) elided: u64,
     pub(crate) finish_target: u64,
     pub(crate) arrivals: Option<ArrivalCursor>,
 }
@@ -301,8 +300,7 @@ impl WhatIf {
     /// Schedules an additional environment fault on the branch. Faults
     /// dated before the fork instant strike immediately. If the
     /// captured run had no fault plan, a default-tuned one is
-    /// materialized (and event elision is disabled on the branch, as on
-    /// any faulted run).
+    /// materialized and the branch runs the fault-aware event loop.
     pub fn add_fault(&mut self, fault: FaultEvent) {
         assert!(
             fault.node.index() < self.snap.ws.hot.len(),
@@ -560,6 +558,9 @@ impl std::error::Error for SnapshotError {}
 
 const MAGIC: &[u8; 4] = b"BCSS";
 // v2: open-world arrivals (config plan, `Arrival` event tag, cursor layer).
+// Three v2 fields outlive the removed event-elision mechanism and stay
+// reserved so old snapshots still decode: the config flag byte, the
+// cursor's elided-event varint, and event tag 1.
 const VERSION: u8 = 2;
 
 fn put_u8(b: &mut Vec<u8>, v: u8) {
@@ -698,11 +699,6 @@ fn put_event(b: &mut Vec<u8>, e: &Event) {
             put_u8(b, 0);
             put_v(b, node as u64);
         }
-        Event::ComputeChain { node, count } => {
-            put_u8(b, 1);
-            put_v(b, node as u64);
-            put_v(b, count);
-        }
         Event::SendDone { node } => {
             put_u8(b, 2);
             put_v(b, node as u64);
@@ -734,10 +730,9 @@ fn put_event(b: &mut Vec<u8>, e: &Event) {
 fn get_event(r: &mut Rd) -> Result<Event, SnapshotError> {
     Ok(match r.u8()? {
         0 => Event::ComputeDone { node: r.vus()? },
-        1 => Event::ComputeChain {
-            node: r.vus()?,
-            count: r.v()?,
-        },
+        // Tag 1 is reserved: it was a removed compute-chain macro-event,
+        // so only a mid-chain capture from an older build carries it.
+        1 => return Err(SnapshotError::Corrupt("reserved event tag 1")),
         2 => Event::SendDone { node: r.vus()? },
         3 => Event::TransferDone { node: r.vus()? },
         4 => Event::Fault { index: r.vus()? },
@@ -973,7 +968,9 @@ fn put_cfg(b: &mut Vec<u8>, cfg: &SimConfig) {
     }
     put_v(b, cfg.max_events);
     put_bool(b, cfg.checked);
-    put_bool(b, cfg.elision);
+    // Reserved: the removed event-elision flag, written as its old
+    // default so the v2 layout is unchanged.
+    put_bool(b, true);
     match &cfg.fault {
         None => put_u8(b, 0),
         Some(FaultInjection::FbOffByOne) => put_u8(b, 1),
@@ -1224,7 +1221,7 @@ fn get_cfg(r: &mut Rd) -> Result<SimConfig, SnapshotError> {
     }
     let max_events = r.v()?;
     let checked = r.bool()?;
-    let elision = r.bool()?;
+    let _reserved_elision_flag = r.bool()?;
     let fault = match r.u8()? {
         0 => None,
         1 => Some(FaultInjection::FbOffByOne),
@@ -1269,7 +1266,6 @@ fn get_cfg(r: &mut Rd) -> Result<SimConfig, SnapshotError> {
         changes,
         max_events,
         checked,
-        elision,
         fault,
         fault_plan,
         arrivals,
@@ -1785,7 +1781,8 @@ impl SimSnapshot {
         put_u8(&mut b, c.dead_threshold);
         put_v(&mut b, c.lost_pending);
         put_fstats(&mut b, &c.fstats);
-        put_v(&mut b, c.elided);
+        // Reserved: the removed elided-event counter.
+        put_v(&mut b, 0);
         put_v(&mut b, c.finish_target);
         match &c.arrivals {
             None => put_u8(&mut b, 0),
@@ -1840,8 +1837,8 @@ impl SimSnapshot {
             dead_threshold: r.u8()?,
             lost_pending: r.v()?,
             fstats: get_fstats(&mut r)?,
-            elided: r.v()?,
-            finish_target: r.v()?,
+            // Skips the reserved elided-event counter.
+            finish_target: r.v().and_then(|_| r.v())?,
             arrivals: match r.u8()? {
                 0 => None,
                 1 => Some(get_arrival_cursor(&mut r)?),

@@ -12,21 +12,22 @@ use bc_platform::{RandomTreeConfig, Tree};
 use bc_simcore::split_seed;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
     // const-init: no lazy initialization, so reading the counter from
     // inside `alloc` cannot itself allocate or recurse.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // The on/off switch is per thread like the counter: the harness runs
+    // this file's tests in parallel, and a shared switch would let one
+    // test close another's measurement window.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING.with(Cell::get) {
             ALLOCS.with(|c| c.set(c.get() + 1));
         }
         unsafe { System.alloc(layout) }
@@ -37,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING.with(Cell::get) {
             ALLOCS.with(|c| c.set(c.get() + 1));
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -76,7 +77,7 @@ fn steady_state_loop_is_allocation_free_per_event() {
         while sim.completed() < 2000 {
             assert!(sim.step(), "run ended during warm-up");
         }
-        COUNTING.store(true, Ordering::SeqCst);
+        COUNTING.with(|c| c.set(true));
         let before = allocs();
         for _ in 0..5000 {
             if !sim.step() {
@@ -84,7 +85,7 @@ fn steady_state_loop_is_allocation_free_per_event() {
             }
         }
         let after = allocs();
-        COUNTING.store(false, Ordering::SeqCst);
+        COUNTING.with(|c| c.set(false));
         assert_eq!(
             after - before,
             0,
@@ -106,7 +107,7 @@ fn null_sink_traced_loop_is_allocation_free_per_event() {
     while sim.completed() < 2000 {
         assert!(sim.step(), "run ended during warm-up");
     }
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let before = allocs();
     for _ in 0..5000 {
         if !sim.step() {
@@ -114,7 +115,7 @@ fn null_sink_traced_loop_is_allocation_free_per_event() {
         }
     }
     let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     assert_eq!(
         after - before,
         0,
@@ -135,7 +136,7 @@ fn ring_recorder_traced_loop_is_allocation_free_per_event() {
     while sim.completed() < 2000 {
         assert!(sim.step(), "run ended during warm-up");
     }
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let before = allocs();
     for _ in 0..5000 {
         if !sim.step() {
@@ -143,7 +144,7 @@ fn ring_recorder_traced_loop_is_allocation_free_per_event() {
         }
     }
     let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     assert_eq!(
         after - before,
         0,
@@ -165,7 +166,7 @@ fn reused_workspace_makes_repeat_runs_allocation_free() {
         assert_eq!(r.tasks_completed(), 500);
     }
     let trees: Vec<Tree> = (0..5).map(|_| tree.clone()).collect();
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let before = allocs();
     for t in trees {
         // `t` is consumed and dropped inside; only `into_result`'s final
@@ -181,7 +182,7 @@ fn reused_workspace_makes_repeat_runs_allocation_free() {
         drop(result);
     }
     let after = allocs();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     // Per run: exactly the six per-node summary vectors plus the next
     // run's completion_times/checkpoint reserve — a small constant,
     // independent of event count (~570k events would otherwise show up

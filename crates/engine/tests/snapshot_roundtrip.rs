@@ -3,7 +3,8 @@
 //! must continue **bit-identically**: the same `RunResult` (which
 //! embeds `FaultStats`), the same trace suffix, the same event counts.
 //! Proptested over random platforms × protocol variants × fault legs ×
-//! scripted-change legs × elision on/off × random capture points.
+//! scripted-change legs × arrival legs × random capture points, plus
+//! v2 fixtures captured by an older build that must still decode.
 
 use bc_engine::{
     AdmissionPolicy, ArrivalPlan, ArrivalProcess, ChangeKind, FaultEvent, FaultKind, FaultPlan,
@@ -14,9 +15,9 @@ use bc_platform::{NodeId, RandomTreeConfig, Tree};
 use bc_simcore::VecSink;
 use proptest::prelude::*;
 
-/// Protocol variants the round trip must hold for (a compressed version
-/// of the elision-equivalence matrix: both disciplines, fixed and
-/// growable buffers, every selector family, a measuring observer).
+/// Protocol variants the round trip must hold for (both disciplines,
+/// fixed and growable buffers, every selector family, a measuring
+/// observer).
 fn variants(tasks: u64) -> Vec<(&'static str, SimConfig)> {
     let mut v = vec![
         ("ic-fb2", SimConfig::interruptible(2, tasks)),
@@ -159,9 +160,7 @@ proptest! {
         seed in 0u64..1_000_000,
         k in 0u64..600,
         leg in 0u8..5,
-        elide_coin in 0u8..2,
     ) {
-        let elide = elide_coin == 1;
         let gen = RandomTreeConfig {
             min_nodes: 2,
             max_nodes: 14,
@@ -171,7 +170,7 @@ proptest! {
         };
         let tree = gen.generate(seed);
         for (name, cfg) in variants(60) {
-            let mut cfg = cfg.with_checked(false).with_elision(elide);
+            let mut cfg = cfg.with_checked(false);
             match leg {
                 1 => cfg = cfg.with_fault_plan(fault_plan(tree.len())),
                 2 => { cfg.changes = change_script(tree.len()); }
@@ -402,4 +401,68 @@ fn from_bytes_rejects_garbage() {
     for cut in [5, bytes.len() / 2, bytes.len() - 1] {
         assert!(SimSnapshot::from_bytes(&bytes[..cut]).is_err());
     }
+}
+
+/// Decodes a committed hex fixture.
+fn fixture(hex: &str) -> Vec<u8> {
+    let hex = hex.trim();
+    (0..hex.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+        .collect()
+}
+
+/// The run the committed v2 fixtures were captured from: an untraced
+/// lone repository (`w = 7`) computing 500 tasks under IC/FB=3. Older
+/// builds collapsed its whole run into one 500-long compute-chain
+/// macro-event.
+fn fixture_run() -> (Tree, SimConfig) {
+    (
+        Tree::new(7),
+        SimConfig::interruptible(3, 500).with_checked(false),
+    )
+}
+
+/// A v2 snapshot captured mid-chain by an older build holds event tag 1
+/// in its agenda. The tag is reserved now, so decoding is a typed
+/// `Corrupt` error, never a panic.
+#[test]
+fn v2_mid_chain_capture_is_rejected() {
+    let bytes = fixture(include_str!("fixtures/bcss_v2_mid_chain.hex"));
+    assert_eq!(
+        SimSnapshot::from_bytes(&bytes).unwrap_err(),
+        SnapshotError::Corrupt("reserved event tag 1")
+    );
+}
+
+/// v2 snapshots from an older build still restore bit-exactly: one
+/// captured after a compute chain (non-zero reserved elided-event
+/// counter) and one captured with the old elision flag off (reserved
+/// config byte 0). Re-encoding canonicalizes exactly those two fields.
+#[test]
+fn v2_captures_with_reserved_fields_restore_exactly() {
+    let (tree, cfg) = fixture_run();
+    let reference = finish(Simulation::new(tree, cfg));
+
+    let post_chain = fixture(include_str!("fixtures/bcss_v2_post_chain.hex"));
+    let snap = SimSnapshot::from_bytes(&post_chain).expect("decode post-chain fixture");
+    assert_eq!(snap.completed(), 500);
+    assert_eq!(finish(snap.resume()), reference);
+    // The counter's two-byte varint (499) re-encodes as a one-byte 0.
+    assert_eq!(snap.to_bytes().len(), post_chain.len() - 1);
+
+    let flag_off = fixture(include_str!("fixtures/bcss_v2_elision_off.hex"));
+    let snap = SimSnapshot::from_bytes(&flag_off).expect("decode flag-off fixture");
+    assert_eq!(snap.events_processed(), 200);
+    assert_eq!(finish(snap.resume()), reference);
+    // Only the reserved config byte changes: 0 becomes the canonical 1.
+    let canonical = snap.to_bytes();
+    assert_eq!(canonical.len(), flag_off.len());
+    let diffs: Vec<(u8, u8)> = flag_off
+        .iter()
+        .zip(&canonical)
+        .filter(|(a, b)| a != b)
+        .map(|(&a, &b)| (a, b))
+        .collect();
+    assert_eq!(diffs, [(0, 1)]);
 }

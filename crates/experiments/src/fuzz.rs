@@ -780,10 +780,7 @@ pub fn fork_smoke(seed: u64, tasks: u64) -> Result<String, String> {
     let period = 16;
 
     // Leg 1: a faithful run — the suffix replays to the same clean end.
-    // Elision off, so the event stream (and thus the suffix) is dense.
-    let good_cfg = variant_by_name("ic-fb2", tasks)
-        .expect("known variant")
-        .with_elision(false);
+    let good_cfg = variant_by_name("ic-fb2", tasks).expect("known variant");
     let good = run_case_snapshotting(&tree, &good_cfg, period);
     good.verdict
         .as_ref()
@@ -860,8 +857,7 @@ pub fn arrival_smoke(seed: u64, tasks: u64) -> Result<String, String> {
     let plan = fuzz_arrival_plan(arr_seed);
     let cfg = variant_by_name("ic-fb2", tasks)
         .expect("known variant")
-        .with_arrivals(plan)
-        .with_elision(false);
+        .with_arrivals(plan);
 
     // Leg 1: the streamed run passes per-event checking.
     run_case(&tree, &cfg).map_err(|e| format!("faithful streamed run flagged: {e}"))?;
@@ -1341,7 +1337,6 @@ mod tests {
         let spec = generate_case(7, 3);
         let cfg = variant_by_name("ic-fb3", 150)
             .unwrap()
-            .with_elision(false)
             .with_fault(FaultInjection::LeakTask { every: 30 });
         let fork = with_quiet_panics(|| run_case_snapshotting(&spec.to_tree(), &cfg, 32));
         let message = fork.verdict.expect_err("task leak must be caught");

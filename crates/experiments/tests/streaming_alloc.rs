@@ -18,21 +18,22 @@ use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 thread_local! {
     // const-init: no lazy initialization, so reading the counter from
     // inside `alloc` cannot itself allocate or recurse.
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    // The on/off switch is per thread like the counter: the harness runs
+    // this file's tests in parallel, and a shared switch would let one
+    // test close another's measurement window.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
 }
-
-static COUNTING: AtomicBool = AtomicBool::new(false);
 
 struct CountingAlloc;
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING.with(Cell::get) {
             ALLOCS.with(|c| c.set(c.get() + 1));
         }
         unsafe { System.alloc(layout) }
@@ -43,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if COUNTING.with(Cell::get) {
             ALLOCS.with(|c| c.set(c.get() + 1));
         }
         unsafe { System.realloc(ptr, layout, new_size) }
@@ -88,7 +89,7 @@ fn fold_is_constant_and_merge_is_allocation_free() {
     let runs = run_campaign_with_results(&campaign(500), |t| SimConfig::interruptible(3, t));
     let (a, b) = runs.split_at(runs.len() / 2);
 
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let fold_before = allocs();
     let mut left = CampaignAccumulator::new();
     for (run, result) in a {
@@ -104,7 +105,7 @@ fn fold_is_constant_and_merge_is_allocation_free() {
     let mut total = left.clone();
     total.merge(&right);
     let merge_allocs = allocs() - merge_before;
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
 
     assert_eq!(merge_allocs, 0, "accumulator merge allocated");
     assert!(
@@ -136,11 +137,11 @@ fn streaming_campaign_allocates_per_tree_not_per_event() {
         // Warm-up pass: libstd and the generator lazily initialize some
         // one-time state (thread RNG, etc.) the first time through.
         let _ = run_campaign_streaming(&c, 4, |t| SimConfig::interruptible(3, t));
-        COUNTING.store(true, Ordering::SeqCst);
+        COUNTING.with(|c| c.set(true));
         let before = allocs();
         let acc = run_campaign_streaming(&c, 4, |t| SimConfig::interruptible(3, t));
         let after = allocs();
-        COUNTING.store(false, Ordering::SeqCst);
+        COUNTING.with(|c| c.set(false));
         (after - before, acc.run_stats.events)
     };
 
