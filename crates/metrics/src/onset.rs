@@ -6,7 +6,7 @@
 //! > rate goes over the optimal steady-state rate for the second time
 //! > after window 300."
 
-use crate::windows::window_rates;
+use crate::windows::WindowRate;
 use bc_rational::Rational;
 
 /// Parameters of the onset heuristic. Defaults are the paper's.
@@ -32,12 +32,15 @@ impl Default for OnsetConfig {
 ///
 /// The returned index is the Fig 4 x-coordinate ("number of tasks
 /// completed at the beginning of the window").
+///
+/// Only windows past the threshold are formed, one at a time straight
+/// from `completions`; each is tested with the exact, non-reducing
+/// [`WindowRate::reaches`].
 pub fn detect_onset(completions: &[u64], optimal: &Rational, cfg: OnsetConfig) -> Option<u64> {
+    let first = usize::try_from(cfg.window_threshold.saturating_add(1)).unwrap_or(usize::MAX);
     let mut seen = 0u32;
-    for w in window_rates(completions) {
-        if w.window <= cfg.window_threshold {
-            continue;
-        }
+    for x in first..=completions.len() / 2 {
+        let w = WindowRate::at(completions, x);
         if w.reaches(optimal) {
             seen += 1;
             if seen >= cfg.crossings {

@@ -4,8 +4,11 @@
 //! of §4.1 smears out: a healthy prefix, a degraded window while the
 //! protocol detects and repairs the damage, and (ideally) a recovered
 //! tail at the post-fault platform's optimal rate. These helpers measure
-//! that structure from the completion times alone, with the same exact
-//! rational comparisons the onset heuristic uses — no float tolerances.
+//! that structure from the completion times alone. Every chunk and
+//! window is a [`WindowRate`], tested with the same comparison the onset
+//! heuristic uses: `target ≤ tasks/span` decided by
+//! [`Rational::cmp_ratio`], one cross-multiplication with no rational
+//! built, no reduction and no GCD — exact, never a float tolerance.
 
 use crate::windows::WindowRate;
 use bc_rational::Rational;
@@ -14,8 +17,8 @@ use bc_rational::Rational;
 /// `[k·chunk, (k+1)·chunk)` and its rate is `chunk / span` over the
 /// chunk's completion interval (the first chunk measures from t=0, when
 /// the run starts). A trailing partial chunk is dropped. Reuses
-/// [`WindowRate`] so exact-rational comparisons come for free; `window`
-/// holds the chunk index.
+/// [`WindowRate`] so the exact [`WindowRate::reaches`] test applies;
+/// `window` holds the chunk index.
 pub fn chunk_rates(completions: &[u64], chunk: usize) -> Vec<WindowRate> {
     assert!(chunk >= 1, "chunk must be >= 1");
     let n = completions.len();

@@ -4,10 +4,15 @@
 //! > rate between the time t_x when task x is completed and time t_2x
 //! > when task 2x is completed. Thus, it is (2x − x)/(t_2x − t_x)."
 //!
-//! Rates are kept as exact integer pairs (tasks, span) so the comparison
-//! against the exact optimal rate is never a float tolerance.
+//! Rates are kept as exact integer pairs (tasks, span). [`WindowRate::reaches`]
+//! decides `tasks/span ≥ optimal` with [`Rational::cmp_ratio`]: one
+//! cross-multiplication of the optimum's reduced parts by the two words,
+//! with no rational built, no reduction and no GCD, so the verdict is
+//! exact — never a float tolerance — and a bignum optimum costs one
+//! single-limb product per side.
 
 use bc_rational::Rational;
+use std::cmp::Ordering;
 
 /// One window's measured throughput: `tasks / span` tasks per timestep,
 /// over the completion interval `[t_x, t_2x]`.
@@ -24,17 +29,21 @@ pub struct WindowRate {
 }
 
 impl WindowRate {
+    /// Window `x` (`1 ≤ x ≤ N/2`) of the global completion-time sequence
+    /// (`completions[k]` = time of the `(k+1)`-th completion).
+    pub fn at(completions: &[u64], x: usize) -> WindowRate {
+        WindowRate {
+            window: x as u64,
+            tasks: x as u64,
+            span: completions[2 * x - 1] - completions[x - 1],
+        }
+    }
+
     /// True if this window's rate is at least `rate` ("goes over" in the
     /// paper's onset heuristic; meeting the optimum exactly counts, since
     /// no window can exceed a rate it only asymptotically approaches).
     pub fn reaches(&self, rate: &Rational) -> bool {
-        if self.span == 0 {
-            return true;
-        }
-        // tasks/span ≥ rate ⇔ tasks ≥ rate · span (both sides exact).
-        let lhs = Rational::from_integer(self.tasks as i128);
-        let rhs = rate.mul_ref(&Rational::from_integer(self.span as i128));
-        lhs >= rhs
+        self.span == 0 || rate.cmp_ratio(self.tasks, self.span) != Ordering::Greater
     }
 
     /// The rate as a float (plotting only).
@@ -45,31 +54,24 @@ impl WindowRate {
             self.tasks as f64 / self.span as f64
         }
     }
-
-    /// The rate normalized by `optimal` (plotting only).
-    pub fn normalized(&self, optimal: &Rational) -> f64 {
-        self.as_f64() / optimal.to_f64()
-    }
 }
 
 /// Computes every window `x = 1 ..= N/2` from the global completion-time
 /// sequence (`completions[k]` = time of the `(k+1)`-th completion).
 pub fn window_rates(completions: &[u64]) -> Vec<WindowRate> {
-    let n = completions.len();
-    (1..=n / 2)
-        .map(|x| WindowRate {
-            window: x as u64,
-            tasks: x as u64,
-            span: completions[2 * x - 1] - completions[x - 1],
-        })
+    (1..=completions.len() / 2)
+        .map(|x| WindowRate::at(completions, x))
         .collect()
 }
 
 /// Normalized rate curve for plotting (Fig 3): `(window, rate/optimal)`.
 pub fn normalized_curve(completions: &[u64], optimal: &Rational) -> Vec<(u64, f64)> {
-    window_rates(completions)
-        .iter()
-        .map(|w| (w.window, w.normalized(optimal)))
+    let optimal = optimal.to_f64();
+    (1..=completions.len() / 2)
+        .map(|x| {
+            let w = WindowRate::at(completions, x);
+            (w.window, w.as_f64() / optimal)
+        })
         .collect()
 }
 

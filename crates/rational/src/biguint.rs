@@ -248,6 +248,25 @@ impl BigUint {
         Ordering::Equal
     }
 
+    /// Compares `self · x` with `other · y` without materializing either
+    /// product: both are generated limb by limb from the least
+    /// significant end, and the highest limb at which they differ
+    /// decides. No heap allocation.
+    pub fn cmp_scaled(&self, x: u64, other: &BigUint, y: u64) -> Ordering {
+        let (mut carry_a, mut carry_b) = (0u128, 0u128);
+        let mut ord = Ordering::Equal;
+        for i in 0..self.limbs.len().max(other.limbs.len()) {
+            // limb · factor + carry ≤ (2^64 − 1)^2 + 2^64 − 1 < 2^128.
+            let a = self.limbs.get(i).map_or(0, |&l| l as u128 * x as u128) + carry_a;
+            let b = other.limbs.get(i).map_or(0, |&l| l as u128 * y as u128) + carry_b;
+            (carry_a, carry_b) = (a >> 64, b >> 64);
+            if a as u64 != b as u64 {
+                ord = (a as u64).cmp(&(b as u64));
+            }
+        }
+        carry_a.cmp(&carry_b).then(ord)
+    }
+
     /// Division with remainder: returns `(self / divisor, self % divisor)`.
     ///
     /// Knuth Algorithm D with a single-limb fast path. Panics on division

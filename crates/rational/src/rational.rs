@@ -426,6 +426,29 @@ impl Rational {
         }
     }
 
+    /// Compares this value with the non-negative ratio `num/den`
+    /// exactly, as `self.cmp(&Rational::new(num, den))` would, but
+    /// without building the ratio: one cross-multiplication, no
+    /// reduction, no GCD and no heap allocation. Panics if `den == 0`.
+    pub fn cmp_ratio(&self, num: u64, den: u64) -> Ordering {
+        assert!(den != 0, "cmp_ratio with zero denominator");
+        match &self.repr {
+            Repr::Small { num: a, den: b } => {
+                if *a < 0 {
+                    return Ordering::Less;
+                }
+                // a·den < 2^63·2^64 and num·b < 2^128: neither overflows.
+                (*a as u128 * den as u128).cmp(&(num as u128 * *b as u128))
+            }
+            Repr::Big { num: a, den: b } => {
+                if a.is_negative() {
+                    return Ordering::Less;
+                }
+                a.magnitude().cmp_scaled(den, b, num)
+            }
+        }
+    }
+
     /// `min` by value.
     pub fn min_ref(&self, other: &Rational) -> Rational {
         if self <= other {

@@ -363,3 +363,168 @@ proptest! {
         prop_assert_eq!(sum.sub_ref(&b), a);
     }
 }
+
+// ---------------------------------------------------------------------
+// `cmp_ratio`: comparison against a word ratio without building it.
+//
+// `x.cmp_ratio(num, den)` must agree with `x.cmp(&Rational::new(num,
+// den))` on both tiers, on exact ties (reduced and unreduced), and on
+// values straddling the Small/Big promotion boundary.
+// ---------------------------------------------------------------------
+
+/// A multi-limb magnitude from random limbs.
+fn from_limbs(limbs: &[u64]) -> BigUint {
+    limbs
+        .iter()
+        .enumerate()
+        .fold(BigUint::zero(), |acc, (i, &l)| {
+            acc.add(&BigUint::from_u64(l).shl(64 * i))
+        })
+}
+
+/// The reducing oracle `cmp_ratio` replaces.
+fn cmp_ratio_oracle(x: &Rational, num: u64, den: u64) -> std::cmp::Ordering {
+    x.cmp(&Rational::new(num as i128, den as i128))
+}
+
+proptest! {
+    #[test]
+    fn cmp_scaled_matches_materialized_products(
+        a in prop::collection::vec(any::<u64>(), 0..5), x in any::<u64>(),
+        b in prop::collection::vec(any::<u64>(), 0..5), y in any::<u64>(),
+    ) {
+        let (a, b) = (from_limbs(&a), from_limbs(&b));
+        let expect = a.mul(&BigUint::from_u64(x)).cmp(&b.mul(&BigUint::from_u64(y)));
+        prop_assert_eq!(a.cmp_scaled(x, &b, y), expect);
+        // Equal products: scaling both sides by the other's factor.
+        prop_assert_eq!(a.cmp_scaled(y, &a, y), std::cmp::Ordering::Equal);
+    }
+
+    #[test]
+    fn cmp_ratio_matches_oracle_small_tier(an in any::<i64>(), ad in 1u64..=u64::MAX,
+                                           num in any::<u64>(), den in 1u64..=u64::MAX) {
+        let x = Rational::new(an as i128, ad as i128);
+        prop_assert!(x.is_small());
+        prop_assert_eq!(x.cmp_ratio(num, den), cmp_ratio_oracle(&x, num, den));
+    }
+
+    #[test]
+    fn cmp_ratio_matches_oracle_big_tier(
+        n in prop::collection::vec(any::<u64>(), 1..4),
+        d in prop::collection::vec(any::<u64>(), 1..4),
+        negative in any::<bool>(),
+        num in any::<u64>(), den in 1u64..=u64::MAX,
+    ) {
+        let (n, d) = (from_limbs(&n), from_limbs(&d));
+        prop_assume!(!n.is_zero() && !d.is_zero());
+        let sign = if negative { bc_rational::Sign::Negative } else { bc_rational::Sign::Positive };
+        let x = Rational::from_parts(BigInt::from_sign_mag(sign, n), d);
+        prop_assume!(!x.is_small());
+        prop_assert_eq!(x.cmp_ratio(num, den), cmp_ratio_oracle(&x, num, den));
+        // Near the value itself: a big positive `x` whose numerator and
+        // denominator both fit a word ties exactly.
+        if let (Some(p), Some(q)) = (x.numer().to_i128(), x.denom().to_u64()) {
+            if let Ok(p) = u64::try_from(p) {
+                prop_assert_eq!(x.cmp_ratio(p, q), std::cmp::Ordering::Equal);
+            }
+        }
+    }
+
+    #[test]
+    fn cmp_ratio_small_tier_unreduced_ties(n in 0u64..1 << 32, d in 1u64..1 << 32,
+                                           k in 1u64..1 << 32) {
+        let x = Rational::new(n as i128, d as i128);
+        prop_assert_eq!(x.cmp_ratio(n * k, d * k), std::cmp::Ordering::Equal);
+        prop_assert_eq!(x.cmp_ratio(n * k + 1, d * k), std::cmp::Ordering::Less);
+        if n > 0 {
+            prop_assert_eq!(x.cmp_ratio(n * k - 1, d * k), std::cmp::Ordering::Greater);
+        }
+    }
+
+    #[test]
+    fn cmp_ratio_big_tier_ties_and_neighbours(p in (1u64 << 63)..=u64::MAX, q in 1u64..=u64::MAX) {
+        // A numerator above i64::MAX keeps p/q in the big tier whenever
+        // the reduced numerator still exceeds it; then num·q == p·den
+        // holds for (num, den) = (p, q) without any reduction.
+        let x = Rational::new(p as i128, q as i128);
+        prop_assert_eq!(x.cmp_ratio(p, q), std::cmp::Ordering::Equal);
+        prop_assert_eq!(x.cmp_ratio(p - 1, q), std::cmp::Ordering::Greater);
+        if p < u64::MAX {
+            prop_assert_eq!(x.cmp_ratio(p + 1, q), std::cmp::Ordering::Less);
+        }
+        if q < u64::MAX {
+            prop_assert_eq!(x.cmp_ratio(p, q + 1), cmp_ratio_oracle(&x, p, q + 1));
+        }
+        let below = q.saturating_sub(1).max(1);
+        prop_assert_eq!(x.cmp_ratio(p, below), cmp_ratio_oracle(&x, p, below));
+        prop_assert_eq!(x.neg_ref().cmp_ratio(p, q), std::cmp::Ordering::Less);
+    }
+
+    #[test]
+    fn cmp_ratio_across_the_promotion_boundary(delta in -4i128..5, den in 1u64..=u64::MAX,
+                                               num in any::<u64>(), d in 1u64..=u64::MAX) {
+        // Numerators within a few units of i64::MAX and i64::MIN, and a
+        // denominator either side of u64::MAX: the values land on both
+        // tiers.
+        for n in [i64::MAX as i128 + delta, i64::MIN as i128 + delta] {
+            for dd in [den as i128, u64::MAX as i128 + 1 + delta.abs()] {
+                let x = Rational::new(n, dd);
+                prop_assert_eq!(x.cmp_ratio(num, d), cmp_ratio_oracle(&x, num, d));
+                prop_assert_eq!(
+                    x.cmp_ratio(i64::MAX as u64, d),
+                    cmp_ratio_oracle(&x, i64::MAX as u64, d)
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn cmp_ratio_matches_oracle_on_extremes() {
+    let two64 = 1i128 << 64;
+    let numerators = [
+        0,
+        1,
+        -1,
+        i64::MAX as i128,
+        i64::MAX as i128 + 1,
+        i64::MIN as i128,
+        i64::MIN as i128 - 1,
+        u64::MAX as i128,
+        two64 * 3 + 1,
+        -(1i128 << 70) - 3,
+    ];
+    let denominators = [1, 2, 3, u64::MAX as i128, two64, two64 + 1, i128::MAX];
+    let words = [0, 1, 2, 3, i64::MAX as u64, 1 << 63, u64::MAX - 1, u64::MAX];
+    let mut big = 0;
+    for &n in &numerators {
+        for &d in &denominators {
+            let x = Rational::new(n, d);
+            big += usize::from(!x.is_small());
+            for &num in &words {
+                for &den in words.iter().filter(|&&w| w != 0) {
+                    assert_eq!(
+                        x.cmp_ratio(num, den),
+                        cmp_ratio_oracle(&x, num, den),
+                        "{x} vs {num}/{den}"
+                    );
+                }
+            }
+        }
+    }
+    assert!(big > 0, "the table reaches the big tier");
+    assert_eq!(
+        Rational::zero().cmp_ratio(0, u64::MAX),
+        std::cmp::Ordering::Equal
+    );
+    assert_eq!(
+        Rational::new(-1, 1).cmp_ratio(0, 1),
+        std::cmp::Ordering::Less
+    );
+}
+
+#[test]
+#[should_panic(expected = "zero denominator")]
+fn cmp_ratio_rejects_zero_denominator() {
+    Rational::one().cmp_ratio(1, 0);
+}
