@@ -31,9 +31,12 @@ fn probe(bytes: &[u8]) -> Result<(), SnapshotError> {
 
 /// A small corpus of genuine snapshots covering the format's layers:
 /// plain runs, fault plans mid-flight, and open-world arrivals (the
-/// arrival-cursor tail), captured at several event depths.
+/// arrival-cursor tail), captured at several event depths — plus the
+/// committed golden fixtures (`tests/fixtures/bcss_golden_*.hex`), which
+/// between them carry every event, enum and option tag of the format.
 fn corpus() -> Vec<Vec<u8>> {
-    let mut out = Vec::new();
+    let mut out = golden_fixtures();
+    assert!(out.len() >= 10, "golden fixtures missing");
     for seed in [3u64, 41] {
         let gen = RandomTreeConfig {
             min_nodes: 2,
@@ -82,6 +85,33 @@ fn corpus() -> Vec<Vec<u8>> {
         }
     }
     out
+}
+
+/// The committed golden `BCSS` fixtures, decoded from hex, in name
+/// order.
+fn golden_fixtures() -> Vec<Vec<u8>> {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures");
+    let mut paths: Vec<_> = std::fs::read_dir(dir)
+        .expect("fixture directory")
+        .map(|e| e.expect("fixture entry").path())
+        .filter(|p| {
+            p.file_name()
+                .and_then(|n| n.to_str())
+                .is_some_and(|n| n.starts_with("bcss_golden_"))
+        })
+        .collect();
+    paths.sort();
+    paths
+        .iter()
+        .map(|p| {
+            let hex = std::fs::read_to_string(p).expect("read fixture");
+            let hex = hex.trim();
+            (0..hex.len())
+                .step_by(2)
+                .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+                .collect()
+        })
+        .collect()
 }
 
 #[test]
