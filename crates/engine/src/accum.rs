@@ -187,21 +187,9 @@ impl RunStatsAccumulator {
     /// Decodes one accumulator from the front of `input`, advancing it
     /// past the consumed bytes. `None` on truncation.
     pub fn decode_from(input: &mut &[u8]) -> Option<Self> {
-        fn u64le(input: &mut &[u8]) -> Option<u64> {
-            let (head, rest) = input.split_at_checked(8)?;
-            *input = rest;
-            Some(u64::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u128le(input: &mut &[u8]) -> Option<u128> {
-            let (head, rest) = input.split_at_checked(16)?;
-            *input = rest;
-            Some(u128::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u32le(input: &mut &[u8]) -> Option<u32> {
-            let (head, rest) = input.split_at_checked(4)?;
-            *input = rest;
-            Some(u32::from_le_bytes(head.try_into().unwrap()))
-        }
+        use crate::durability::{
+            take_u128_le as u128le, take_u32_le as u32le, take_u64_le as u64le,
+        };
         Some(RunStatsAccumulator {
             runs: u64le(input)?,
             tasks: u128le(input)?,

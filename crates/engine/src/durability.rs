@@ -153,6 +153,38 @@ pub fn fnv1a64(bytes: &[u8]) -> u64 {
     h
 }
 
+// Fixed-width little-endian readers for checkpoint payloads. Each takes
+// its bytes off the front of `input` and returns `None` when too few
+// remain; callers map that to their own error.
+
+/// Splits `n` bytes off the front of `input`.
+pub fn take_bytes<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    let (head, rest) = input.split_at_checked(n)?;
+    *input = rest;
+    Some(head)
+}
+
+fn take_array<const N: usize>(input: &mut &[u8]) -> Option<[u8; N]> {
+    let (head, rest) = input.split_first_chunk::<N>()?;
+    *input = rest;
+    Some(*head)
+}
+
+/// Reads a little-endian `u32` off the front of `input`.
+pub fn take_u32_le(input: &mut &[u8]) -> Option<u32> {
+    take_array(input).map(u32::from_le_bytes)
+}
+
+/// Reads a little-endian `u64` off the front of `input`.
+pub fn take_u64_le(input: &mut &[u8]) -> Option<u64> {
+    take_array(input).map(u64::from_le_bytes)
+}
+
+/// Reads a little-endian `u128` off the front of `input`.
+pub fn take_u128_le(input: &mut &[u8]) -> Option<u128> {
+    take_array(input).map(u128::from_le_bytes)
+}
+
 /// Frame `payload` in a `BCCK` container.
 pub fn encode_container(kind: CheckpointKind, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + payload.len() + TRAILER_LEN);

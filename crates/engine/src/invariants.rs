@@ -104,32 +104,32 @@ impl<S: TraceSink> Simulation<S> {
     /// attached, the last events leading up to the violation.
     pub(crate) fn checked_tick(&mut self) {
         let now = self.ws.agenda.now();
-        if now < self.check_last_now {
+        if now < self.cur.check_last_now {
             self.dump_trace_tail();
             self.dump_time_travel();
             panic!(
                 "invariant violated [monotone-time]: agenda moved backward ({} -> {})",
-                self.check_last_now, now
+                self.cur.check_last_now, now
             );
         }
-        self.check_last_now = now;
-        self.events_since_sweep += 1;
-        let sweep_due = self.events_since_sweep >= (self.ws.hot.len() as u32).max(32);
-        if sweep_due || self.finished {
-            self.events_since_sweep = 0;
+        self.cur.check_last_now = now;
+        self.cur.events_since_sweep += 1;
+        let sweep_due = self.cur.events_since_sweep >= (self.ws.hot.len() as u32).max(32);
+        if sweep_due || self.cur.finished {
+            self.cur.events_since_sweep = 0;
             if let Err(v) = self.verify_invariants() {
                 self.dump_trace_tail();
                 self.dump_time_travel();
                 panic!(
                     "checked mode: {v} (at t={now}, event {})",
-                    self.events_processed
+                    self.cur.events_processed
                 );
             }
             // The state just passed a full sweep — keep a periodic
             // snapshot of it for time travel (see `snapshot.rs`).
             self.time_travel_tick();
         }
-        if self.finished {
+        if self.cur.finished {
             if let Err(v) = self.verify_terminal() {
                 self.dump_trace_tail();
                 self.dump_time_travel();
@@ -174,7 +174,7 @@ impl<S: TraceSink> Simulation<S> {
             self.check_coverage(i)?;
             self.check_protocol_structure(i)?;
             self.check_row_caches(i)?;
-            if !self.finished {
+            if !self.cur.finished {
                 self.check_work_conservation(i)?;
             }
         }
@@ -248,23 +248,27 @@ impl<S: TraceSink> Simulation<S> {
                 }
             }
         }
-        if computed_sum != self.completed {
+        if computed_sum != self.cur.completed {
             return fail(
                 "task-conservation",
                 format!(
                     "per-node completions sum to {computed_sum} but the global counter says {}",
-                    self.completed
+                    self.cur.completed
                 ),
             );
         }
         // Open world: the closed pool is what admission let in so far;
         // batch mode injects everything up front.
         let injected = match self.arrivals.as_deref() {
-            Some(ar) => ar.admitted,
+            Some(ar) => ar.state.admitted,
             None => self.cfg.total_tasks,
         };
-        let accounted =
-            self.remaining + buffered + computing + in_flight + self.lost_pending + self.completed;
+        let accounted = self.cur.remaining
+            + buffered
+            + computing
+            + in_flight
+            + self.cur.lost_pending
+            + self.cur.completed;
         if accounted != injected {
             return fail(
                 "task-conservation",
@@ -272,7 +276,7 @@ impl<S: TraceSink> Simulation<S> {
                     "{injected} tasks injected but {accounted} accounted for \
                      (remaining {} + buffered {buffered} + computing {computing} \
                      + in-flight {in_flight} + lost {} + completed {})",
-                    self.remaining, self.lost_pending, self.completed
+                    self.cur.remaining, self.cur.lost_pending, self.cur.completed
                 ),
             );
         }
@@ -289,48 +293,52 @@ impl<S: TraceSink> Simulation<S> {
         let Some(ar) = self.arrivals.as_deref() else {
             return Ok(());
         };
-        let due: u64 = ar.schedule[..ar.cursor].iter().map(|a| a.units).sum();
-        if ar.submitted != due {
+        let due: u64 = ar.schedule[..ar.state.cursor].iter().map(|a| a.units).sum();
+        if ar.state.submitted != due {
             return fail(
                 "arrival-conservation",
                 format!(
                     "cursor passed {due} scheduled units but {} were submitted",
-                    ar.submitted
+                    ar.state.submitted
                 ),
             );
         }
-        if ar.submitted != ar.admitted + ar.deferred_units + ar.rejected {
+        if ar.state.submitted != ar.state.admitted + ar.state.deferred_units + ar.state.rejected {
             return fail(
                 "arrival-conservation",
                 format!(
                     "{} units submitted but only {} admitted + {} deferred + {} rejected",
-                    ar.submitted, ar.admitted, ar.deferred_units, ar.rejected
+                    ar.state.submitted,
+                    ar.state.admitted,
+                    ar.state.deferred_units,
+                    ar.state.rejected
                 ),
             );
         }
         let backlog: u64 = ar
+            .state
             .deferred
             .iter()
             .map(|&i| ar.schedule[i as usize].units)
             .sum();
-        if backlog != ar.deferred_units {
+        if backlog != ar.state.deferred_units {
             return fail(
                 "arrival-conservation",
                 format!(
                     "deferred queue holds {backlog} units but the counter says {}",
-                    ar.deferred_units
+                    ar.state.deferred_units
                 ),
             );
         }
         if self.cfg.fault_plan.is_none()
             && self.cfg.changes.is_empty()
-            && self.remaining > ar.queue_cap
+            && self.cur.remaining > ar.queue_cap
         {
             return fail(
                 "admission-bound",
                 format!(
                     "repository queue holds {} units past the admission cap {}",
-                    self.remaining, ar.queue_cap
+                    self.cur.remaining, ar.queue_cap
                 ),
             );
         }
@@ -502,12 +510,12 @@ impl<S: TraceSink> Simulation<S> {
                         format!("non-interruptible node {i} uses transfer slots"),
                     );
                 }
-                if self.preemptions != 0 {
+                if self.cur.preemptions != 0 {
                     return fail(
                         "protocol-structure",
                         format!(
                             "non-interruptible run performed {} preemptions",
-                            self.preemptions
+                            self.cur.preemptions
                         ),
                     );
                 }
@@ -611,7 +619,7 @@ impl<S: TraceSink> Simulation<S> {
     fn check_work_conservation(&self, i: usize) -> Result<(), InvariantViolation> {
         let n = &self.ws.hot[i];
         let has_task = if i == 0 {
-            self.remaining > 0
+            self.cur.remaining > 0
         } else {
             n.ledger.as_ref().is_some_and(|l| l.held() > 0)
         };
@@ -645,56 +653,56 @@ impl<S: TraceSink> Simulation<S> {
         // Open world: every submitted unit must be served or rejected —
         // `Drop` sheds, everything else completes. Batch: all of them.
         let must_complete = match self.arrivals.as_deref() {
-            Some(ar) => self.cfg.total_tasks - ar.rejected,
+            Some(ar) => self.cfg.total_tasks - ar.state.rejected,
             None => self.cfg.total_tasks,
         };
-        if !self.finished || self.completed != must_complete {
+        if !self.cur.finished || self.cur.completed != must_complete {
             return fail(
                 "terminal",
                 format!(
                     "terminal check on an unfinished run ({}/{must_complete} tasks)",
-                    self.completed
+                    self.cur.completed
                 ),
             );
         }
         if let Some(ar) = self.arrivals.as_deref() {
-            if ar.cursor != ar.schedule.len() {
+            if ar.state.cursor != ar.schedule.len() {
                 return fail(
                     "terminal",
                     format!(
                         "run finished with {} of {} scheduled arrivals submitted",
-                        ar.cursor,
+                        ar.state.cursor,
                         ar.schedule.len()
                     ),
                 );
             }
-            if !ar.deferred.is_empty() {
+            if !ar.state.deferred.is_empty() {
                 return fail(
                     "terminal",
                     format!(
                         "run finished with {} deferred units still waiting",
-                        ar.deferred_units
+                        ar.state.deferred_units
                     ),
                 );
             }
-            if ar.submitted != self.cfg.total_tasks {
+            if ar.state.submitted != self.cfg.total_tasks {
                 return fail(
                     "terminal",
                     format!(
                         "{} units submitted of the {} the plan generates",
-                        ar.submitted, self.cfg.total_tasks
+                        ar.state.submitted, self.cfg.total_tasks
                     ),
                 );
             }
         }
         let times = &self.ws.completion_times;
-        if times.len() as u64 != self.completed {
+        if times.len() as u64 != self.cur.completed {
             return fail(
                 "terminal",
                 format!(
                     "{} completion timestamps recorded for {} completions",
                     times.len(),
-                    self.completed
+                    self.cur.completed
                 ),
             );
         }
@@ -741,14 +749,14 @@ impl<S: TraceSink> Simulation<S> {
         // optimal rate — for any protocol, scheduling order, or tie-break.
         let ss = SteadyState::analyze(&self.tree);
         let optimal = ss.optimal_rate();
-        let achieved = Rational::new(self.completed as i128, end_time as i128);
+        let achieved = Rational::new(self.cur.completed as i128, end_time as i128);
         if achieved > optimal {
             return fail(
                 "rate-oracle",
                 format!(
                     "achieved rate {}/{end_time} exceeds the Theorem 1 optimum {optimal} \
                      — the simulator computed tasks faster than the platform allows",
-                    self.completed
+                    self.cur.completed
                 ),
             );
         }
@@ -772,7 +780,7 @@ impl<S: TraceSink> Simulation<S> {
         // complete on top of that, so the bound carries a pipeline-depth
         // slack — far below the campaign's task counts, so a simulator
         // that kept "computing" on crashed capacity still trips it.
-        if let Some(last_crash) = self.fstats.last_crash_time {
+        if let Some(last_crash) = self.cur.fstats.last_crash_time {
             let surv = self.surviving_tree();
             let rate_post = SteadyState::analyze(&surv).optimal_rate();
             let span = end_time.saturating_sub(last_crash);

@@ -22,6 +22,7 @@ pub mod profile;
 pub mod result;
 pub mod sim;
 pub mod snapshot;
+mod wire;
 
 pub use accum::RunStatsAccumulator;
 pub use arrivals::{AdmissionPolicy, Arrival, ArrivalPlan, ArrivalProcess, TaskClass};
@@ -35,7 +36,7 @@ pub use durability::{
 pub use invariants::InvariantViolation;
 pub use result::{ArrivalStats, FaultStats, RunResult};
 pub use sim::{SimWorkspace, Simulation};
-pub use snapshot::{SimSnapshot, SnapshotError, WhatIf, WorkspaceSnapshot};
+pub use snapshot::{SimSnapshot, SnapshotError, WhatIf};
 
 // Trace plumbing, re-exported so engine users name one crate: the sink
 // trait the simulator is generic over plus the stock sinks/writers.

@@ -62,7 +62,7 @@ use crate::config::{
     SelectorKind, SimConfig,
 };
 use crate::result::{ArrivalStats, FaultStats, RunResult};
-use crate::snapshot::{ArrivalCursor, CursorSnapshot, SimSnapshot, TimeTravel};
+use crate::snapshot::{SimSnapshot, TimeTravel};
 use bc_core::{BufferLedger, BufferPolicy, ChildInfo, ChildSelector, GrowthEvent, LatencyObserver};
 use bc_platform::{NodeId, Tree};
 use bc_simcore::{split_seed, Agenda, EventHandle, NullSink, Time, TraceEvent, TraceSink};
@@ -299,9 +299,9 @@ pub(crate) struct FaultRt {
     pub(crate) dup_deliveries: u32,
 }
 
-/// Open-world arrival runtime: the pregenerated schedule, the injection
-/// cursor, the deferred (backpressured) queue, and the admission /
-/// latency accounting. Boxed on the [`Simulation`] and `None` in batch
+/// Open-world arrival runtime: the pregenerated schedule and the
+/// admission bound copied out of the plan, plus the mutable
+/// [`ArrivalState`]. Boxed on the [`Simulation`] and `None` in batch
 /// mode, so the closed-world hot path carries one dead pointer and the
 /// `AR = false` monomorphization compiles every touch point out.
 pub(crate) struct ArrivalRt {
@@ -309,11 +309,19 @@ pub(crate) struct ArrivalRt {
     /// serialized, on snapshot restore — it is a pure function of the
     /// configuration).
     pub(crate) schedule: Vec<Arrival>,
-    /// Next schedule entry to inject.
-    pub(crate) cursor: usize,
     /// Admission bound and policy, copied out of the plan.
     pub(crate) queue_cap: u64,
     pub(crate) policy: AdmissionPolicy,
+    pub(crate) state: ArrivalState,
+}
+
+/// The part of the arrival runtime a run changes: the injection cursor,
+/// the deferred (backpressured) queue, and the admission / latency
+/// accounting. A [`SimSnapshot`] stores a clone of it.
+#[derive(Clone)]
+pub(crate) struct ArrivalState {
+    /// Next schedule entry to inject.
+    pub(crate) cursor: usize,
     /// Deferred arrivals (schedule indices), FIFO.
     pub(crate) deferred: VecDeque<u32>,
     /// Unit tasks currently sitting in `deferred`.
@@ -324,6 +332,9 @@ pub(crate) struct ArrivalRt {
     pub(crate) rejected: u64,
     pub(crate) deferrals: u64,
     pub(crate) peak_deferred: u64,
+    /// `LeakQueuedTask` checker-validation fault: deferrals counted
+    /// toward the leak period.
+    pub(crate) leak_tick: u64,
     /// Per-admitted-unit admission timestamps, admission order.
     pub(crate) admit_times: Vec<Time>,
     /// Per-unit root-dispatch timestamps, dispatch order.
@@ -332,30 +343,29 @@ pub(crate) struct ArrivalRt {
     /// per-class completion attribution).
     pub(crate) admit_class: Vec<u32>,
     pub(crate) admitted_per_class: Vec<u64>,
-    /// `LeakQueuedTask` checker-validation fault: deferrals counted
-    /// toward the leak period.
-    pub(crate) leak_tick: u64,
 }
 
 impl ArrivalRt {
     fn new(plan: &crate::arrivals::ArrivalPlan) -> Box<ArrivalRt> {
         Box::new(ArrivalRt {
             schedule: plan.schedule(),
-            cursor: 0,
             queue_cap: plan.queue_cap,
             policy: plan.policy,
-            deferred: VecDeque::new(),
-            deferred_units: 0,
-            submitted: 0,
-            admitted: 0,
-            rejected: 0,
-            deferrals: 0,
-            peak_deferred: 0,
-            admit_times: Vec::new(),
-            dispatch_times: Vec::new(),
-            admit_class: Vec::new(),
-            admitted_per_class: vec![0; plan.classes.len()],
-            leak_tick: 0,
+            state: ArrivalState {
+                cursor: 0,
+                deferred: VecDeque::new(),
+                deferred_units: 0,
+                submitted: 0,
+                admitted: 0,
+                rejected: 0,
+                deferrals: 0,
+                peak_deferred: 0,
+                leak_tick: 0,
+                admit_times: Vec::new(),
+                dispatch_times: Vec::new(),
+                admit_class: Vec::new(),
+                admitted_per_class: vec![0; plan.classes.len()],
+            },
         })
     }
 }
@@ -457,6 +467,55 @@ impl SimWorkspace {
     }
 }
 
+/// The progress cursors of a [`Simulation`]: every piece of run state
+/// that is not the tree, the configuration, a workspace container, or
+/// the arrival runtime. A [`SimSnapshot`] stores a clone of it.
+#[derive(Clone)]
+pub(crate) struct Progress {
+    /// Tasks the root has not yet dispensed (to itself or a child). In
+    /// open-world mode this is the *admitted* queue — the quantity the
+    /// admission bound caps — and starts at 0.
+    pub(crate) remaining: u64,
+    pub(crate) completed: u64,
+    /// Completion count that ends the run: `total_tasks`, minus (in
+    /// open-world `Drop` mode) every rejected unit. Counting unarrived
+    /// units keeps the check `completed >= finish_target` exact — it can
+    /// only fire once everything submittable has been served.
+    pub(crate) finish_target: u64,
+    pub(crate) next_checkpoint: usize,
+    pub(crate) next_change: usize,
+    pub(crate) events_processed: u64,
+    /// Preemptions performed (interruptible protocol only).
+    pub(crate) preemptions: u64,
+    /// Task transfers started (both protocols).
+    pub(crate) transfers_started: u64,
+    /// Request messages sent upward.
+    pub(crate) requests_sent: u64,
+    pub(crate) started: bool,
+    pub(crate) finished: bool,
+    /// Checked mode: last event time seen by the checker (monotonicity).
+    pub(crate) check_last_now: Time,
+    /// Checked mode: events since the last full invariant sweep.
+    pub(crate) events_since_sweep: u32,
+    /// Fault injection only: deliveries counted toward `LeakTask`.
+    pub(crate) faulty_deliveries: u64,
+    /// True iff a fault plan is configured — the single gate keeping the
+    /// recovery plumbing off the fault-free hot path.
+    pub(crate) fault_active: bool,
+    /// Recovery tuning (default when no plan; never read then).
+    pub(crate) recovery: RecoveryTuning,
+    /// Jitter seed from the fault plan.
+    pub(crate) fault_seed: u64,
+    /// Missed-ack threshold; `u8::MAX` without a plan so no child is ever
+    /// presumed dead on the fault-free path.
+    pub(crate) dead_threshold: u8,
+    /// Tasks destroyed by faults and not yet reissued by the repository
+    /// (the conservation ledger's lost term).
+    pub(crate) lost_pending: u64,
+    /// Fault/recovery accounting for the run result.
+    pub(crate) fstats: FaultStats,
+}
+
 /// A configured simulation, ready to [`run`](Simulation::run).
 ///
 /// Generic over its [`TraceSink`]: the default [`NullSink`] has
@@ -470,48 +529,8 @@ pub struct Simulation<S: TraceSink = NullSink> {
     pub(crate) cfg: SimConfig,
     pub(crate) ws: SimWorkspace,
     pub(crate) sink: S,
-    /// Tasks the root has not yet dispensed (to itself or a child). In
-    /// open-world mode this is the *admitted* queue — the quantity the
-    /// admission bound caps — and starts at 0.
-    pub(crate) remaining: u64,
-    pub(crate) completed: u64,
-    /// Completion count that ends the run: `total_tasks`, minus (in
-    /// open-world `Drop` mode) every rejected unit. Counting unarrived
-    /// units keeps the check `completed >= finish_target` exact — it can
-    /// only fire once everything submittable has been served.
-    pub(crate) finish_target: u64,
-    next_checkpoint: usize,
-    next_change: usize,
-    pub(crate) events_processed: u64,
-    /// Preemptions performed (interruptible protocol only).
-    pub(crate) preemptions: u64,
-    /// Task transfers started (both protocols).
-    pub(crate) transfers_started: u64,
-    /// Request messages sent upward.
-    pub(crate) requests_sent: u64,
-    started: bool,
-    pub(crate) finished: bool,
-    /// Checked mode: last event time seen by the checker (monotonicity).
-    pub(crate) check_last_now: Time,
-    /// Checked mode: events since the last full invariant sweep.
-    pub(crate) events_since_sweep: u32,
-    /// Fault injection only: deliveries counted toward `LeakTask`.
-    faulty_deliveries: u64,
-    /// True iff a fault plan is configured — the single gate keeping the
-    /// recovery plumbing off the fault-free hot path.
-    pub(crate) fault_active: bool,
-    /// Recovery tuning (default when no plan; never read then).
-    recovery: RecoveryTuning,
-    /// Jitter seed from the fault plan.
-    fault_seed: u64,
-    /// Missed-ack threshold; `u8::MAX` without a plan so no child is ever
-    /// presumed dead on the fault-free path.
-    dead_threshold: u8,
-    /// Tasks destroyed by faults and not yet reissued by the repository
-    /// (the conservation ledger's lost term).
-    pub(crate) lost_pending: u64,
-    /// Fault/recovery accounting for the run result.
-    pub(crate) fstats: FaultStats,
+    /// Progress cursors (see [`Progress`]).
+    pub(crate) cur: Progress,
     /// Checked-mode time travel: periodic snapshots so an invariant
     /// violation can be replayed from just before it (see
     /// `snapshot.rs`). `None` whenever checked mode is off, so the
@@ -546,7 +565,7 @@ impl Simulation {
 macro_rules! mono {
     ($sim:expr, $method:ident) => {
         match (
-            $sim.fault_active,
+            $sim.cur.fault_active,
             $sim.cfg.protocol,
             $sim.arrivals.is_some(),
         ) {
@@ -689,26 +708,28 @@ impl<S: TraceSink> Simulation<S> {
             cfg,
             ws,
             sink,
-            remaining,
-            completed: 0,
-            finish_target,
-            next_checkpoint: 0,
-            next_change: 0,
-            events_processed: 0,
-            preemptions: 0,
-            transfers_started: 0,
-            requests_sent: 0,
-            started: false,
-            finished: false,
-            check_last_now: 0,
-            events_since_sweep: 0,
-            faulty_deliveries: 0,
-            fault_active,
-            recovery,
-            fault_seed,
-            dead_threshold,
-            lost_pending: 0,
-            fstats: FaultStats::default(),
+            cur: Progress {
+                remaining,
+                completed: 0,
+                finish_target,
+                next_checkpoint: 0,
+                next_change: 0,
+                events_processed: 0,
+                preemptions: 0,
+                transfers_started: 0,
+                requests_sent: 0,
+                started: false,
+                finished: false,
+                check_last_now: 0,
+                events_since_sweep: 0,
+                faulty_deliveries: 0,
+                fault_active,
+                recovery,
+                fault_seed,
+                dead_threshold,
+                lost_pending: 0,
+                fstats: FaultStats::default(),
+            },
             time_travel,
             arrivals,
         }
@@ -718,10 +739,10 @@ impl<S: TraceSink> Simulation<S> {
     /// reaches the root, which begins computing and sending. Idempotent;
     /// [`Simulation::step`] calls it automatically.
     pub fn start(&mut self) {
-        if self.started {
+        if self.cur.started {
             return;
         }
-        self.started = true;
+        self.cur.started = true;
         // start() runs at t=0, so scheduling by delay places each fault
         // at its absolute time.
         if let Some(plan) = &self.cfg.fault_plan {
@@ -755,22 +776,22 @@ impl<S: TraceSink> Simulation<S> {
     /// its pre-fault-model cost; `IC` compiles the other discipline's
     /// link path out of the service cascade; `AR = false` compiles the
     /// open-world admission/latency plumbing out the same way. They
-    /// always mirror `self.fault_active` / `self.cfg.protocol` /
+    /// always mirror `self.cur.fault_active` / `self.cfg.protocol` /
     /// `self.arrivals.is_some()`.
     fn step_mono<const FA: bool, const IC: bool, const AR: bool>(&mut self) -> bool {
         self.start();
-        if self.finished {
+        if self.cur.finished {
             return false;
         }
         let Some((_, ev)) = self.ws.agenda.next() else {
             panic!(
                 "simulation deadlock: {}/{} tasks completed with an empty agenda",
-                self.completed, self.cfg.total_tasks
+                self.cur.completed, self.cfg.total_tasks
             );
         };
-        self.events_processed += 1;
+        self.cur.events_processed += 1;
         assert!(
-            self.events_processed <= self.cfg.max_events,
+            self.cur.events_processed <= self.cfg.max_events,
             "event budget exceeded ({}); runaway simulation",
             self.cfg.max_events
         );
@@ -783,7 +804,7 @@ impl<S: TraceSink> Simulation<S> {
         if self.cfg.checked {
             self.checked_tick();
         }
-        !self.finished
+        !self.cur.finished
     }
 
     /// Runs to the final task completion and returns the trace.
@@ -852,13 +873,14 @@ impl<S: TraceSink> Simulation<S> {
             busy_link_per_node: self.ws.hot.iter().map(|n| n.busy_link).collect(),
             preemptions_per_node: self.ws.cold.iter().map(|c| c.preemptions).collect(),
             checkpoint_max_buffers: checkpoint_records,
-            events_processed: self.events_processed,
-            preemptions: self.preemptions,
-            transfers_started: self.transfers_started,
-            requests_sent: self.requests_sent,
-            faults: self.fstats.clone(),
+            events_processed: self.cur.events_processed,
+            preemptions: self.cur.preemptions,
+            transfers_started: self.cur.transfers_started,
+            requests_sent: self.cur.requests_sent,
+            faults: self.cur.fstats.clone(),
             arrivals: match self.arrivals.take() {
-                Some(ar) => {
+                Some(rt) => {
+                    let ar = rt.state;
                     let mut completed_per_class = vec![0u64; ar.admitted_per_class.len()];
                     // Completions are matched to classes in admission order
                     // (units are interchangeable; exact when fault-free).
@@ -923,7 +945,7 @@ impl<S: TraceSink> Simulation<S> {
         self.ws.hot[i].tasks_computed += 1;
         self.emit(TraceEvent::ComputeFinish { node: i as u32 });
         self.record_completion::<AR>();
-        if self.finished {
+        if self.cur.finished {
             return;
         }
         // §3.1 growth rule 3: computation completed with all buffers empty.
@@ -1048,8 +1070,8 @@ impl<S: TraceSink> Simulation<S> {
             .as_mut()
             .expect("delivery to the root");
         if let Some(FaultInjection::LeakTask { every }) = self.cfg.fault {
-            self.faulty_deliveries += 1;
-            if self.faulty_deliveries.is_multiple_of(every) {
+            self.cur.faulty_deliveries += 1;
+            if self.cur.faulty_deliveries.is_multiple_of(every) {
                 // The injected bug: the task vanishes from the buffer
                 // without being computed or forwarded.
                 ledger.take_task();
@@ -1060,7 +1082,7 @@ impl<S: TraceSink> Simulation<S> {
             // recognizes it by identity and drops it without touching the
             // ledger (at-least-once network, at-most-once buffer).
             self.ws.faults[child].dup_deliveries -= 1;
-            self.fstats.duplicates_dropped += 1;
+            self.cur.fstats.duplicates_dropped += 1;
             self.emit(TraceEvent::DuplicateDrop { node: child as u32 });
         }
         self.enqueue(child);
@@ -1068,10 +1090,10 @@ impl<S: TraceSink> Simulation<S> {
 
     fn record_completion<const AR: bool>(&mut self) {
         let now = self.ws.agenda.now();
-        self.completed += 1;
+        self.cur.completed += 1;
         self.ws.completion_times.push(now);
-        while self.next_checkpoint < self.cfg.checkpoints.len()
-            && self.completed >= self.cfg.checkpoints[self.next_checkpoint]
+        while self.cur.next_checkpoint < self.cfg.checkpoints.len()
+            && self.cur.completed >= self.cfg.checkpoints[self.cur.next_checkpoint]
         {
             let max = self
                 .ws
@@ -1082,14 +1104,14 @@ impl<S: TraceSink> Simulation<S> {
                 .unwrap_or(0);
             self.ws
                 .checkpoint_records
-                .push((self.cfg.checkpoints[self.next_checkpoint], max));
-            self.next_checkpoint += 1;
+                .push((self.cfg.checkpoints[self.cur.next_checkpoint], max));
+            self.cur.next_checkpoint += 1;
         }
-        while self.next_change < self.cfg.changes.len()
-            && self.cfg.changes[self.next_change].after_tasks <= self.completed
+        while self.cur.next_change < self.cfg.changes.len()
+            && self.cfg.changes[self.cur.next_change].after_tasks <= self.cur.completed
         {
-            let ch = self.cfg.changes[self.next_change];
-            self.next_change += 1;
+            let ch = self.cfg.changes[self.cur.next_change];
+            self.cur.next_change += 1;
             match ch.kind {
                 ChangeKind::CommTime(c) => {
                     self.tree.set_comm_time(ch.node, c);
@@ -1131,8 +1153,8 @@ impl<S: TraceSink> Simulation<S> {
             // already did): re-admit deferred arrivals up to the bound.
             self.drain_deferred();
         }
-        if self.completed >= self.finish_target {
-            self.finished = true;
+        if self.cur.completed >= self.cur.finish_target {
+            self.cur.finished = true;
         }
     }
 
@@ -1283,10 +1305,10 @@ impl<S: TraceSink> Simulation<S> {
             node: d0 as u32,
             reclaimed,
         });
-        self.remaining += reclaimed;
+        self.cur.remaining += reclaimed;
         // The parent's link may have freed; the repository has new work.
         if matches!(self.cfg.protocol, Protocol::Interruptible) {
-            if self.fault_active {
+            if self.cur.fault_active {
                 self.reconcile_link::<true>(p);
             } else {
                 self.reconcile_link::<false>(p);
@@ -1309,7 +1331,7 @@ impl<S: TraceSink> Simulation<S> {
         debug_assert_eq!(IC, self.cfg.protocol == Protocol::Interruptible);
         while let Some(i) = self.ws.service_queue.pop_front() {
             self.ws.queued[i] = false;
-            if self.finished {
+            if self.cur.finished {
                 continue;
             }
             self.service::<FA, IC, AR>(i);
@@ -1346,14 +1368,14 @@ impl<S: TraceSink> Simulation<S> {
     /// the admission queue and its wait ends (latency accounting).
     fn take_task<const AR: bool>(&mut self, i: usize) -> bool {
         if i == 0 {
-            if self.remaining == 0 {
+            if self.cur.remaining == 0 {
                 return false;
             }
-            self.remaining -= 1;
+            self.cur.remaining -= 1;
             if AR {
                 let now = self.ws.agenda.now();
                 let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-                ar.dispatch_times.push(now);
+                ar.state.dispatch_times.push(now);
             }
             return true;
         }
@@ -1381,7 +1403,7 @@ impl<S: TraceSink> Simulation<S> {
 
     fn has_task(&self, i: usize) -> bool {
         if i == 0 {
-            self.remaining > 0
+            self.cur.remaining > 0
         } else {
             self.ws.hot[i].ledger.as_ref().is_some_and(|l| l.held() > 0)
         }
@@ -1435,7 +1457,7 @@ impl<S: TraceSink> Simulation<S> {
         candidates.clear();
         for (pos, k) in self.ws.krange(i).enumerate() {
             if self.ws.kid_pending[k] > 0
-                && (!FA || self.ws.kid_missed[k] < self.dead_threshold)
+                && (!FA || self.ws.kid_missed[k] < self.cur.dead_threshold)
                 && !self.ws.kid_gone[k]
             {
                 candidates.push(ChildInfo {
@@ -1459,7 +1481,7 @@ impl<S: TraceSink> Simulation<S> {
         let child = self.ws.kid_node[k] as usize;
         let c = self.tree.comm_time(NodeId(child as u32));
         let now = self.ws.agenda.now();
-        self.transfers_started += 1;
+        self.cur.transfers_started += 1;
         self.emit(TraceEvent::TransferStart {
             node: i as u32,
             child: child as u32,
@@ -1488,7 +1510,7 @@ impl<S: TraceSink> Simulation<S> {
             for (pos, k) in self.ws.krange(i).enumerate() {
                 if self.ws.kid_pending[k] > 0
                     && self.ws.kid_slot[k].is_none()
-                    && (!FA || self.ws.kid_missed[k] < self.dead_threshold)
+                    && (!FA || self.ws.kid_missed[k] < self.cur.dead_threshold)
                     && !self.ws.kid_gone[k]
                 {
                     candidates.push(ChildInfo {
@@ -1507,7 +1529,7 @@ impl<S: TraceSink> Simulation<S> {
             let k = self.ws.kid_start[i] as usize + pos;
             self.ws.kid_pending[k] -= 1;
             self.ws.pending_sum[i] -= 1;
-            self.transfers_started += 1;
+            self.cur.transfers_started += 1;
             let child = self.ws.kid_node[k] as usize;
             let c = self.tree.comm_time(NodeId(child as u32));
             self.ws.kid_slot[k] = Some(SlotTransfer {
@@ -1608,7 +1630,7 @@ impl<S: TraceSink> Simulation<S> {
     /// Shelves the active transfer (or finishes it inline if it has
     /// exactly zero work left at this instant).
     fn preempt<const FA: bool>(&mut self, i: usize) {
-        self.preemptions += 1;
+        self.cur.preemptions += 1;
         self.ws.cold[i].preemptions += 1;
         let a = self.ws.active[i].take().expect("preempting idle link");
         self.ws.agenda.cancel(a.handle);
@@ -1664,7 +1686,7 @@ impl<S: TraceSink> Simulation<S> {
         }
         let ledger = self.ws.hot[i].ledger.as_mut().expect("non-root has ledger");
         ledger.note_requests_sent(n);
-        self.requests_sent += n as u64;
+        self.cur.requests_sent += n as u64;
         self.emit(TraceEvent::Request {
             node: i as u32,
             count: n,
@@ -1676,7 +1698,7 @@ impl<S: TraceSink> Simulation<S> {
             // node believes it asked), unknown to the parent. The timeout
             // withdraws and re-sends it.
             self.ws.faults[i].lost_requests += n;
-            self.fstats.requests_dropped += n as u64;
+            self.cur.fstats.requests_dropped += n as u64;
             self.emit(TraceEvent::RequestLoss {
                 node: i as u32,
                 count: n,
@@ -1692,10 +1714,10 @@ impl<S: TraceSink> Simulation<S> {
         let k = self.ws.kid_start[parent] as usize + pos;
         self.ws.kid_pending[k] += n;
         self.ws.pending_sum[parent] += n;
-        if FA && self.ws.kid_missed[k] >= self.dead_threshold {
+        if FA && self.ws.kid_missed[k] >= self.cur.dead_threshold {
             // Heard from a child previously presumed dead: revise.
             self.ws.kid_missed[k] = 0;
-            self.fstats.children_revived += 1;
+            self.cur.fstats.children_revived += 1;
             self.emit(TraceEvent::ChildRevived {
                 node: parent as u32,
                 child: i as u32,
@@ -1716,7 +1738,7 @@ impl<S: TraceSink> Simulation<S> {
             .as_ref()
             .expect("fault without plan")
             .faults[index];
-        self.fstats.faults_injected += 1;
+        self.cur.fstats.faults_injected += 1;
         let node = f.node.index();
         match f.kind {
             FaultKind::RequestLoss { batches } => {
@@ -1756,7 +1778,7 @@ impl<S: TraceSink> Simulation<S> {
             node: i as u32,
             child: child as u32,
         });
-        self.fstats.transfer_aborts += 1;
+        self.cur.fstats.transfer_aborts += 1;
         self.lose_tasks(1);
         self.note_missed_ack(i, pos);
         let c = &self.ws.hot[child];
@@ -1812,7 +1834,7 @@ impl<S: TraceSink> Simulation<S> {
             node: p as u32,
             child: child as u32,
         });
-        self.fstats.transfer_aborts += 1;
+        self.cur.fstats.transfer_aborts += 1;
         self.lose_tasks(1);
         self.note_missed_ack(p, pos);
         match nack {
@@ -1939,8 +1961,8 @@ impl<S: TraceSink> Simulation<S> {
             node: d0 as u32,
             lost,
         });
-        self.fstats.crashes += 1;
-        self.fstats.last_crash_time = Some(self.ws.agenda.now());
+        self.cur.fstats.crashes += 1;
+        self.cur.fstats.last_crash_time = Some(self.ws.agenda.now());
         self.lose_tasks(lost);
     }
 
@@ -1952,11 +1974,11 @@ impl<S: TraceSink> Simulation<S> {
         if n == 0 {
             return;
         }
-        self.lost_pending += n;
-        self.fstats.tasks_lost += n;
+        self.cur.lost_pending += n;
+        self.cur.fstats.tasks_lost += n;
         self.ws
             .agenda
-            .schedule(self.recovery.reissue_delay, Event::Reissue { count: n });
+            .schedule(self.cur.recovery.reissue_delay, Event::Reissue { count: n });
     }
 
     /// The repository's detection latency elapsed: `count` lost tasks
@@ -1964,15 +1986,15 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn on_reissue(&mut self, count: u64) {
-        debug_assert!(self.lost_pending >= count, "reissue of untracked tasks");
-        self.lost_pending -= count;
+        debug_assert!(self.cur.lost_pending >= count, "reissue of untracked tasks");
+        self.cur.lost_pending -= count;
         if matches!(self.cfg.fault, Some(FaultInjection::SwallowReissue)) {
             // The injected bug: the repository forgets the lost tasks.
             // Task conservation breaks and the checker must say so.
             return;
         }
-        self.remaining += count;
-        self.fstats.tasks_reissued += count;
+        self.cur.remaining += count;
+        self.cur.fstats.tasks_reissued += count;
         self.emit(TraceEvent::TaskReissue { count });
         self.enqueue(0);
     }
@@ -1988,16 +2010,16 @@ impl<S: TraceSink> Simulation<S> {
         let now = self.ws.agenda.now();
         loop {
             let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-            let Some(&a) = ar.schedule.get(ar.cursor) else {
+            let Some(&a) = ar.schedule.get(ar.state.cursor) else {
                 return; // schedule exhausted; no re-chain
             };
             if a.at > now {
                 self.ws.agenda.schedule(a.at - now, Event::Arrival);
                 return;
             }
-            let idx = ar.cursor as u32;
-            ar.cursor += 1;
-            ar.submitted += a.units;
+            let idx = ar.state.cursor as u32;
+            ar.state.cursor += 1;
+            ar.state.submitted += a.units;
             self.emit(TraceEvent::TaskArrival {
                 class: a.class,
                 units: a.units,
@@ -2010,27 +2032,27 @@ impl<S: TraceSink> Simulation<S> {
     /// otherwise shed (`Drop`) or backpressure (`Defer`).
     fn submit_arrival(&mut self, a: Arrival, idx: u32) {
         let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-        if self.remaining + a.units <= ar.queue_cap {
+        if self.cur.remaining + a.units <= ar.queue_cap {
             self.admit_units(a.class, a.units);
             return;
         }
         match ar.policy {
             AdmissionPolicy::Drop => {
-                ar.rejected += a.units;
-                self.finish_target -= a.units;
+                ar.state.rejected += a.units;
+                self.cur.finish_target -= a.units;
                 self.emit(TraceEvent::TaskReject {
                     class: a.class,
                     units: a.units,
                 });
                 // The shed units may have been the last outstanding work.
-                if self.completed >= self.finish_target {
-                    self.finished = true;
+                if self.cur.completed >= self.cur.finish_target {
+                    self.cur.finished = true;
                 }
             }
             AdmissionPolicy::Defer => {
                 if let Some(FaultInjection::LeakQueuedTask { every }) = self.cfg.fault {
-                    ar.leak_tick += 1;
-                    if ar.leak_tick.is_multiple_of(every) {
+                    ar.state.leak_tick += 1;
+                    if ar.state.leak_tick.is_multiple_of(every) {
                         // The injected bug: the arrival is counted as
                         // submitted but silently dropped — neither queued,
                         // admitted, nor rejected. Open-world conservation
@@ -2038,11 +2060,11 @@ impl<S: TraceSink> Simulation<S> {
                         return;
                     }
                 }
-                ar.deferred.push_back(idx);
-                ar.deferred_units += a.units;
-                ar.deferrals += 1;
-                ar.peak_deferred = ar.peak_deferred.max(ar.deferred_units);
-                let waiting = ar.deferred_units;
+                ar.state.deferred.push_back(idx);
+                ar.state.deferred_units += a.units;
+                ar.state.deferrals += 1;
+                ar.state.peak_deferred = ar.state.peak_deferred.max(ar.state.deferred_units);
+                let waiting = ar.state.deferred_units;
                 self.emit(TraceEvent::TaskDefer {
                     class: a.class,
                     units: a.units,
@@ -2055,14 +2077,14 @@ impl<S: TraceSink> Simulation<S> {
     /// `units` tasks of `class` enter the repository queue.
     fn admit_units(&mut self, class: u32, units: u64) {
         let now = self.ws.agenda.now();
-        self.remaining += units;
-        let queued = self.remaining;
+        self.cur.remaining += units;
+        let queued = self.cur.remaining;
         let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-        ar.admitted += units;
-        ar.admitted_per_class[class as usize] += units;
+        ar.state.admitted += units;
+        ar.state.admitted_per_class[class as usize] += units;
         for _ in 0..units {
-            ar.admit_times.push(now);
-            ar.admit_class.push(class);
+            ar.state.admit_times.push(now);
+            ar.state.admit_class.push(class);
         }
         self.emit(TraceEvent::TaskAdmit {
             class,
@@ -2080,15 +2102,15 @@ impl<S: TraceSink> Simulation<S> {
     fn drain_deferred(&mut self) {
         loop {
             let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-            let Some(&idx) = ar.deferred.front() else {
+            let Some(&idx) = ar.state.deferred.front() else {
                 return;
             };
             let a = ar.schedule[idx as usize];
-            if self.remaining + a.units > ar.queue_cap {
+            if self.cur.remaining + a.units > ar.queue_cap {
                 return;
             }
-            ar.deferred.pop_front();
-            ar.deferred_units -= a.units;
+            ar.state.deferred.pop_front();
+            ar.state.deferred_units -= a.units;
             self.admit_units(a.class, a.units);
         }
     }
@@ -2117,12 +2139,12 @@ impl<S: TraceSink> Simulation<S> {
             .as_mut()
             .expect("non-root has ledger")
             .uncover(lost);
-        if retry > self.recovery.max_retries {
+        if retry > self.cur.recovery.max_retries {
             self.ws.faults[i].orphaned = true;
-            self.fstats.gave_up += 1;
+            self.cur.fstats.gave_up += 1;
             return;
         }
-        self.fstats.retries += 1;
+        self.cur.fstats.retries += 1;
         self.emit(TraceEvent::RequestRetry {
             node: i as u32,
             retry,
@@ -2140,10 +2162,10 @@ impl<S: TraceSink> Simulation<S> {
             return;
         }
         let retry = self.ws.faults[i].retry;
-        let base = self.recovery.request_timeout;
-        let shift = retry.min(self.recovery.backoff_cap).min(32);
+        let base = self.cur.recovery.request_timeout;
+        let shift = retry.min(self.cur.recovery.backoff_cap).min(32);
         let jitter =
-            split_seed(self.fault_seed, ((i as u64) << 32) | retry as u64) % (base / 4 + 1);
+            split_seed(self.cur.fault_seed, ((i as u64) << 32) | retry as u64) % (base / 4 + 1);
         let deadline = base.saturating_mul(1u64 << shift).saturating_add(jitter);
         let handle = self
             .ws
@@ -2158,11 +2180,11 @@ impl<S: TraceSink> Simulation<S> {
     #[inline(never)]
     fn note_missed_ack(&mut self, i: usize, pos: usize) {
         let k = self.ws.kid_start[i] as usize + pos;
-        if self.ws.kid_missed[k] >= self.dead_threshold {
+        if self.ws.kid_missed[k] >= self.cur.dead_threshold {
             return;
         }
         self.ws.kid_missed[k] += 1;
-        if self.ws.kid_missed[k] >= self.dead_threshold {
+        if self.ws.kid_missed[k] >= self.cur.dead_threshold {
             self.declare_dead(i, pos);
         }
     }
@@ -2177,7 +2199,7 @@ impl<S: TraceSink> Simulation<S> {
     fn declare_dead(&mut self, i: usize, pos: usize) {
         let k = self.ws.kid_start[i] as usize + pos;
         let child = self.ws.kid_node[k] as usize;
-        self.fstats.children_declared_dead += 1;
+        self.cur.fstats.children_declared_dead += 1;
         self.emit(TraceEvent::ChildDead {
             node: i as u32,
             child: child as u32,
@@ -2224,7 +2246,7 @@ impl<S: TraceSink> Simulation<S> {
 
     /// Tasks completed so far.
     pub fn completed(&self) -> u64 {
-        self.completed
+        self.cur.completed
     }
 
     /// Current simulation time.
@@ -2234,7 +2256,7 @@ impl<S: TraceSink> Simulation<S> {
 
     /// Events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.events_processed
+        self.cur.events_processed
     }
 
     // ----- snapshot / restore (see `snapshot.rs`) ---------------------------
@@ -2249,43 +2271,8 @@ impl<S: TraceSink> Simulation<S> {
             tree: self.tree.clone(),
             cfg: self.cfg.clone(),
             ws: self.ws.snapshot(),
-            cur: CursorSnapshot {
-                remaining: self.remaining,
-                completed: self.completed,
-                next_checkpoint: self.next_checkpoint as u64,
-                next_change: self.next_change as u64,
-                events_processed: self.events_processed,
-                preemptions: self.preemptions,
-                transfers_started: self.transfers_started,
-                requests_sent: self.requests_sent,
-                started: self.started,
-                finished: self.finished,
-                check_last_now: self.check_last_now,
-                events_since_sweep: self.events_since_sweep,
-                faulty_deliveries: self.faulty_deliveries,
-                fault_active: self.fault_active,
-                recovery: self.recovery,
-                fault_seed: self.fault_seed,
-                dead_threshold: self.dead_threshold,
-                lost_pending: self.lost_pending,
-                fstats: self.fstats.clone(),
-                finish_target: self.finish_target,
-                arrivals: self.arrivals.as_deref().map(|ar| ArrivalCursor {
-                    cursor: ar.cursor as u64,
-                    deferred: ar.deferred.iter().copied().collect(),
-                    deferred_units: ar.deferred_units,
-                    submitted: ar.submitted,
-                    admitted: ar.admitted,
-                    rejected: ar.rejected,
-                    deferrals: ar.deferrals,
-                    peak_deferred: ar.peak_deferred,
-                    leak_tick: ar.leak_tick,
-                    admit_times: ar.admit_times.clone(),
-                    dispatch_times: ar.dispatch_times.clone(),
-                    admit_class: ar.admit_class.clone(),
-                    admitted_per_class: ar.admitted_per_class.clone(),
-                }),
-            },
+            cur: self.cur.clone(),
+            arrivals: self.arrivals.as_deref().map(|ar| ar.state.clone()),
         }
     }
 
@@ -2299,29 +2286,14 @@ impl<S: TraceSink> Simulation<S> {
         sink: S,
     ) -> Simulation<S> {
         ws.restore(&snap.ws);
-        let c = &snap.cur;
-        let time_travel = snap.cfg.checked.then(|| Box::new(TimeTravel::from_env()));
         // The arrival schedule is a pure function of the plan, so the
-        // restore regenerates it and overlays the captured cursor state.
+        // restore regenerates it and puts the captured state back.
         let arrivals = snap.cfg.arrivals.as_ref().map(|plan| {
             let mut rt = ArrivalRt::new(plan);
-            let cur = c
+            rt.state = snap
                 .arrivals
-                .as_ref()
-                .expect("arrival plan without cursor state");
-            rt.cursor = cur.cursor as usize;
-            rt.deferred = cur.deferred.iter().copied().collect();
-            rt.deferred_units = cur.deferred_units;
-            rt.submitted = cur.submitted;
-            rt.admitted = cur.admitted;
-            rt.rejected = cur.rejected;
-            rt.deferrals = cur.deferrals;
-            rt.peak_deferred = cur.peak_deferred;
-            rt.leak_tick = cur.leak_tick;
-            rt.admit_times = cur.admit_times.clone();
-            rt.dispatch_times = cur.dispatch_times.clone();
-            rt.admit_class = cur.admit_class.clone();
-            rt.admitted_per_class = cur.admitted_per_class.clone();
+                .clone()
+                .expect("arrival plan without arrival state");
             rt
         });
         Simulation {
@@ -2329,28 +2301,9 @@ impl<S: TraceSink> Simulation<S> {
             cfg: snap.cfg.clone(),
             ws,
             sink,
-            remaining: c.remaining,
-            completed: c.completed,
-            next_checkpoint: c.next_checkpoint as usize,
-            next_change: c.next_change as usize,
-            events_processed: c.events_processed,
-            preemptions: c.preemptions,
-            transfers_started: c.transfers_started,
-            requests_sent: c.requests_sent,
-            started: c.started,
-            finished: c.finished,
-            check_last_now: c.check_last_now,
-            events_since_sweep: c.events_since_sweep,
-            faulty_deliveries: c.faulty_deliveries,
-            fault_active: c.fault_active,
-            recovery: c.recovery,
-            fault_seed: c.fault_seed,
-            dead_threshold: c.dead_threshold,
-            lost_pending: c.lost_pending,
-            fstats: c.fstats.clone(),
-            finish_target: c.finish_target,
+            cur: snap.cur.clone(),
+            time_travel: snap.cfg.checked.then(|| Box::new(TimeTravel::from_env())),
             arrivals,
-            time_travel,
         }
     }
 
@@ -2359,7 +2312,7 @@ impl<S: TraceSink> Simulation<S> {
     /// `t` pending. Returns `false` if the run finished first.
     pub fn run_to_time(&mut self, t: Time) -> bool {
         self.start();
-        while !self.finished {
+        while !self.cur.finished {
             match self.ws.agenda.peek_time() {
                 Some(next) if next < t => {
                     if !self.step() {
@@ -2392,13 +2345,13 @@ impl<S: TraceSink> Simulation<S> {
             let base = plan.faults.len();
             plan.faults.extend_from_slice(injected);
             let (seed, recovery) = (plan.seed, plan.recovery);
-            if !self.fault_active {
-                self.fault_active = true;
-                self.recovery = recovery;
-                self.fault_seed = seed;
-                self.dead_threshold = recovery.missed_ack_threshold;
+            if !self.cur.fault_active {
+                self.cur.fault_active = true;
+                self.cur.recovery = recovery;
+                self.cur.fault_seed = seed;
+                self.cur.dead_threshold = recovery.missed_ack_threshold;
             }
-            if self.started {
+            if self.cur.started {
                 for (j, f) in injected.iter().enumerate() {
                     self.ws
                         .agenda
@@ -2406,7 +2359,7 @@ impl<S: TraceSink> Simulation<S> {
                 }
             }
         }
-        if !self.started || self.finished {
+        if !self.cur.started || self.cur.finished {
             return;
         }
         for &i in touched {

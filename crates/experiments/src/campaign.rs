@@ -5,7 +5,10 @@
 //! `split_seed(campaign_seed, i)`, so any subset of a campaign can be
 //! re-run independently and results never depend on thread scheduling.
 
-use bc_engine::durability::{fnv1a64, CheckpointError, CheckpointKind, CheckpointStore};
+use bc_engine::durability::{
+    fnv1a64, take_u128_le as u128le, take_u64_le as u64le, CheckpointError, CheckpointKind,
+    CheckpointStore,
+};
 use bc_engine::{RunResult, RunStatsAccumulator, SimConfig, SimWorkspace};
 use bc_metrics::{detect_onset, OnsetConfig};
 use bc_platform::{RandomTreeConfig, Tree, UsedStats};
@@ -654,16 +657,6 @@ impl CampaignAccumulator {
     /// past the consumed bytes. `None` on truncation.
     pub fn decode_from(input: &mut &[u8]) -> Option<Self> {
         let run_stats = RunStatsAccumulator::decode_from(input)?;
-        fn u64le(input: &mut &[u8]) -> Option<u64> {
-            let (head, rest) = input.split_at_checked(8)?;
-            *input = rest;
-            Some(u64::from_le_bytes(head.try_into().unwrap()))
-        }
-        fn u128le(input: &mut &[u8]) -> Option<u128> {
-            let (head, rest) = input.split_at_checked(16)?;
-            *input = rest;
-            Some(u128::from_le_bytes(head.try_into().unwrap()))
-        }
         let reached = u64le(input)?;
         let onset_sum = u128le(input)?;
         let onset_max = u64le(input)?;
@@ -848,13 +841,8 @@ fn decode_grid_checkpoint(
     expected_cells: usize,
 ) -> Result<(usize, Vec<CampaignAccumulator>), ResumeError> {
     let input = &mut input;
-    fn u64le(input: &mut &[u8]) -> Result<u64, ResumeError> {
-        let (head, rest) = input
-            .split_at_checked(8)
-            .ok_or(ResumeError::Format("truncated header"))?;
-        *input = rest;
-        Ok(u64::from_le_bytes(head.try_into().unwrap()))
-    }
+    let header_u64 =
+        |input: &mut &[u8]| u64le(input).ok_or(ResumeError::Format("truncated header"));
     let (version, rest) = input
         .split_first()
         .ok_or(ResumeError::Format("empty payload"))?;
@@ -862,15 +850,15 @@ fn decode_grid_checkpoint(
     if *version != CAMPAIGN_CKPT_VERSION {
         return Err(ResumeError::Format("unknown payload version"));
     }
-    let found = u64le(input)?;
+    let found = header_u64(input)?;
     if found != expected_fingerprint {
         return Err(ResumeError::FingerprintMismatch {
             expected: expected_fingerprint,
             found,
         });
     }
-    let cursor = u64le(input)? as usize;
-    let n_cells = u64le(input)? as usize;
+    let cursor = header_u64(input)? as usize;
+    let n_cells = header_u64(input)? as usize;
     if n_cells != expected_cells {
         return Err(ResumeError::Format("cell count mismatch"));
     }

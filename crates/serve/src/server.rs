@@ -12,6 +12,7 @@
 
 use crate::pool::WorkspacePool;
 use crate::proto::{parse_request, to_hex, OpenSpec, Request};
+use bc_engine::durability::{take_bytes, take_u64_le};
 use bc_engine::{RunResult, SimSnapshot, SimWorkspace, Simulation, TraceRecord, TraceSink};
 use bc_metrics::{latency_profile, per_class_throughput, LatencyProfile, LatencySummary};
 use bc_simcore::{Time, TraceEvent};
@@ -877,14 +878,10 @@ impl Server {
     /// one rotten entry must not block recovery of the rest.
     pub fn recover_from_bytes(&mut self, bytes: &[u8]) -> Result<RecoverReport, String> {
         fn take<'a>(input: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-            let (head, tail) = input
-                .split_at_checked(n)
-                .ok_or_else(|| "journal truncated".to_string())?;
-            *input = tail;
-            Ok(head)
+            take_bytes(input, n).ok_or_else(|| "journal truncated".to_string())
         }
         fn take_u64(input: &mut &[u8]) -> Result<u64, String> {
-            Ok(u64::from_le_bytes(take(input, 8)?.try_into().unwrap()))
+            take_u64_le(input).ok_or_else(|| "journal truncated".to_string())
         }
 
         let mut input = bytes;

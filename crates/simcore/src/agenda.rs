@@ -58,7 +58,7 @@ pub type Time = u64;
 /// every delay the protocol schedules under the paper's parameter ranges
 /// (edge weights ≤ ~100, node weights ≤ ~1000 in the dense campaigns);
 /// longer delays take the far heap, which is merely slower, never wrong.
-const NEAR_BUCKETS: usize = 1024;
+pub const NEAR_BUCKETS: usize = 1024;
 /// Bitmap words backing the bucket-occupancy index.
 const NEAR_WORDS: usize = NEAR_BUCKETS / 64;
 /// Near-tier compaction floor (mirrors the far tier's 64-entry floor).

@@ -23,7 +23,7 @@ pub mod rng;
 pub mod trace;
 pub mod vec_agenda;
 
-pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time};
+pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time, NEAR_BUCKETS};
 pub use quad_heap::{PackedEvent, QuadHeap};
 pub use rng::{job_rng, split_seed};
 pub use trace::{
