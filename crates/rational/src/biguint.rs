@@ -9,6 +9,12 @@
 //! (the canonical form of zero is an empty limb vector). The operations
 //! implemented are exactly those the scheduling stack needs: comparison,
 //! add/sub/mul, Knuth division, binary GCD, and shifts.
+//!
+//! The GCD is on the hot path of every big-tier `Rational` reduction, so
+//! it works in place: each operand's limbs are cloned once, the
+//! subtract-and-shift loop reuses those buffers, and once both operands
+//! fit two limbs the word-level `gcd_u128` (shared with the small tier)
+//! finishes.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -138,23 +144,30 @@ impl BigUint {
 
     /// `self - other`; panics if `other > self`.
     pub fn sub(&self, other: &BigUint) -> BigUint {
+        let mut r = self.clone();
+        r.sub_assign(other);
+        r
+    }
+
+    /// `self -= other` in place; panics if `other > self`.
+    fn sub_assign(&mut self, other: &BigUint) {
         assert!(
             self.cmp_mag(other) != Ordering::Less,
             "BigUint::sub underflow"
         );
-        let mut out = Vec::with_capacity(self.limbs.len());
-        let mut borrow = 0u64;
-        for i in 0..self.limbs.len() {
-            let b = other.limbs.get(i).copied().unwrap_or(0);
-            let (d1, b1) = self.limbs[i].overflowing_sub(b);
-            let (d2, b2) = d1.overflowing_sub(borrow);
-            out.push(d2);
-            borrow = (b1 as u64) + (b2 as u64);
+        let mut borrow = false;
+        for (i, l) in self.limbs.iter_mut().enumerate() {
+            let b = other.limbs.get(i).copied();
+            if b.is_none() && !borrow {
+                break;
+            }
+            let (d1, b1) = l.overflowing_sub(b.unwrap_or(0));
+            let (d2, b2) = d1.overflowing_sub(u64::from(borrow));
+            *l = d2;
+            borrow = b1 | b2;
         }
-        debug_assert_eq!(borrow, 0);
-        let mut r = BigUint { limbs: out };
-        r.trim();
-        r
+        debug_assert!(!borrow);
+        self.trim();
     }
 
     /// `self * other` (schoolbook; operand sizes in this workload are small).
@@ -213,24 +226,27 @@ impl BigUint {
 
     /// Right shift by `bits`.
     pub fn shr(&self, bits: usize) -> BigUint {
+        let mut r = self.clone();
+        r.shr_assign(bits);
+        r
+    }
+
+    /// `self >>= bits` in place.
+    fn shr_assign(&mut self, bits: usize) {
         let limb_shift = bits / 64;
         if limb_shift >= self.limbs.len() {
-            return BigUint::zero();
+            self.limbs.clear();
+            return;
         }
+        self.limbs.drain(..limb_shift);
         let bit_shift = bits % 64;
-        let src = &self.limbs[limb_shift..];
-        let mut out = Vec::with_capacity(src.len());
-        if bit_shift == 0 {
-            out.extend_from_slice(src);
-        } else {
-            for i in 0..src.len() {
-                let hi = src.get(i + 1).copied().unwrap_or(0);
-                out.push((src[i] >> bit_shift) | (hi << (64 - bit_shift)));
+        if bit_shift != 0 {
+            for i in 0..self.limbs.len() {
+                let hi = self.limbs.get(i + 1).copied().unwrap_or(0);
+                self.limbs[i] = (self.limbs[i] >> bit_shift) | (hi << (64 - bit_shift));
             }
         }
-        let mut r = BigUint { limbs: out };
-        r.trim();
-        r
+        self.trim();
     }
 
     /// Magnitude comparison.
@@ -345,15 +361,18 @@ impl BigUint {
 
         let mut quot = BigUint { limbs: q };
         quot.trim();
-        let mut rem = BigUint {
-            limbs: un[..n].to_vec(),
-        };
-        rem.trim();
-        (quot, rem.shr(shift))
+        un.truncate(n);
+        let mut rem = BigUint { limbs: un };
+        rem.shr_assign(shift);
+        (quot, rem)
     }
 
-    /// Greatest common divisor (binary GCD: shifts and subtractions only,
-    /// which keeps reduction fast on multi-thousand-bit operands).
+    /// Greatest common divisor: binary GCD (shifts and subtractions
+    /// only, which keeps reduction fast on multi-thousand-bit operands).
+    ///
+    /// Each operand's limbs are cloned once; every step then subtracts
+    /// and shifts in place, so the loop allocates nothing. Once both
+    /// operands fit in two limbs the word-level [`gcd_u128`] finishes.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();
@@ -363,21 +382,29 @@ impl BigUint {
         }
         let mut a = self.clone();
         let mut b = other.clone();
-        let za = a.trailing_zeros();
-        let zb = b.trailing_zeros();
+        let (za, zb) = (a.trailing_zeros(), b.trailing_zeros());
         let common = za.min(zb);
-        a = a.shr(za);
-        b = b.shr(zb);
+        a.shr_assign(za);
+        b.shr_assign(zb);
+        // Invariant: a and b are odd.
         loop {
+            if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
+                a = BigUint::from_u128(gcd_u128(x, y));
+                break;
+            }
             match a.cmp_mag(&b) {
                 Ordering::Equal => break,
                 Ordering::Less => std::mem::swap(&mut a, &mut b),
                 Ordering::Greater => {}
             }
-            a = a.sub(&b);
-            a = a.shr(a.trailing_zeros());
+            a.sub_assign(&b);
+            a.shr_assign(a.trailing_zeros());
         }
-        a.shl(common)
+        if common == 0 {
+            a
+        } else {
+            a.shl(common)
+        }
     }
 
     /// Least common multiple.
@@ -424,6 +451,28 @@ impl BigUint {
             s.push_str(&format!("{d:019}"));
         }
         s
+    }
+}
+
+/// Word-level binary GCD. `gcd(x, 0) = x`.
+pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
     }
 }
 
@@ -567,6 +616,67 @@ mod tests {
         let a = b(2 * 3 * 5 * 7 * 11 * 13);
         let c = b(3 * 7 * 13 * 19);
         assert_eq!(a.gcd(&c), b(3 * 7 * 13));
+    }
+
+    /// Euclid's algorithm on `divrem`: an oracle independent of the
+    /// binary GCD.
+    fn gcd_euclid(mut a: BigUint, mut b: BigUint) -> BigUint {
+        while !b.is_zero() {
+            let r = a.divrem(&b).1;
+            a = std::mem::replace(&mut b, r);
+        }
+        a
+    }
+
+    /// `2^bits + low`.
+    fn pow2_plus(bits: usize, low: u128) -> BigUint {
+        BigUint::one().shl(bits).add(&b(low))
+    }
+
+    #[test]
+    fn gcd_keeps_a_common_power_of_two_of_64_bits_or_more() {
+        for (za, zb) in [(64, 64), (70, 65), (64, 200), (129, 128)] {
+            let x = pow2_plus(150, 3 * 5 * 7).shl(za);
+            let y = pow2_plus(90, 3 * 7).shl(zb);
+            let g = x.gcd(&y);
+            assert_eq!(g, gcd_euclid(x.clone(), y.clone()), "shifts {za}, {zb}");
+            assert_eq!(g.trailing_zeros(), za.min(zb));
+        }
+    }
+
+    #[test]
+    fn gcd_of_equal_operands_and_of_one() {
+        let x = pow2_plus(300, 12345);
+        assert_eq!(x.gcd(&x), x);
+        assert_eq!(x.gcd(&BigUint::one()), BigUint::one());
+        assert_eq!(BigUint::one().gcd(&x), BigUint::one());
+        assert_eq!(BigUint::one().gcd(&BigUint::one()), BigUint::one());
+        let even = x.shl(67);
+        assert_eq!(even.gcd(&even), even);
+    }
+
+    #[test]
+    fn gcd_with_a_multi_limb_result() {
+        let g = pow2_plus(200, 277);
+        let x = g.mul(&pow2_plus(70, 1));
+        let y = g.mul(&pow2_plus(130, 3).shl(5));
+        assert_eq!(x.gcd(&y), gcd_euclid(x.clone(), y.clone()));
+        assert_eq!(x.gcd(&y).divrem(&g).1, BigUint::zero());
+        assert!(x.gcd(&y).bit_len() > 128);
+    }
+
+    #[test]
+    fn gcd_shrinks_from_many_limbs_into_the_word_tail() {
+        // Both operands start above two limbs and share only a word-sized
+        // factor, so the subtraction loop hands over to `gcd_u128`
+        // midway.
+        let f = b(3 * 7 * 1_000_003);
+        let x = pow2_plus(130, 1).mul(&f);
+        let y = pow2_plus(129, 3).mul(&f);
+        assert_eq!(x.gcd(&y), gcd_euclid(x.clone(), y.clone()));
+        let z = pow2_plus(400, 1);
+        assert_eq!(z.gcd(&b(3)), gcd_euclid(z.clone(), b(3)));
+        assert_eq!(b(3).gcd(&z), gcd_euclid(z.clone(), b(3)));
     }
 
     #[test]

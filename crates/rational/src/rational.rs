@@ -26,7 +26,7 @@
 //! are bit-for-bit identical whichever path computed them.
 
 use crate::bigint::{BigInt, Sign};
-use crate::biguint::BigUint;
+use crate::biguint::{gcd_u128, BigUint};
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -49,28 +49,6 @@ enum Repr {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Rational {
     repr: Repr,
-}
-
-/// Word-level binary GCD. `gcd(x, 0) = x`.
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    if a == 0 {
-        return b;
-    }
-    if b == 0 {
-        return a;
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            std::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
-    }
 }
 
 /// Does a reduced magnitude pair fit the small tier?
@@ -164,13 +142,16 @@ impl Rational {
             return Rational::zero();
         }
         let g = num.magnitude().gcd(&den);
-        let (num, den) = if g.is_one() {
-            (num, den)
-        } else {
-            let mag = num.magnitude().divrem(&g).0;
-            (BigInt::from_sign_mag(num.sign(), mag), den.divrem(&g).0)
-        };
-        // Demote when the reduced value fits one word per component.
+        if g.is_one() {
+            return Rational::from_reduced_parts(num, den);
+        }
+        let mag = num.magnitude().divrem(&g).0;
+        Rational::from_reduced_parts(BigInt::from_sign_mag(num.sign(), mag), den.divrem(&g).0)
+    }
+
+    /// Canonicalizes already-reduced big parts (`num ≠ 0`, `den > 0`,
+    /// coprime): small if the value fits, big otherwise. No GCD.
+    fn from_reduced_parts(num: BigInt, den: BigUint) -> Self {
         if let (Some(n), Some(d)) = (num.magnitude().to_u128(), den.to_u128()) {
             if fits_small(num.is_negative(), n, d) {
                 return Rational {
@@ -265,7 +246,9 @@ impl Rational {
                 // numerator (old denominator) may exceed the i64 range.
                 Rational::from_reduced(*num < 0, *den as u128, num.unsigned_abs() as u128)
             }
-            Repr::Big { num, den } => Rational::from_parts(
+            // Swapping a coprime pair keeps it coprime: only the sign
+            // rule and the tier need deciding, not another reduction.
+            Repr::Big { num, den } => Rational::from_reduced_parts(
                 BigInt::from_sign_mag(num.sign(), den.clone()),
                 num.magnitude().clone(),
             ),
@@ -345,9 +328,10 @@ impl Rational {
                 // canonicalizing constructor.
                 Rational::from_reduced(*num > 0, num.unsigned_abs() as u128, *den as u128)
             }
-            // from_parts re-canonicalizes: flipping the sign can move a
-            // magnitude-2^63 numerator across the small-tier boundary.
-            Repr::Big { num, den } => Rational::from_parts(num.neg(), den.clone()),
+            // Still reduced, but re-canonicalized: flipping the sign can
+            // move a magnitude-2^63 numerator across the small-tier
+            // boundary.
+            Repr::Big { num, den } => Rational::from_reduced_parts(num.neg(), den.clone()),
         }
     }
 
@@ -833,6 +817,38 @@ mod tests {
     fn recip() {
         assert_eq!(r(3, 7).recip(), r(7, 3));
         assert_eq!(r(-3, 7).recip(), r(-7, 3));
+    }
+
+    #[test]
+    fn big_recip_is_canonical() {
+        let big = |negative: bool, n: BigUint, d: u64| {
+            let sign = if negative {
+                Sign::Negative
+            } else {
+                Sign::Positive
+            };
+            Rational::from_parts(BigInt::from_sign_mag(sign, n), BigUint::from_u64(d))
+        };
+        let p63 = BigUint::one().shl(63).add(&BigUint::one());
+        // (2^63 + 1)/1 is big; its reciprocal 1/(2^63 + 1) must demote.
+        for negative in [false, true] {
+            let x = big(negative, p63.clone(), 1);
+            assert!(!x.is_small());
+            let inv = x.recip();
+            assert!(inv.is_small(), "{inv}");
+            assert_eq!(inv, r(if negative { -1 } else { 1 }, (1i128 << 63) + 1));
+            assert_eq!(inv.recip(), x);
+        }
+        // A negative value that stays big both ways: -(2^64 + 3)/5.
+        let wide = BigUint::one().shl(64).add(&BigUint::from_u64(3));
+        let x = big(true, wide.clone(), 5);
+        let inv = x.recip();
+        assert!(!inv.is_small() && inv.is_negative());
+        assert_eq!(
+            inv,
+            big(true, BigUint::from_u64(5), 1).div_ref(&big(false, wide, 1))
+        );
+        assert_eq!(inv.recip(), x);
     }
 
     #[test]

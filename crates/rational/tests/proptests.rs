@@ -528,3 +528,69 @@ fn cmp_ratio_matches_oracle_on_extremes() {
 fn cmp_ratio_rejects_zero_denominator() {
     Rational::one().cmp_ratio(1, 0);
 }
+
+// ---------------------------------------------------------------------
+// Multi-limb GCD and reduction-free reciprocals.
+//
+// The binary GCD is checked against Euclid's algorithm on `divrem` over
+// the operand sizes Theorem 1 produces (up to ~1,250 bits, 20 limbs),
+// with shared odd factors and shared powers of two so results are not
+// just 1. `recip` swaps a reduced pair without a GCD; it must agree with
+// a reducing construction and stay canonical on both tiers.
+// ---------------------------------------------------------------------
+
+fn gcd_euclid(mut a: BigUint, mut b: BigUint) -> BigUint {
+    while !b.is_zero() {
+        let r = a.divrem(&b).1;
+        a = std::mem::replace(&mut b, r);
+    }
+    a
+}
+
+fn check_recip(x: &Rational) {
+    let inv = x.recip();
+    assert_eq!(inv, Rational::one().div_ref(x));
+    let swapped = Rational::from_parts(
+        BigInt::from_sign_mag(x.numer().sign(), x.denom()),
+        x.numer().magnitude().clone(),
+    );
+    assert_eq!(inv.is_small(), swapped.is_small(), "tier of 1/({x})");
+    assert_eq!(inv, swapped);
+    assert_eq!(&inv.recip(), x);
+}
+
+proptest! {
+    #[test]
+    fn biguint_gcd_matches_euclid_on_multi_limb_operands(
+        a in prop::collection::vec(any::<u64>(), 1..=20),
+        b in prop::collection::vec(any::<u64>(), 1..=20),
+        common in prop::collection::vec(any::<u64>(), 0..=4),
+        shift in 0usize..200,
+    ) {
+        let c = from_limbs(&common);
+        let c = if c.is_zero() { BigUint::one() } else { c };
+        let x = from_limbs(&a).mul(&c).shl(shift);
+        let y = from_limbs(&b).mul(&c).shl(shift / 2);
+        let g = x.gcd(&y);
+        prop_assert_eq!(&g, &gcd_euclid(x.clone(), y.clone()));
+        prop_assert_eq!(&g, &y.gcd(&x));
+    }
+
+    #[test]
+    fn recip_matches_one_over_x_on_the_small_tier(an in any::<i64>(), ad in 1u64..=u64::MAX) {
+        prop_assume!(an != 0);
+        check_recip(&Rational::new(an as i128, ad as i128));
+    }
+
+    #[test]
+    fn recip_matches_one_over_x_on_the_big_tier(
+        n in prop::collection::vec(any::<u64>(), 1..4),
+        d in prop::collection::vec(any::<u64>(), 1..4),
+        negative in any::<bool>(),
+    ) {
+        let (n, d) = (from_limbs(&n), from_limbs(&d));
+        prop_assume!(!n.is_zero() && !d.is_zero());
+        let sign = if negative { bc_rational::Sign::Negative } else { bc_rational::Sign::Positive };
+        check_recip(&Rational::from_parts(BigInt::from_sign_mag(sign, n), d));
+    }
+}
