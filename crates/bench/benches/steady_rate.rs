@@ -1,7 +1,8 @@
 //! Theorem 1 bottom-up fold benchmarks at campaign scale. The fold's
-//! accumulators (`Σ c_i/w_i`, `Σ 1/w_i`) now update in place; on shallow
+//! accumulators (`Σ c_i/w_i`, `Σ 1/w_i`) update in place; on shallow
 //! trees every step is word arithmetic, and only deep trees whose weights
-//! outgrow a word promote to the bignum tier.
+//! outgrow a word promote to the bignum tier, where the binary GCD of
+//! each reduction dominates.
 
 use bandwidth_centric::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,15 +32,11 @@ fn bench_analyze_scaling(c: &mut Criterion) {
 }
 
 fn bench_population(c: &mut Criterion) {
-    // A slice of the paper's tree population: analyze 20 trees back to
-    // back, the inner loop of every campaign figure.
-    let cfg = RandomTreeConfig {
-        min_nodes: 20,
-        max_nodes: 80,
-        comm_min: 1,
-        comm_max: 30,
-        compute_scale: 500,
-    };
+    // A slice of the paper's tree population (§4.1 generator defaults:
+    // ~245 nodes on average at x = 10,000, about half the optima on the
+    // bignum tier): analyze 20 trees back to back, the set-up of every
+    // campaign figure.
+    let cfg = RandomTreeConfig::default();
     let trees: Vec<Tree> = (0..20).map(|s| cfg.generate(s)).collect();
     let mut g = c.benchmark_group("steady_rate_population");
     g.bench_function("analyze_20_trees", |b| {

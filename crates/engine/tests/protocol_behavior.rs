@@ -308,12 +308,12 @@ fn used_nodes_subset_matches_theory_on_starved_tree() {
     let _fast = t.add_child(NodeId::ROOT, 4, 4);
     let slow = t.add_child(NodeId::ROOT, 9, 1);
     let deep = t.add_child(slow, 1, 1);
-    let ss = SteadyState::analyze(&t);
+    let alloc = SteadyState::analyze(&t).allocate(&t);
     let r = Simulation::new(t, SimConfig::interruptible(3, 500)).run();
     let used = r.used_nodes();
     // Theory says slow+deep starve; simulation may give them a startup
     // task but their totals stay negligible.
-    assert!(!ss.used_nodes()[slow.index()]);
+    assert!(!alloc.used_nodes()[slow.index()]);
     assert!(r.tasks_per_node[deep.index()] < 15);
     assert!(used[1]);
 }

@@ -96,7 +96,8 @@ fn main() {
         },
         bound.bit_len()
     );
-    let used = analysis.used_nodes();
+    let alloc = analysis.allocate(&tree);
+    let used = alloc.used_nodes();
     println!(
         "predicted used nodes: {}/{}",
         used.iter().filter(|&&u| u).count(),
@@ -106,7 +107,7 @@ fn main() {
     // Per-node allocation (largest shares first, top 15).
     let mut alloc: Vec<(String, f64)> = tree
         .ids()
-        .map(|id| (id.to_string(), analysis.node_rate(id).to_f64()))
+        .map(|id| (id.to_string(), alloc.node_rate(id).to_f64()))
         .collect();
     alloc.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("rates are finite"));
     let rows: Vec<Vec<String>> = alloc

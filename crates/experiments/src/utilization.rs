@@ -69,13 +69,14 @@ pub struct Utilization {
 
 fn compare(index: usize, tree: &Tree, tasks: u64) -> TreeUtilization {
     let analysis = SteadyState::analyze(tree);
+    let alloc = analysis.allocate(tree);
     let run = Simulation::new(tree.clone(), SimConfig::interruptible(3, tasks)).run();
     let total = analysis.optimal_rate().to_f64();
     let mut sum_dev = 0.0;
     let mut max_dev: f64 = 0.0;
     let mut agree = 0usize;
     for id in tree.ids() {
-        let theory = analysis.node_rate(id).to_f64();
+        let theory = alloc.node_rate(id).to_f64();
         let measured = run.node_rate(id.index());
         let dev = (theory - measured).abs() / total;
         sum_dev += dev;
@@ -188,10 +189,10 @@ mod tests {
         let mut tree = Tree::new(5);
         let fast = tree.add_child(bc_platform::NodeId::ROOT, 1, 2); // rate 1/2
         let slow = tree.add_child(bc_platform::NodeId::ROOT, 3, 2); // ε/c = (1/2)/3
-        let analysis = SteadyState::analyze(&tree);
+        let alloc = SteadyState::analyze(&tree).allocate(&tree);
         let run = Simulation::new(tree, SimConfig::interruptible(3, 6_000)).run();
         for (id, tol) in [(fast, 0.02), (slow, 0.02)] {
-            let theory = analysis.node_rate(id).to_f64();
+            let theory = alloc.node_rate(id).to_f64();
             let measured = run.node_rate(id.index());
             assert!(
                 (theory - measured).abs() < tol,

@@ -59,6 +59,15 @@ impl ForkSolution {
     }
 }
 
+/// The bandwidth-priority order of `len` children: indices sorted by
+/// increasing communication time `comm(i)`, ties by index, so the order
+/// is deterministic.
+pub(crate) fn bandwidth_order<K: Ord>(len: usize, comm: impl Fn(usize) -> K) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..len).collect();
+    order.sort_unstable_by_key(|&i| (comm(i), i));
+    order
+}
+
 /// Solves Theorem 1 for a fork.
 ///
 /// * `inflow_comm` — `c_0`, the time for the fork's root to receive one
@@ -85,8 +94,7 @@ pub fn solve_fork(
         assert!(c0.is_positive(), "c_0 must be positive");
     }
 
-    let mut order: Vec<usize> = (0..children.len()).collect();
-    order.sort_by(|&a, &b| children[a].comm.cmp(&children[b].comm).then(a.cmp(&b)));
+    let order = bandwidth_order(children.len(), |i| &children[i].comm);
 
     // Largest prefix the link can keep fully busy: Σ c_i / w_i ≤ 1.
     // The accumulators update in place: on the small representation tier

@@ -23,7 +23,7 @@ pub mod oracle;
 pub mod period;
 pub mod sensitivity;
 
-pub use analysis::SteadyState;
+pub use analysis::{Allocation, SteadyState};
 pub use fork::{solve_fork, ForkChild, ForkSolution};
 pub use makespan::{makespan_lower_bound, makespan_serial_bound};
 pub use oracle::lp_optimal_rate;

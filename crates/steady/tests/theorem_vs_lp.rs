@@ -80,7 +80,7 @@ proptest! {
             compute_scale: 25,
         };
         let tree = cfg.generate(seed);
-        let ss = SteadyState::analyze(&tree);
-        prop_assert_eq!(ss.total_rate(), lp_optimal_rate(&tree));
+        let alloc = SteadyState::analyze(&tree).allocate(&tree);
+        prop_assert_eq!(alloc.total_rate(), lp_optimal_rate(&tree));
     }
 }

@@ -107,8 +107,8 @@ fn claim_starvation_is_independent_of_execution_speed() {
     let mut tree = Tree::new(1_000_000);
     tree.add_child(NodeId::ROOT, 4, 4); // saturates the link: c/w = 1
     let tempting = tree.add_child(NodeId::ROOT, 9, 1);
-    let analysis = SteadyState::analyze(&tree);
-    assert!(analysis.node_rate(tempting).is_zero());
+    let alloc = SteadyState::analyze(&tree).allocate(&tree);
+    assert!(alloc.node_rate(tempting).is_zero());
     let run = Simulation::new(tree, SimConfig::interruptible(3, 500)).run();
     assert!(run.tasks_per_node[tempting.index()] < 15);
 }
