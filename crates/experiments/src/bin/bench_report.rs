@@ -879,6 +879,15 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
                             .to_string(),
                     ),
                 ),
+                (
+                    "clock_note",
+                    Value::Str(
+                        "timings are wall clock on one host at one time; a shared or \
+                         virtualized host's speed can drift by 1.5-2x between runs, so judge \
+                         a change by interleaved runs of both commits, not against this file"
+                            .to_string(),
+                    ),
+                ),
             ]),
         ),
         (
