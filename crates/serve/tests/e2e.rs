@@ -3,10 +3,11 @@
 //! bit-stability across runs and worker-thread counts, pause/resume and
 //! snapshot/restore equivalence, and error-path isolation.
 //!
-//! The scripted session in `tests/fixtures/smoke_session.jsonl` is the
-//! same one CI pipes through the release binary; the expected byte
-//! stream lives in `tests/golden/smoke_session.golden.jsonl` and is
-//! re-blessed with `BLESS=1 cargo test -p bc-serve golden`.
+//! The scripted sessions in `tests/fixtures/smoke_session.jsonl` and
+//! `tests/fixtures/traced_session.jsonl` are the same ones CI pipes
+//! through the release binary; the expected byte streams live in
+//! `tests/golden/*.golden.jsonl` and are re-blessed with
+//! `BLESS=1 cargo test -p bc-serve golden`.
 
 use bc_serve::Server;
 use serde::Value;
@@ -19,9 +20,11 @@ static POOL: Mutex<()> = Mutex::new(());
 
 const SMOKE_SCRIPT: &str = include_str!("fixtures/smoke_session.jsonl");
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/smoke_session.golden.jsonl")
-}
+/// Every session traced: IC with an outage and a crash under a name that
+/// needs JSON escapes, non-IC, and `defer`/`drop` arrival sessions, each
+/// walked through step → pause → resume → snapshot → run-until → run (or
+/// `run-all`) → close, plus one session closed while still live.
+const TRACED_SCRIPT: &str = include_str!("fixtures/traced_session.jsonl");
 
 /// Feeds a script line-by-line through a fresh server, returning every
 /// response line in order.
@@ -82,15 +85,16 @@ fn field_str(line: &str, key: &str) -> String {
 // Golden stream + determinism
 // ---------------------------------------------------------------------
 
-/// The scripted smoke session reproduces the committed golden stream
-/// byte-for-byte. `BLESS=1` rewrites the golden after an intentional
-/// protocol change.
-#[test]
-fn golden_smoke_stream() {
+/// Runs `script` at two worker threads and compares the stream with
+/// `tests/golden/<golden>` byte for byte. `BLESS=1` rewrites the golden
+/// after an intentional protocol change.
+fn check_golden(script: &str, golden: &str) {
     let _guard = POOL.lock().unwrap();
     set_threads(2);
-    let got = run_script(SMOKE_SCRIPT).join("\n") + "\n";
-    let path = golden_path();
+    let got = run_script(script).join("\n") + "\n";
+    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/golden")
+        .join(golden);
     if std::env::var("BLESS").is_ok() {
         std::fs::write(&path, &got).expect("write golden");
         return;
@@ -99,9 +103,25 @@ fn golden_smoke_stream() {
     assert_eq!(
         got,
         want,
-        "smoke-session stream diverged from {}; re-bless only if intentional",
+        "stream diverged from {}; re-bless only if intentional",
         path.display()
     );
+}
+
+/// The scripted smoke session reproduces the committed golden stream
+/// byte-for-byte.
+#[test]
+fn golden_smoke_stream() {
+    check_golden(SMOKE_SCRIPT, "smoke_session.golden.jsonl");
+}
+
+/// The traced script reproduces its committed golden stream
+/// byte-for-byte: every `trace` line (all arrival kinds, the outage and
+/// crash kinds, escaped session names) and its position among the
+/// `paused`/`snapshot`/`ran`/`done`/`closed` lines.
+#[test]
+fn golden_traced_stream() {
+    check_golden(TRACED_SCRIPT, "traced_session.golden.jsonl");
 }
 
 /// The same script yields the same bytes on every run and for every
