@@ -2259,6 +2259,12 @@ impl<S: TraceSink> Simulation<S> {
         self.cur.events_processed
     }
 
+    /// The trace sink, for callers that drain what it recorded between
+    /// steps rather than only after [`Simulation::run_traced`].
+    pub fn sink_mut(&mut self) -> &mut S {
+        &mut self.sink
+    }
+
     // ----- snapshot / restore (see `snapshot.rs`) ---------------------------
 
     /// Captures the complete mid-run state. Valid at any quiescent

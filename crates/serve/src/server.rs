@@ -19,30 +19,75 @@ use bc_simcore::{Time, TraceEvent};
 use rayon::IntoParallelIterator;
 use serde::{object, Value};
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
 
 // ---------------------------------------------------------------------
 // Trace streaming
 // ---------------------------------------------------------------------
 
-/// A sink that appends into a shared buffer the session drains into
-/// output lines between steps. Sessions opened without `"trace":true`
-/// still carry one (so every session has the same `Simulation` type and
-/// identical semantics) but record nothing.
+/// Records the session's simulation keeps until the session drains them
+/// into `trace` lines, at the end of every request that steps it.
+/// Sessions opened without `"trace":true` still carry one (so every
+/// session has the same `Simulation` type and identical semantics) but
+/// record nothing.
 pub struct StreamSink {
-    buf: Arc<Mutex<Vec<TraceRecord>>>,
+    records: Vec<TraceRecord>,
     enabled: bool,
+}
+
+/// Most records [`StreamSink`] hands to a checked-mode failure dump.
+const RETAINED_TAIL: usize = 256;
+
+impl StreamSink {
+    fn new(enabled: bool) -> Self {
+        StreamSink {
+            records: Vec::new(),
+            enabled,
+        }
+    }
 }
 
 impl TraceSink for StreamSink {
     fn record(&mut self, time: Time, event: TraceEvent) {
         if self.enabled {
-            self.buf
-                .lock()
-                .expect("trace buffer poisoned")
-                .push(TraceRecord { time, event });
+            self.records.push(TraceRecord { time, event });
         }
+    }
+
+    /// The newest undrained records (at most [`RETAINED_TAIL`]).
+    fn retained(&self, out: &mut Vec<TraceRecord>) {
+        let from = self.records.len().saturating_sub(RETAINED_TAIL);
+        out.extend_from_slice(&self.records[from..]);
+    }
+}
+
+/// Moves `records` into `trace` lines for session `name`, oldest first:
+/// `{"ev":"trace","sim":<name>,"t":<time>,"text":"<text>"}`, where
+/// `text` is [`TraceRecord::write_text`]. The escaped prefix is built
+/// once per call; each line is then written in one pass (the text needs
+/// no escaping) and allocated once, at its exact length.
+fn drain_trace_lines(name: &str, records: &mut Vec<TraceRecord>, out: &mut Vec<String>) {
+    if records.is_empty() {
+        return;
+    }
+    let mut prefix = String::from("{\"ev\":\"trace\",\"sim\":");
+    prefix.push_str(
+        &serde_json::to_string(&Value::Str(name.into())).expect("serialization is infallible"),
+    );
+    prefix.push_str(",\"t\":");
+    out.reserve(records.len());
+    let mut line = String::with_capacity(prefix.len() + 128);
+    for rec in records.drain(..) {
+        line.clear();
+        line.push_str(&prefix);
+        write!(line, "{}", rec.time).expect("writing to a String cannot fail");
+        line.push_str(",\"text\":\"");
+        rec.write_text(&mut line);
+        line.push_str("\"}");
+        // One exact-size copy per line: lines wait in `out` until the
+        // request returns, so slack capacity would be held per line.
+        out.push(line.as_str().to_owned());
     }
 }
 
@@ -70,7 +115,6 @@ struct Session {
     trace: bool,
     metrics_every: u64,
     next_metric: u64,
-    buf: Arc<Mutex<Vec<TraceRecord>>>,
     /// Arrival class names, for per-class throughput in `done`/`metrics`.
     classes: Vec<String>,
 }
@@ -86,22 +130,13 @@ impl Session {
         }
     }
 
-    /// Moves buffered trace records into output lines.
+    /// Moves the live simulation's recorded trace into output lines.
+    /// Every request that steps, starts or snapshots a live simulation
+    /// calls this before it replaces the simulation or emits its own
+    /// closing line.
     fn drain_trace(&mut self, name: &str, out: &mut Vec<String>) {
-        let mut buf = self.buf.lock().expect("trace buffer poisoned");
-        for rec in buf.drain(..) {
-            // The Display form is padded for column alignment; collapse
-            // runs of spaces so wire lines stay compact.
-            let text = rec.to_string();
-            let text: Vec<&str> = text.split_whitespace().collect();
-            out.push(line(
-                "trace",
-                Some(name),
-                vec![
-                    ("t", Value::Int(rec.time as i128)),
-                    ("text", Value::Str(text.join(" "))),
-                ],
-            ));
+        if let State::Live(sim) = &mut self.state {
+            drain_trace_lines(name, &mut sim.sink_mut().records, out);
         }
     }
 
@@ -134,8 +169,8 @@ impl Session {
         let State::Live(sim) = std::mem::replace(&mut self.state, State::Moving) else {
             unreachable!("finalize on a non-live session");
         };
-        let (result, ws, _sink) = sim.run_traced();
-        self.drain_trace(name, out);
+        let (result, ws, mut sink) = sim.run_traced();
+        drain_trace_lines(name, &mut sink.records, out);
         out.push(done_line(name, &result, &self.classes));
         self.state = State::Done(Box::new(result));
         ws
@@ -538,8 +573,8 @@ impl Server {
                     ("t", Value::Int(sim.now() as i128)),
                     ("events", Value::Int(sim.events_processed() as i128)),
                 ];
-                s.state = State::Paused(Box::new(snap));
                 s.drain_trace(name, out);
+                s.state = State::Paused(Box::new(snap));
                 out.push(line("paused", Some(name), fields));
                 Ok(None)
             }),
@@ -553,10 +588,7 @@ impl Server {
                         ));
                         return out;
                     };
-                    let sink = StreamSink {
-                        buf: Arc::clone(&s.buf),
-                        enabled: s.trace,
-                    };
+                    let sink = StreamSink::new(s.trace);
                     let live = Simulation::from_snapshot_traced(snap, self.pool.acquire(), sink);
                     let fields = vec![
                         ("t", Value::Int(live.now() as i128)),
@@ -690,12 +722,8 @@ impl Server {
         if let Err(msg) = spec.cfg.validate() {
             return out.push(err_line(Some(name), &msg));
         }
-        let buf = Arc::new(Mutex::new(Vec::new()));
-        let sink = StreamSink {
-            buf: Arc::clone(&buf),
-            enabled: spec.trace,
-        };
         let nodes = tree.len();
+        let sink = StreamSink::new(spec.trace);
         let mut sim = Simulation::traced(tree, spec.cfg.clone(), self.pool.acquire(), sink);
         sim.start();
         let mut session = Session {
@@ -703,7 +731,6 @@ impl Server {
             trace: spec.trace,
             metrics_every: spec.metrics_every,
             next_metric: spec.metrics_every.max(1),
-            buf,
             classes: spec
                 .cfg
                 .arrivals
@@ -737,13 +764,9 @@ impl Server {
             Ok(s) => s,
             Err(e) => return out.push(err_line(Some(name), &format!("bad snapshot: {e:?}"))),
         };
-        let buf = Arc::new(Mutex::new(Vec::new()));
         // A restored session starts untraced and unmetered; its state
         // (and results) are exactly the captured run's continuation.
-        let sink = StreamSink {
-            buf: Arc::clone(&buf),
-            enabled: false,
-        };
+        let sink = StreamSink::new(false);
         let classes = snap
             .cfg()
             .arrivals
@@ -762,7 +785,6 @@ impl Server {
                 trace: false,
                 metrics_every: 0,
                 next_metric: 1,
-                buf,
                 classes,
             },
         );
@@ -931,12 +953,8 @@ impl Server {
                 .as_ref()
                 .map(|p| p.classes.iter().map(|c| c.name.clone()).collect())
                 .unwrap_or_default();
-            let buf = Arc::new(Mutex::new(Vec::new()));
             let state = if was_live {
-                let sink = StreamSink {
-                    buf: Arc::clone(&buf),
-                    enabled: trace,
-                };
+                let sink = StreamSink::new(trace);
                 let ws = self.pool.acquire();
                 match catch_unwind(AssertUnwindSafe(|| {
                     Simulation::from_snapshot_traced(&snap, ws, sink)
@@ -960,7 +978,6 @@ impl Server {
                     trace,
                     metrics_every,
                     next_metric,
-                    buf,
                     classes,
                 },
             );
@@ -1000,5 +1017,103 @@ impl Server {
                 ),
             ],
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::proto::MAX_SIM_NAME_LEN;
+
+    /// The `trace` line as it was built before the one-pass writer: the
+    /// padded `Display` collapsed to single spaces, through `line()`.
+    fn oracle_line(name: &str, rec: &TraceRecord) -> String {
+        let text = rec.to_string();
+        let text: Vec<&str> = text.split_whitespace().collect();
+        line(
+            "trace",
+            Some(name),
+            vec![
+                ("t", Value::Int(rec.time as i128)),
+                ("text", Value::Str(text.join(" "))),
+            ],
+        )
+    }
+
+    fn records() -> Vec<TraceRecord> {
+        [
+            (0, TraceEvent::ComputeStart { node: 0 }),
+            (
+                7,
+                TraceEvent::TransferStart {
+                    node: 1,
+                    child: 4,
+                    work: 12,
+                },
+            ),
+            (
+                1_000_000,
+                TraceEvent::TaskDefer {
+                    class: 1,
+                    units: 3,
+                    waiting: 9,
+                },
+            ),
+            (
+                u64::MAX,
+                TraceEvent::LinkDown {
+                    node: u32::MAX,
+                    until: u64::MAX,
+                },
+            ),
+        ]
+        .into_iter()
+        .map(|(time, event)| TraceRecord { time, event })
+        .collect()
+    }
+
+    #[test]
+    fn trace_lines_match_the_value_tree_writer() {
+        let long_ascii = "n".repeat(MAX_SIM_NAME_LEN);
+        let long_utf8 = "é".repeat(MAX_SIM_NAME_LEN / 2);
+        assert_eq!(long_utf8.len(), MAX_SIM_NAME_LEN);
+        for name in [
+            "q\"uo\\te-é",
+            "tab\tnew\nline\r\u{1}\u{1f}",
+            "x",
+            long_ascii.as_str(),
+            long_utf8.as_str(),
+        ] {
+            let mut recs = records();
+            let want: Vec<String> = recs.iter().map(|r| oracle_line(name, r)).collect();
+            let mut got = vec!["earlier line".to_string()];
+            drain_trace_lines(name, &mut recs, &mut got);
+            assert!(recs.is_empty(), "records must be drained");
+            assert_eq!(got[0], "earlier line", "existing output is kept");
+            assert_eq!(&got[1..], &want[..], "name {name:?}");
+        }
+    }
+
+    #[test]
+    fn stream_sink_retains_the_undrained_tail() {
+        let mut sink = StreamSink::new(true);
+        for i in 0..(RETAINED_TAIL as u64 + 10) {
+            sink.record(i, TraceEvent::ComputeFinish { node: 1 });
+        }
+        let mut tail = Vec::new();
+        sink.retained(&mut tail);
+        assert_eq!(tail.len(), RETAINED_TAIL);
+        assert_eq!(tail[0].time, 10, "the newest records, oldest first");
+        drain_trace_lines("s", &mut sink.records, &mut Vec::new());
+        tail.clear();
+        sink.retained(&mut tail);
+        assert!(tail.is_empty(), "drained records are gone");
+
+        let mut off = StreamSink::new(false);
+        off.record(1, TraceEvent::ComputeStart { node: 0 });
+        assert!(
+            off.records.is_empty(),
+            "an untraced session records nothing"
+        );
     }
 }

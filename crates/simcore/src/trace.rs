@@ -797,9 +797,214 @@ impl TraceRecord {
     }
 }
 
+/// One piece of a record's human-readable text: a literal or a decimal
+/// integer.
+enum Piece {
+    Lit(&'static str),
+    Num(u64),
+}
+
+/// Writes `v` in decimal through a stack buffer, without `fmt`'s
+/// integer formatting machinery.
+fn write_u64<W: fmt::Write>(w: &mut W, mut v: u64) -> fmt::Result {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    w.write_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"))
+}
+
+fn write_pieces<W: fmt::Write>(w: &mut W, pieces: &[Piece]) -> fmt::Result {
+    for piece in pieces {
+        match *piece {
+            Piece::Lit(s) => w.write_str(s)?,
+            Piece::Num(v) => write_u64(w, v)?,
+        }
+    }
+    Ok(())
+}
+
+impl TraceEvent {
+    /// Writes the per-kind suffix of the human-readable text (the part
+    /// after the kind name, e.g. ` -> 5 (work 4)`): the one table both
+    /// [`TraceRecord`]'s `Display` and [`TraceRecord::write_text`] use.
+    fn write_detail<W: fmt::Write>(&self, w: &mut W) -> fmt::Result {
+        use Piece::{Lit as L, Num as N};
+        match *self {
+            TraceEvent::TransferStart { child, work, .. }
+            | TraceEvent::TransferComplete { child, work, .. } => write_pieces(
+                w,
+                &[L(" -> "), N(child.into()), L(" (work "), N(work), L(")")],
+            ),
+            TraceEvent::TransferPreempt {
+                child, remaining, ..
+            }
+            | TraceEvent::TransferResume {
+                child, remaining, ..
+            } => write_pieces(
+                w,
+                &[
+                    L(" -> "),
+                    N(child.into()),
+                    L(" (remaining "),
+                    N(remaining),
+                    L(")"),
+                ],
+            ),
+            TraceEvent::ComputeStart { .. }
+            | TraceEvent::ComputeFinish { .. }
+            | TraceEvent::LinkUp { .. }
+            | TraceEvent::DuplicateDrop { .. }
+            | TraceEvent::JoinDenied { .. } => Ok(()),
+            TraceEvent::BufferAcquire { held, capacity, .. }
+            | TraceEvent::BufferRelease { held, capacity, .. } => write_pieces(
+                w,
+                &[
+                    L(" ("),
+                    N(held.into()),
+                    L("/"),
+                    N(capacity.into()),
+                    L(" held)"),
+                ],
+            ),
+            TraceEvent::Request { count, .. } => {
+                write_pieces(w, &[L(" ("), N(count.into()), L(" sent)")])
+            }
+            TraceEvent::RequestDeny { child, count, .. } => write_pieces(
+                w,
+                &[
+                    L(" from "),
+                    N(child.into()),
+                    L(" ("),
+                    N(count.into()),
+                    L(" dropped)"),
+                ],
+            ),
+            TraceEvent::NodeJoin { parent, .. } => {
+                write_pieces(w, &[L(" under "), N(parent.into())])
+            }
+            TraceEvent::NodeLeave { reclaimed, .. } => {
+                write_pieces(w, &[L(" ("), N(reclaimed), L(" reclaimed)")])
+            }
+            TraceEvent::RequestLoss { count, .. } => {
+                write_pieces(w, &[L(" ("), N(count.into()), L(" lost)")])
+            }
+            TraceEvent::RequestRetry { retry, count, .. } => write_pieces(
+                w,
+                &[
+                    L(" (attempt "),
+                    N(retry.into()),
+                    L(", "),
+                    N(count.into()),
+                    L(" re-sent)"),
+                ],
+            ),
+            TraceEvent::TransferAbort { child, .. } => {
+                write_pieces(w, &[L(" -> "), N(child.into()), L(" (task lost)")])
+            }
+            TraceEvent::LinkDown { until, .. } => {
+                write_pieces(w, &[L(" (until t="), N(until), L(")")])
+            }
+            TraceEvent::NodeCrash { lost, .. } => write_pieces(w, &[L(" ("), N(lost), L(" lost)")]),
+            TraceEvent::TaskReissue { count } => {
+                write_pieces(w, &[L(" ("), N(count), L(" re-injected)")])
+            }
+            TraceEvent::ChildDead { child, .. } => {
+                write_pieces(w, &[L(" presumed dead: "), N(child.into())])
+            }
+            TraceEvent::ChildRevived { child, .. } => {
+                write_pieces(w, &[L(" heard from: "), N(child.into())])
+            }
+            TraceEvent::TaskArrival { class, units } => write_pieces(
+                w,
+                &[
+                    L(" (class "),
+                    N(class.into()),
+                    L(", "),
+                    N(units),
+                    L(" units)"),
+                ],
+            ),
+            TraceEvent::TaskAdmit {
+                class,
+                units,
+                queued,
+            } => write_pieces(
+                w,
+                &[
+                    L(" (class "),
+                    N(class.into()),
+                    L(", "),
+                    N(units),
+                    L(" units, "),
+                    N(queued),
+                    L(" queued)"),
+                ],
+            ),
+            TraceEvent::TaskReject { class, units } => write_pieces(
+                w,
+                &[
+                    L(" (class "),
+                    N(class.into()),
+                    L(", "),
+                    N(units),
+                    L(" units shed)"),
+                ],
+            ),
+            TraceEvent::TaskDefer {
+                class,
+                units,
+                waiting,
+            } => write_pieces(
+                w,
+                &[
+                    L(" (class "),
+                    N(class.into()),
+                    L(", "),
+                    N(units),
+                    L(" units, "),
+                    N(waiting),
+                    L(" waiting)"),
+                ],
+            ),
+        }
+    }
+}
+
+impl TraceRecord {
+    /// Appends the compact human-readable text, single-spaced:
+    /// `t=14 node 3 transfer-start -> 5 (work 4)`. This is the
+    /// [`Display`](fmt::Display) form without its column padding (the
+    /// `text` field of `bc-serve`'s `trace` lines), written in one pass.
+    /// It contains no character a JSON string escape would rewrite.
+    pub fn write_text(&self, out: &mut String) {
+        use Piece::{Lit as L, Num as N};
+        write_pieces(
+            out,
+            &[
+                L("t="),
+                N(self.time),
+                L(" node "),
+                N(self.event.node().into()),
+                L(" "),
+                L(self.event.kind()),
+            ],
+        )
+        .and_then(|()| self.event.write_detail(out))
+        .expect("writing to a String cannot fail");
+    }
+}
+
 impl fmt::Display for TraceRecord {
     /// Human-oriented rendering (`trace_dump --format pretty`, failure
-    /// dumps): `t=14 node 3  transfer-start -> 5 (work 4)`.
+    /// dumps): `t=14 node 3  transfer-start -> 5 (work 4)`, with the
+    /// time, node and kind padded into columns.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
@@ -808,59 +1013,7 @@ impl fmt::Display for TraceRecord {
             self.event.node(),
             self.event.kind()
         )?;
-        match self.event {
-            TraceEvent::TransferStart { child, work, .. }
-            | TraceEvent::TransferComplete { child, work, .. } => {
-                write!(f, " -> {child} (work {work})")
-            }
-            TraceEvent::TransferPreempt {
-                child, remaining, ..
-            }
-            | TraceEvent::TransferResume {
-                child, remaining, ..
-            } => {
-                write!(f, " -> {child} (remaining {remaining})")
-            }
-            TraceEvent::ComputeStart { .. } | TraceEvent::ComputeFinish { .. } => Ok(()),
-            TraceEvent::BufferAcquire { held, capacity, .. }
-            | TraceEvent::BufferRelease { held, capacity, .. } => {
-                write!(f, " ({held}/{capacity} held)")
-            }
-            TraceEvent::Request { count, .. } => write!(f, " ({count} sent)"),
-            TraceEvent::RequestDeny { child, count, .. } => {
-                write!(f, " from {child} ({count} dropped)")
-            }
-            TraceEvent::NodeJoin { parent, .. } => write!(f, " under {parent}"),
-            TraceEvent::NodeLeave { reclaimed, .. } => write!(f, " ({reclaimed} reclaimed)"),
-            TraceEvent::RequestLoss { count, .. } => write!(f, " ({count} lost)"),
-            TraceEvent::RequestRetry { retry, count, .. } => {
-                write!(f, " (attempt {retry}, {count} re-sent)")
-            }
-            TraceEvent::TransferAbort { child, .. } => write!(f, " -> {child} (task lost)"),
-            TraceEvent::LinkDown { until, .. } => write!(f, " (until t={until})"),
-            TraceEvent::LinkUp { .. } | TraceEvent::DuplicateDrop { .. } => Ok(()),
-            TraceEvent::NodeCrash { lost, .. } => write!(f, " ({lost} lost)"),
-            TraceEvent::TaskReissue { count } => write!(f, " ({count} re-injected)"),
-            TraceEvent::ChildDead { child, .. } => write!(f, " presumed dead: {child}"),
-            TraceEvent::ChildRevived { child, .. } => write!(f, " heard from: {child}"),
-            TraceEvent::JoinDenied { .. } => Ok(()),
-            TraceEvent::TaskArrival { class, units } => {
-                write!(f, " (class {class}, {units} units)")
-            }
-            TraceEvent::TaskAdmit {
-                class,
-                units,
-                queued,
-            } => write!(f, " (class {class}, {units} units, {queued} queued)"),
-            TraceEvent::TaskReject { class, units } => {
-                write!(f, " (class {class}, {units} units shed)")
-            }
-            TraceEvent::TaskDefer {
-                class,
-                units,
-                waiting,
-            } => write!(f, " (class {class}, {units} units, {waiting} waiting)"),
-        }
+        self.event.write_detail(f)
     }
 }
 
@@ -1478,6 +1631,117 @@ mod tests {
         assert_eq!(out.len(), 5, "tee retains via its first sink");
     }
 
+    /// `e` with every node/child/parent/count-like `u32` field set to
+    /// `a` and every `u64` field set to `b`. No `_` arm: a new variant
+    /// does not compile until it is listed here.
+    fn with_fields(e: TraceEvent, a: u32, b: u64) -> TraceEvent {
+        use TraceEvent::*;
+        match e {
+            TransferStart { .. } => TransferStart {
+                node: a,
+                child: a,
+                work: b,
+            },
+            TransferPreempt { .. } => TransferPreempt {
+                node: a,
+                child: a,
+                remaining: b,
+            },
+            TransferResume { .. } => TransferResume {
+                node: a,
+                child: a,
+                remaining: b,
+            },
+            TransferComplete { .. } => TransferComplete {
+                node: a,
+                child: a,
+                work: b,
+            },
+            ComputeStart { .. } => ComputeStart { node: a },
+            ComputeFinish { .. } => ComputeFinish { node: a },
+            BufferAcquire { .. } => BufferAcquire {
+                node: a,
+                held: a,
+                capacity: a,
+            },
+            BufferRelease { .. } => BufferRelease {
+                node: a,
+                held: a,
+                capacity: a,
+            },
+            Request { .. } => Request { node: a, count: a },
+            RequestDeny { .. } => RequestDeny {
+                node: a,
+                child: a,
+                count: a,
+            },
+            NodeJoin { .. } => NodeJoin { node: a, parent: a },
+            NodeLeave { .. } => NodeLeave {
+                node: a,
+                reclaimed: b,
+            },
+            RequestLoss { .. } => RequestLoss { node: a, count: a },
+            RequestRetry { .. } => RequestRetry {
+                node: a,
+                retry: a,
+                count: a,
+            },
+            TransferAbort { .. } => TransferAbort { node: a, child: a },
+            LinkDown { .. } => LinkDown { node: a, until: b },
+            LinkUp { .. } => LinkUp { node: a },
+            NodeCrash { .. } => NodeCrash { node: a, lost: b },
+            TaskReissue { .. } => TaskReissue { count: b },
+            ChildDead { .. } => ChildDead { node: a, child: a },
+            ChildRevived { .. } => ChildRevived { node: a, child: a },
+            DuplicateDrop { .. } => DuplicateDrop { node: a },
+            JoinDenied { .. } => JoinDenied { parent: a },
+            TaskArrival { .. } => TaskArrival { class: a, units: b },
+            TaskAdmit { .. } => TaskAdmit {
+                class: a,
+                units: b,
+                queued: b,
+            },
+            TaskReject { .. } => TaskReject { class: a, units: b },
+            TaskDefer { .. } => TaskDefer {
+                class: a,
+                units: b,
+                waiting: b,
+            },
+        }
+    }
+
+    /// `write_text` is the `Display` form with its column padding
+    /// collapsed, for every kind at boundary values, and it never holds
+    /// a character the JSON string escaper would rewrite (so `bc-serve`
+    /// can copy it into a line verbatim).
+    #[test]
+    fn write_text_is_collapsed_display_for_every_kind() {
+        let mut checked = 0;
+        for sample in every_kind() {
+            for a in [0, 1, u32::MAX] {
+                for b in [0, 1, u64::from(u32::MAX), u64::MAX] {
+                    for time in [0, 1, u64::MAX] {
+                        let r = TraceRecord {
+                            time,
+                            event: with_fields(sample.event, a, b),
+                        };
+                        let mut text = String::from("prefix:");
+                        r.write_text(&mut text);
+                        let text = &text["prefix:".len()..];
+                        let display = r.to_string();
+                        let collapsed = display.split_whitespace().collect::<Vec<_>>().join(" ");
+                        assert_eq!(text, collapsed, "{:?}", r);
+                        let escaped =
+                            serde_json::to_string(&serde::Value::Str(text.to_string())).unwrap();
+                        assert_eq!(escaped, format!("\"{text}\""), "{:?}", r);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, super::TAGS.len() * 3 * 4 * 3);
+    }
+
     #[test]
     fn display_is_stable() {
         let r = TraceRecord {
@@ -1488,8 +1752,9 @@ mod tests {
                 remaining: 3,
             },
         };
-        let s = r.to_string();
-        assert!(s.contains("transfer-preempt"), "{s}");
-        assert!(s.contains("remaining 3"), "{s}");
+        assert_eq!(
+            r.to_string(),
+            "t=14       node 1    transfer-preempt  -> 5 (remaining 3)"
+        );
     }
 }

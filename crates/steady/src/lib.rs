@@ -28,6 +28,4 @@ pub use fork::{solve_fork, ForkChild, ForkSolution};
 pub use makespan::{makespan_lower_bound, makespan_serial_bound};
 pub use oracle::lp_optimal_rate;
 pub use period::period_bound;
-pub use sensitivity::{
-    link_sensitivity, node_criticality, without_subtree, Criticality, LinkSensitivity,
-};
+pub use sensitivity::{node_criticality, without_subtree, Criticality};

@@ -1,20 +1,15 @@
-//! Sensitivity analysis: how much each node (and each link) matters.
+//! Sensitivity analysis: how much each node matters.
 //!
 //! For platform operators the interesting question after "what is the
-//! optimal rate" is "which resource should I upgrade / can I afford to
-//! lose". This module answers both with exact arithmetic:
+//! optimal rate" is "which node can I afford to lose".
+//! [`node_criticality`] answers it with exact arithmetic: the rate lost
+//! if a node's *subtree* is detached (the node leaves and takes its
+//! descendants with it, the failure mode of tree overlays).
 //!
-//! * [`node_criticality`] — the rate lost if a node's *subtree* is
-//!   detached (the node leaves and takes its descendants with it, the
-//!   failure mode of tree overlays);
-//! * [`link_sensitivity`] — the rate gained if one edge's communication
-//!   time improved to the best value seen in the platform (a targeted
-//!   upgrade), and lost if it degraded by a factor (congestion).
-//!
-//! Both are exact recomputations over the mutated platform — O(n) tree
-//! solves each, O(n²) total, fine for platform-sized inputs — rather
-//! than derivative approximations, because the Theorem 1 optimum is
-//! piecewise and non-smooth (children enter and leave the saturated set).
+//! It is an exact recomputation over the mutated platform — O(n) tree
+//! solves, O(n²) total, fine for platform-sized inputs — rather than a
+//! derivative approximation, because the Theorem 1 optimum is piecewise
+//! and non-smooth (children enter and leave the saturated set).
 
 use crate::analysis::SteadyState;
 use bc_platform::{NodeId, Tree};
@@ -81,37 +76,6 @@ pub fn node_criticality(tree: &Tree) -> Vec<Criticality> {
     out
 }
 
-/// One link's sensitivity entry.
-#[derive(Clone, Debug)]
-pub struct LinkSensitivity {
-    /// The child end of the link.
-    pub node: NodeId,
-    /// Rate if this link's `c` became `upgraded_c`.
-    pub rate_upgraded: Rational,
-    /// Rate if this link's `c` were multiplied by `degrade_factor`.
-    pub rate_degraded: Rational,
-}
-
-/// For every link, the exact optimal rate under a targeted upgrade
-/// (`c → upgraded_c`) and under congestion (`c → c × degrade_factor`).
-pub fn link_sensitivity(tree: &Tree, upgraded_c: u64, degrade_factor: u64) -> Vec<LinkSensitivity> {
-    assert!(upgraded_c >= 1 && degrade_factor >= 1);
-    tree.ids()
-        .filter(|&id| id != NodeId::ROOT)
-        .map(|id| {
-            let mut up = tree.clone();
-            up.set_comm_time(id, upgraded_c);
-            let mut down = tree.clone();
-            down.set_comm_time(id, tree.comm_time(id).saturating_mul(degrade_factor).max(1));
-            LinkSensitivity {
-                node: id,
-                rate_upgraded: SteadyState::analyze(&up).optimal_rate(),
-                rate_degraded: SteadyState::analyze(&down).optimal_rate(),
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,36 +139,5 @@ mod tests {
         // costs more than detaching anything under P4.
         let ranks = node_criticality(&fig1_tree());
         assert_eq!(ranks[0].node, NodeId(1));
-    }
-
-    #[test]
-    fn link_sensitivity_brackets_the_base_rate() {
-        let t = fig1_tree();
-        let base = SteadyState::analyze(&t).optimal_rate();
-        for ls in link_sensitivity(&t, 1, 4) {
-            assert!(
-                ls.rate_upgraded >= base,
-                "{:?}: upgrade lowered the rate",
-                ls.node
-            );
-            assert!(
-                ls.rate_degraded <= base,
-                "{:?}: congestion raised the rate",
-                ls.node
-            );
-        }
-    }
-
-    #[test]
-    fn fig1_p1_link_is_the_congestion_hotspot() {
-        // Degrading c1 (the paper's own Fig 7 scenario) hurts more than
-        // degrading any other single link by the same factor.
-        let t = fig1_tree();
-        let sens = link_sensitivity(&t, 1, 3);
-        let worst = sens
-            .iter()
-            .min_by(|a, b| a.rate_degraded.cmp(&b.rate_degraded))
-            .unwrap();
-        assert_eq!(worst.node, NodeId(1));
     }
 }
