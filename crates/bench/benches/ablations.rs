@@ -124,10 +124,9 @@ fn ablate_observer(c: &mut Criterion) {
     g.finish();
 }
 
-/// Event-queue implementations: binary-heap agenda vs sorted-vec agenda
-/// under a preemption-heavy schedule/cancel/pop mix.
+/// The event agenda under a preemption-heavy schedule/cancel/pop mix.
 fn ablate_event_queue(c: &mut Criterion) {
-    use bandwidth_centric::simcore::{Agenda, VecAgenda};
+    use bandwidth_centric::simcore::Agenda;
     let mut g = c.benchmark_group("event_queue");
     let script: Vec<(u64, bool)> = (0..2_000u64)
         .map(|i| (i * 7919 % 500, i % 3 == 0))
@@ -135,25 +134,6 @@ fn ablate_event_queue(c: &mut Criterion) {
     g.bench_function("heap_agenda", |b| {
         b.iter(|| {
             let mut a = Agenda::new();
-            let mut handles = Vec::new();
-            for &(delay, cancel) in &script {
-                let h = a.schedule(delay, delay);
-                if cancel {
-                    a.cancel(h);
-                } else {
-                    handles.push(h);
-                }
-                if delay % 5 == 0 {
-                    black_box(a.next());
-                }
-            }
-            while a.next().is_some() {}
-            black_box(handles.len())
-        })
-    });
-    g.bench_function("sorted_vec_agenda", |b| {
-        b.iter(|| {
-            let mut a = VecAgenda::new();
             let mut handles = Vec::new();
             for &(delay, cancel) in &script {
                 let h = a.schedule(delay, delay);

@@ -3,14 +3,13 @@
 //! * `event_key_heap` — the packed-key 4-ary heap against the
 //!   `BinaryHeap<Reverse<(u64, u64, u32, u32)>>` it replaced, on the
 //!   push/pop mix a simulation produces.
-//! * `agenda_impl` — the production tombstone [`Agenda`] against the
-//!   sorted-`Vec` [`VecAgenda`] baseline under interruptible-style
-//!   schedule/cancel/pop churn.
+//! * `agenda_impl` — the production tombstone [`Agenda`] under
+//!   interruptible-style schedule/cancel/pop churn.
 //! * `workspace_reuse` — a full simulation run with a fresh allocation
 //!   arena per run versus a reused [`SimWorkspace`].
 
 use bandwidth_centric::prelude::*;
-use bandwidth_centric::simcore::{Agenda, PackedEvent, QuadHeap, VecAgenda};
+use bandwidth_centric::simcore::{Agenda, PackedEvent, QuadHeap};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -84,30 +83,6 @@ fn bench_agendas(c: &mut Criterion) {
             |b, &pending| {
                 b.iter(|| {
                     let mut a: Agenda<u64> = Agenda::new();
-                    let mut acc = 0u64;
-                    for round in 0..50u64 {
-                        let hs: Vec<_> =
-                            (0..pending as u64).map(|i| a.schedule(10 + i, i)).collect();
-                        for h in hs.iter().skip(1).step_by(2) {
-                            acc ^= a.cancel(*h).unwrap_or(0);
-                        }
-                        for _ in 0..pending / 2 {
-                            acc ^= a.next().map_or(0, |(t, _)| t) + round;
-                        }
-                    }
-                    while let Some((t, _)) = a.next() {
-                        acc ^= t;
-                    }
-                    black_box(acc)
-                })
-            },
-        );
-        g.bench_with_input(
-            BenchmarkId::new("sorted_vec", pending),
-            &pending,
-            |b, &pending| {
-                b.iter(|| {
-                    let mut a: VecAgenda<u64> = VecAgenda::new();
                     let mut acc = 0u64;
                     for round in 0..50u64 {
                         let hs: Vec<_> =

@@ -8,8 +8,8 @@
 //! sweep grows (`--full` runs 6_400 trees per cell — 102_400 trees over
 //! the 16 default cells).
 //!
-//! `--stream` is implied (and accepted); `--shard-size` bounds the trees
-//! a worker folds before handing its shard accumulator back.
+//! `--shard-size` bounds the trees a worker folds before handing its
+//! shard accumulator back.
 //!
 //! With `--checkpoint-dir DIR` the sweep persists its per-cell
 //! accumulators and (cell, shard) cursor every `--checkpoint-every`

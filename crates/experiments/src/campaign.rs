@@ -423,28 +423,11 @@ pub fn run_campaign_streaming(
     shard_size: usize,
     make_config: impl Fn(u64) -> SimConfig + Sync,
 ) -> CampaignAccumulator {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
-    let shards = campaign.trees.div_ceil(shard_size);
-    let shard_accs: Vec<CampaignAccumulator> = (0..shards)
-        .into_par_iter()
-        .map_init(SimWorkspace::new, |ws, s| {
-            let start = s * shard_size;
-            let end = ((s + 1) * shard_size).min(campaign.trees);
-            let mut acc = CampaignAccumulator::new();
-            for i in start..end {
-                let p = campaign.prepare(i);
-                let result = ws.run(p.tree.clone(), make_config(campaign.tasks));
-                acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-            }
-            acc
-        })
-        .collect();
-    // Deterministic shard-order merge (collect preserves input order).
-    let mut total = CampaignAccumulator::new();
-    for acc in &shard_accs {
-        total.merge(acc);
-    }
-    total
+    let campaigns = std::slice::from_ref(campaign);
+    stream_shards(campaigns, shard_size, |_| make_config(campaign.tasks), None)
+        .expect("a sweep without a checkpoint policy does no I/O")
+        .accs
+        .remove(0)
 }
 
 // ---------------------------------------------------------------------------
@@ -584,45 +567,9 @@ pub fn run_grid_streaming(
     shard_size: usize,
     make_config: impl Fn(&GridCell) -> SimConfig + Sync,
 ) -> Vec<(GridCell, CampaignAccumulator)> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
-    let cells = grid.cells();
-    let campaigns: Vec<CampaignConfig> = cells.iter().map(|c| grid.cell_campaign(c)).collect();
-    // Flatten (cell, shard) tasks in canonical order.
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (ci, _) in cells.iter().enumerate() {
-        let mut start = 0;
-        while start < grid.trees_per_cell {
-            let end = (start + shard_size).min(grid.trees_per_cell);
-            tasks.push((ci, start, end));
-            start = end;
-        }
-    }
-    let cells_ref = &cells;
-    let campaigns_ref = &campaigns;
-    let make_config_ref = &make_config;
-    let shard_accs: Vec<(usize, CampaignAccumulator)> = tasks
-        .into_par_iter()
-        .map_init(SimWorkspace::new, move |ws, (ci, start, end)| {
-            let cell = &cells_ref[ci];
-            let campaign = &campaigns_ref[ci];
-            let mut acc = CampaignAccumulator::new();
-            for i in start..end {
-                let p = campaign.prepare(i);
-                let result = ws.run(p.tree.clone(), make_config_ref(cell));
-                acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-            }
-            (ci, acc)
-        })
-        .collect();
-    // Merge shards into cells in canonical order.
-    let mut out: Vec<(GridCell, CampaignAccumulator)> = cells
-        .into_iter()
-        .map(|c| (c, CampaignAccumulator::new()))
-        .collect();
-    for (ci, acc) in &shard_accs {
-        out[*ci].1.merge(acc);
-    }
-    out
+    sweep_grid(grid, shard_size, make_config, None)
+        .expect("a sweep without a checkpoint policy does no I/O")
+        .results
 }
 
 // ---------------------------------------------------------------------------
@@ -775,9 +722,9 @@ impl CheckpointPolicy {
 
 /// What a resumable sweep invocation did.
 #[derive(Debug)]
-pub struct ResumableOutcome<T> {
+pub struct ResumableOutcome {
     /// Per-cell aggregates (final iff `completed`).
-    pub results: T,
+    pub results: Vec<(GridCell, CampaignAccumulator)>,
     /// Whether the sweep ran to the end (false = stopped by
     /// `stop_after_shards`; relaunch with `resume` to continue).
     pub completed: bool,
@@ -819,17 +766,19 @@ fn grid_fingerprint(grid: &CampaignGrid, shard_size: usize) -> u64 {
     fnv1a64(&b)
 }
 
+/// The checkpoint payload: version, sweep fingerprint, work-list cursor,
+/// cell count, then each cell's accumulator in cell order.
 fn encode_grid_checkpoint(
     fingerprint: u64,
     cursor: usize,
-    cells: &[(GridCell, CampaignAccumulator)],
+    accs: &[CampaignAccumulator],
 ) -> Vec<u8> {
     let mut b = Vec::new();
     b.push(CAMPAIGN_CKPT_VERSION);
     b.extend_from_slice(&fingerprint.to_le_bytes());
     b.extend_from_slice(&(cursor as u64).to_le_bytes());
-    b.extend_from_slice(&(cells.len() as u64).to_le_bytes());
-    for (_, acc) in cells {
+    b.extend_from_slice(&(accs.len() as u64).to_le_bytes());
+    for acc in accs {
         acc.encode_into(&mut b);
     }
     b
@@ -896,187 +845,154 @@ pub fn run_grid_streaming_checkpointed(
     shard_size: usize,
     make_config: impl Fn(&GridCell) -> SimConfig + Sync,
     policy: &CheckpointPolicy,
-) -> Result<ResumableOutcome<Vec<(GridCell, CampaignAccumulator)>>, ResumeError> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
+) -> Result<ResumableOutcome, ResumeError> {
+    sweep_grid(grid, shard_size, make_config, Some(policy))
+}
+
+/// Both grid drivers: the grid's cells as campaigns, streamed through
+/// [`stream_shards`], checkpointed under the sweep's fingerprint when a
+/// policy is given.
+fn sweep_grid(
+    grid: &CampaignGrid,
+    shard_size: usize,
+    make_config: impl Fn(&GridCell) -> SimConfig + Sync,
+    policy: Option<&CheckpointPolicy>,
+) -> Result<ResumableOutcome, ResumeError> {
     let cells = grid.cells();
     let campaigns: Vec<CampaignConfig> = cells.iter().map(|c| grid.cell_campaign(c)).collect();
-    let mut tasks: Vec<(usize, usize, usize)> = Vec::new();
-    for (ci, _) in cells.iter().enumerate() {
-        let mut start = 0;
-        while start < grid.trees_per_cell {
-            let end = (start + shard_size).min(grid.trees_per_cell);
-            tasks.push((ci, start, end));
-            start = end;
-        }
-    }
-    let fingerprint = grid_fingerprint(grid, shard_size);
-    let mut store =
-        CheckpointStore::open(&policy.dir, "grid", CheckpointKind::Campaign, policy.keep)?;
-
-    let mut out: Vec<(GridCell, CampaignAccumulator)> = cells
-        .iter()
-        .cloned()
-        .map(|c| (c, CampaignAccumulator::new()))
-        .collect();
-    let mut cursor = 0usize;
-    let mut resumed_from_generation = None;
-    if policy.resume {
-        if let Some(loaded) = store.load_latest()? {
-            let (saved_cursor, accs) =
-                decode_grid_checkpoint(&loaded.payload, fingerprint, cells.len())?;
-            if saved_cursor > tasks.len() {
-                return Err(ResumeError::Format("cursor beyond work list"));
-            }
-            for ((_, slot), acc) in out.iter_mut().zip(accs) {
-                *slot = acc;
-            }
-            cursor = saved_cursor;
-            resumed_from_generation = Some(loaded.generation);
-        }
-    }
-
-    let cells_ref = &cells;
-    let campaigns_ref = &campaigns;
-    let make_config_ref = &make_config;
-    let mut done_this_run = 0usize;
-    let every = policy.every_shards.max(1);
-    while cursor < tasks.len() {
-        let mut chunk_end = (cursor + every).min(tasks.len());
-        if let Some(stop) = policy.stop_after_shards {
-            let left = stop.saturating_sub(done_this_run);
-            if left == 0 {
-                break;
-            }
-            chunk_end = chunk_end.min(cursor + left);
-        }
-        let chunk_accs: Vec<(usize, CampaignAccumulator)> = tasks[cursor..chunk_end]
-            .par_iter()
-            .map_init(SimWorkspace::new, move |ws, &(ci, start, end)| {
-                let cell = &cells_ref[ci];
-                let campaign = &campaigns_ref[ci];
-                let mut acc = CampaignAccumulator::new();
-                for i in start..end {
-                    let p = campaign.prepare(i);
-                    let result = ws.run(p.tree.clone(), make_config_ref(cell));
-                    acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-                }
-                (ci, acc)
-            })
-            .collect();
-        // Same canonical merge order as the unchunked path: work-list
-        // order, grouped — merge associativity makes the grouping moot.
-        for (ci, acc) in &chunk_accs {
-            out[*ci].1.merge(acc);
-        }
-        done_this_run += chunk_end - cursor;
-        cursor = chunk_end;
-        store.save(&encode_grid_checkpoint(fingerprint, cursor, &out))?;
-    }
-
+    let durable = policy.map(|p| (p, grid_fingerprint(grid, shard_size)));
+    let progress = stream_shards(
+        &campaigns,
+        shard_size,
+        |ci| make_config(&cells[ci]),
+        durable,
+    )?;
     Ok(ResumableOutcome {
-        completed: cursor == tasks.len(),
-        shards_done: cursor,
-        shards_total: tasks.len(),
-        resumed_from_generation,
-        results: out,
+        completed: progress.cursor == progress.total,
+        shards_done: progress.cursor,
+        shards_total: progress.total,
+        resumed_from_generation: progress.resumed_from_generation,
+        results: cells.into_iter().zip(progress.accs).collect(),
     })
 }
 
-/// Single-campaign counterpart of [`run_grid_streaming_checkpointed`]:
-/// [`run_campaign_streaming`] with the shard cursor and the (single)
-/// accumulator persisted on the same cadence and the same resume
-/// semantics. Implemented as a one-cell grid-shaped work list over the
-/// campaign's own shards.
-pub fn run_campaign_streaming_checkpointed(
-    campaign: &CampaignConfig,
-    shard_size: usize,
-    make_config: impl Fn(u64) -> SimConfig + Sync,
-    policy: &CheckpointPolicy,
-) -> Result<ResumableOutcome<CampaignAccumulator>, ResumeError> {
-    assert!(shard_size >= 1, "shard_size must be at least 1");
-    let mut b = Vec::new();
-    b.extend_from_slice(&(campaign.trees as u64).to_le_bytes());
-    b.extend_from_slice(&campaign.tasks.to_le_bytes());
-    b.extend_from_slice(&campaign.seed.to_le_bytes());
-    b.extend_from_slice(&(campaign.tree_config.min_nodes as u64).to_le_bytes());
-    b.extend_from_slice(&(campaign.tree_config.max_nodes as u64).to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.comm_min.to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.comm_max.to_le_bytes());
-    b.extend_from_slice(&campaign.tree_config.compute_scale.to_le_bytes());
-    b.extend_from_slice(&campaign.onset.window_threshold.to_le_bytes());
-    b.extend_from_slice(&campaign.onset.crossings.to_le_bytes());
-    b.extend_from_slice(&(shard_size as u64).to_le_bytes());
-    let fingerprint = fnv1a64(&b);
+// ---------------------------------------------------------------------------
+// The streaming core
+// ---------------------------------------------------------------------------
 
-    let shards = campaign.trees.div_ceil(shard_size);
-    let mut store = CheckpointStore::open(
-        &policy.dir,
-        "campaign",
-        CheckpointKind::Campaign,
-        policy.keep,
-    )?;
-    let mut acc = CampaignAccumulator::new();
-    let mut cursor = 0usize;
-    let mut resumed_from_generation = None;
-    if policy.resume {
-        if let Some(loaded) = store.load_latest()? {
-            let (saved_cursor, mut accs) = decode_grid_checkpoint(&loaded.payload, fingerprint, 1)?;
-            if saved_cursor > shards {
-                return Err(ResumeError::Format("cursor beyond work list"));
+/// One work item: trees `start..end` of campaign `ci`.
+type WorkItem = (usize, usize, usize);
+
+/// Where a streaming run stopped.
+struct Progress {
+    /// One accumulator per campaign, in campaign order.
+    accs: Vec<CampaignAccumulator>,
+    /// Work items done over all invocations.
+    cursor: usize,
+    /// Work items in the whole list.
+    total: usize,
+    /// Generation the run resumed from, if any.
+    resumed_from_generation: Option<u64>,
+}
+
+/// The one streaming driver behind [`run_campaign_streaming`],
+/// [`run_grid_streaming`] and [`run_grid_streaming_checkpointed`].
+///
+/// The campaigns are cut into contiguous shards of `shard_size` trees
+/// and flattened into one work list in (campaign, shard) order, so
+/// workers stay busy across campaign boundaries, and each worker keeps
+/// one `SimWorkspace` for its share of a chunk. A work item is
+/// deterministic in its coordinates alone. Shard accumulators merge into
+/// their campaign in work-list order, which keeps every aggregate
+/// bit-identical at any thread count, shard grouping or chunking.
+///
+/// Without `durable` the whole list is one chunk: one parallel pass.
+/// With `(policy, fingerprint)` the list is worked through in chunks of
+/// `policy.every_shards`, and after each chunk the accumulators and the
+/// cursor are saved atomically as one new generation (see
+/// [`bc_engine::durability`]). With `policy.resume` the run starts from
+/// the newest good generation, which must carry `fingerprint`.
+fn stream_shards(
+    campaigns: &[CampaignConfig],
+    shard_size: usize,
+    make_config: impl Fn(usize) -> SimConfig + Sync,
+    durable: Option<(&CheckpointPolicy, u64)>,
+) -> Result<Progress, ResumeError> {
+    assert!(shard_size >= 1, "shard_size must be at least 1");
+    let work: Vec<WorkItem> = campaigns
+        .iter()
+        .enumerate()
+        .flat_map(|(ci, c)| {
+            (0..c.trees)
+                .step_by(shard_size)
+                .map(move |start| (ci, start, (start + shard_size).min(c.trees)))
+        })
+        .collect();
+    let mut progress = Progress {
+        accs: vec![CampaignAccumulator::new(); campaigns.len()],
+        cursor: 0,
+        total: work.len(),
+        resumed_from_generation: None,
+    };
+    let (mut chunk, mut stop, mut store) = (work.len(), None, None);
+    if let Some((policy, fingerprint)) = durable {
+        let opened =
+            CheckpointStore::open(&policy.dir, "grid", CheckpointKind::Campaign, policy.keep)?;
+        if policy.resume {
+            if let Some(loaded) = opened.load_latest()? {
+                let (cursor, accs) =
+                    decode_grid_checkpoint(&loaded.payload, fingerprint, campaigns.len())?;
+                if cursor > work.len() {
+                    return Err(ResumeError::Format("cursor beyond work list"));
+                }
+                progress.accs = accs;
+                progress.cursor = cursor;
+                progress.resumed_from_generation = Some(loaded.generation);
             }
-            acc = accs.pop().unwrap();
-            cursor = saved_cursor;
-            resumed_from_generation = Some(loaded.generation);
         }
+        chunk = policy.every_shards.max(1);
+        stop = policy.stop_after_shards;
+        store = Some((opened, fingerprint));
     }
 
-    let make_config_ref = &make_config;
-    let mut done_this_run = 0usize;
-    let every = policy.every_shards.max(1);
-    while cursor < shards {
-        let mut chunk_end = (cursor + every).min(shards);
-        if let Some(stop) = policy.stop_after_shards {
+    let fold_shard = |ws: &mut SimWorkspace, &(ci, start, end): &WorkItem| {
+        let campaign = &campaigns[ci];
+        let mut acc = CampaignAccumulator::new();
+        for i in start..end {
+            let p = campaign.prepare(i);
+            let result = ws.run(p.tree.clone(), make_config(ci));
+            acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
+        }
+        (ci, acc)
+    };
+    let mut done_this_run = 0;
+    while progress.cursor < work.len() {
+        let mut chunk_end = (progress.cursor + chunk).min(work.len());
+        if let Some(stop) = stop {
             let left = stop.saturating_sub(done_this_run);
             if left == 0 {
                 break;
             }
-            chunk_end = chunk_end.min(cursor + left);
+            chunk_end = chunk_end.min(progress.cursor + left);
         }
-        let chunk_accs: Vec<CampaignAccumulator> = (cursor..chunk_end)
-            .into_par_iter()
-            .map_init(SimWorkspace::new, move |ws, s| {
-                let start = s * shard_size;
-                let end = ((s + 1) * shard_size).min(campaign.trees);
-                let mut acc = CampaignAccumulator::new();
-                for i in start..end {
-                    let p = campaign.prepare(i);
-                    let result = ws.run(p.tree.clone(), make_config_ref(campaign.tasks));
-                    acc.record(i, &p.tree, &p.analysis, &result, campaign.onset);
-                }
-                acc
-            })
+        let shard_accs: Vec<(usize, CampaignAccumulator)> = work[progress.cursor..chunk_end]
+            .par_iter()
+            .map_init(SimWorkspace::new, fold_shard)
             .collect();
-        for shard_acc in &chunk_accs {
-            acc.merge(shard_acc);
+        for (ci, acc) in &shard_accs {
+            progress.accs[*ci].merge(acc);
         }
-        done_this_run += chunk_end - cursor;
-        cursor = chunk_end;
-        let mut payload = Vec::new();
-        payload.push(CAMPAIGN_CKPT_VERSION);
-        payload.extend_from_slice(&fingerprint.to_le_bytes());
-        payload.extend_from_slice(&(cursor as u64).to_le_bytes());
-        payload.extend_from_slice(&1u64.to_le_bytes());
-        acc.encode_into(&mut payload);
-        store.save(&payload)?;
+        done_this_run += chunk_end - progress.cursor;
+        progress.cursor = chunk_end;
+        if let Some((store, fingerprint)) = &mut store {
+            store.save(&encode_grid_checkpoint(
+                *fingerprint,
+                progress.cursor,
+                &progress.accs,
+            ))?;
+        }
     }
-
-    Ok(ResumableOutcome {
-        completed: cursor == shards,
-        shards_done: cursor,
-        shards_total: shards,
-        resumed_from_generation,
-        results: acc,
-    })
+    Ok(progress)
 }
 
 #[cfg(test)]
@@ -1189,51 +1105,28 @@ mod tests {
     }
 
     #[test]
-    fn checkpointed_campaign_interrupted_resume_is_bit_identical() {
-        let c = tiny_campaign();
-        let reference = run_campaign_streaming(&c, 2, |t| SimConfig::interruptible(3, t));
-
-        let dir = ckpt_dir("campaign");
-        // Stop after 1 shard, then resume to completion.
-        let mut policy = CheckpointPolicy::new(&dir, 1);
-        policy.stop_after_shards = Some(1);
-        let partial =
-            run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-                .unwrap();
-        assert!(!partial.completed);
-        assert_eq!(partial.shards_done, 1);
-
-        let policy = CheckpointPolicy::new(&dir, 1).resuming(true);
-        let full =
-            run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-                .unwrap();
-        assert!(full.completed);
-        assert!(full.resumed_from_generation.is_some());
-        assert_eq!(full.results, reference);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn checkpointed_resume_rejects_different_sweep() {
-        let c = tiny_campaign();
+        let grid = tiny_grid();
+        let cfg = |c: &GridCell| SimConfig::interruptible(c.buffers, c.tasks);
         let dir = ckpt_dir("fingerprint");
         let mut policy = CheckpointPolicy::new(&dir, 1);
         policy.stop_after_shards = Some(1);
-        run_campaign_streaming_checkpointed(&c, 2, |t| SimConfig::interruptible(3, t), &policy)
-            .unwrap();
-        // Same directory, different seed: resume must refuse.
-        let mut other = c.clone();
-        other.seed ^= 0xDEAD;
+        run_grid_streaming_checkpointed(&grid, 2, cfg, &policy).unwrap();
+        // Same directory, a different seed or a different shard size:
+        // resume must refuse.
+        let mut reseeded = grid.clone();
+        reseeded.seed ^= 0xDEAD;
         let policy = CheckpointPolicy::new(&dir, 1).resuming(true);
-        match run_campaign_streaming_checkpointed(
-            &other,
-            2,
-            |t| SimConfig::interruptible(3, t),
-            &policy,
-        ) {
-            Err(ResumeError::FingerprintMismatch { .. }) => {}
-            other => panic!("expected FingerprintMismatch, got {other:?}"),
+        for (other, shard_size) in [(&reseeded, 2), (&grid, 3)] {
+            match run_grid_streaming_checkpointed(other, shard_size, cfg, &policy) {
+                Err(ResumeError::FingerprintMismatch { .. }) => {}
+                other => panic!("expected FingerprintMismatch, got {other:?}"),
+            }
         }
+        // The refusals wrote nothing: the original sweep still resumes.
+        let full = run_grid_streaming_checkpointed(&grid, 2, cfg, &policy).unwrap();
+        assert!(full.completed);
+        assert_eq!(full.results, run_grid_streaming(&grid, 2, cfg));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1255,9 +1148,8 @@ mod tests {
         );
     }
 
-    #[test]
-    fn grid_sweep_is_deterministic_and_streams_per_cell() {
-        let grid = CampaignGrid {
+    fn tiny_grid() -> CampaignGrid {
+        CampaignGrid {
             max_nodes: vec![12, 25],
             tasks: vec![400],
             buffers: vec![2, 3],
@@ -1269,7 +1161,12 @@ mod tests {
                 window_threshold: 50,
                 crossings: 2,
             },
-        };
+        }
+    }
+
+    #[test]
+    fn grid_sweep_is_deterministic_and_streams_per_cell() {
+        let grid = tiny_grid();
         let a = run_grid_streaming(&grid, 2, |c| SimConfig::interruptible(c.buffers, c.tasks));
         let b = run_grid_streaming(&grid, 3, |c| SimConfig::interruptible(c.buffers, c.tasks));
         assert_eq!(a.len(), 4);

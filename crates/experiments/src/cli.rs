@@ -1,10 +1,9 @@
 //! Minimal flag parsing shared by the experiment binaries.
 //!
 //! Flags: `--trees N`, `--tasks N`, `--seed N`, `--full` (paper-scale
-//! campaign), `--threads N` (campaign worker threads), `--stream`
-//! (streaming sharded campaign mode: fold into accumulators instead of
-//! materializing per-tree results), `--shard-size N` (trees per
-//! streaming shard), `--out DIR` (also write CSV artifacts there).
+//! campaign), `--threads N` (campaign worker threads), `--shard-size N`
+//! (trees per streaming shard), `--out DIR` (also write CSV artifacts
+//! there).
 //!
 //! Binaries call [`parse`], which on a bad command line prints a
 //! one-line error plus usage to **stderr** and exits with code 2 (the
@@ -33,10 +32,6 @@ pub struct Cli {
     /// Campaign worker threads (None = all cores). Campaign results are
     /// bit-identical at any thread count; this only trades wall-clock.
     pub threads: Option<usize>,
-    /// Streaming sharded campaign mode: aggregate through mergeable
-    /// accumulators, never materializing per-tree results (sub-linear
-    /// memory; bit-identical aggregates).
-    pub stream: bool,
     /// Trees per streaming shard.
     pub shard_size: usize,
     /// Directory for CSV artifacts.
@@ -73,7 +68,7 @@ pub enum CliError {
 fn usage_line(defaults: Defaults) -> String {
     format!(
         "flags: --trees N --tasks N --seed N --full --gate every|arrival|filled --threads N \
-         --stream --shard-size N --out DIR \
+         --shard-size N --out DIR \
          --checkpoint-dir DIR --checkpoint-every N --resume\n\
          defaults: trees={} (full: {}), tasks={}, seed=2003, shard-size=512, \
          checkpoint-every=8",
@@ -96,7 +91,6 @@ pub fn try_parse(
         full: false,
         gate: GrowthGate::default(),
         threads: None,
-        stream: false,
         shard_size: 512,
         out: None,
         checkpoint_dir: None,
@@ -141,7 +135,6 @@ pub fn try_parse(
                 }
                 cli.threads = Some(n);
             }
-            "--stream" => cli.stream = true,
             "--shard-size" => {
                 let n = number("--shard-size", value("--shard-size")?)? as usize;
                 if n == 0 {
@@ -263,11 +256,14 @@ mod tests {
     #[test]
     fn streaming_flags_parse() {
         let cli = try_parse(args(&[]), D).unwrap();
-        assert!(!cli.stream);
         assert_eq!(cli.shard_size, 512);
-        let cli = try_parse(args(&["--stream", "--shard-size", "64"]), D).unwrap();
-        assert!(cli.stream);
+        let cli = try_parse(args(&["--shard-size", "64"]), D).unwrap();
         assert_eq!(cli.shard_size, 64);
+        // Streaming is the only campaign mode; there is no flag for it.
+        assert_eq!(
+            try_parse(args(&["--stream"]), D),
+            Err(CliError::Usage("unknown flag --stream".into()))
+        );
         assert_eq!(
             try_parse(args(&["--shard-size", "0"]), D),
             Err(CliError::Usage("--shard-size must be at least 1".into()))

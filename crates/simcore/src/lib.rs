@@ -21,7 +21,6 @@ pub mod agenda;
 pub mod quad_heap;
 pub mod rng;
 pub mod trace;
-pub mod vec_agenda;
 
 pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time, NEAR_BUCKETS};
 pub use quad_heap::{PackedEvent, QuadHeap};
@@ -30,4 +29,3 @@ pub use trace::{
     BinWriter, JsonlWriter, NullSink, RingRecorder, TeeSink, TraceEvent, TraceRecord, TraceSink,
     VecSink,
 };
-pub use vec_agenda::{VecAgenda, VecEventHandle};

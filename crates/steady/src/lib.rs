@@ -25,7 +25,7 @@ pub mod sensitivity;
 
 pub use analysis::{Allocation, SteadyState};
 pub use fork::{solve_fork, ForkChild, ForkSolution};
-pub use makespan::{makespan_lower_bound, makespan_serial_bound};
+pub use makespan::makespan_lower_bound;
 pub use oracle::lp_optimal_rate;
 pub use period::period_bound;
 pub use sensitivity::{node_criticality, without_subtree, Criticality};

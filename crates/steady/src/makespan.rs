@@ -1,22 +1,14 @@
-//! Makespan bounds for finite applications.
+//! Makespan lower bound for finite applications.
 //!
 //! §2.1: *"we can create a schedule that can process a fixed number of
 //! tasks within an additive constant of the optimal schedule"* — the
 //! steady-state rate governs the makespan up to startup/wind-down terms.
-//! These bounds sandwich any legal execution and are asserted against
-//! every simulation in the test suite:
-//!
-//! * **lower bound** — `n` tasks cannot finish before `⌈n · w_tree⌉`
-//!   (rate optimality), nor before the root's first task could possibly
-//!   complete;
-//! * **serial baseline** — the root alone computes everything in
-//!   `n · w_0`. This is *not* an upper bound on protocol executions (a
-//!   task delegated to a fast-link/slow-CPU child can finish after the
-//!   serial schedule would have), but it is the number a deployment beats
-//!   by distributing at all.
+//! `n` tasks cannot finish before `⌈n · w_tree⌉` (rate optimality), nor
+//! before the root's first task could possibly complete; the bound is
+//! asserted against simulated makespans in the test suite.
 
 use crate::analysis::SteadyState;
-use bc_platform::{NodeId, Tree};
+use bc_platform::Tree;
 use bc_rational::Rational;
 
 /// The rate-based lower bound on completing `n` tasks: no schedule
@@ -46,12 +38,6 @@ pub fn makespan_lower_bound(tree: &Tree, n: u64) -> u64 {
     rate_bound.max(first_task)
 }
 
-/// The serial baseline: the repository alone computes all `n` tasks.
-/// Distribution is worthwhile exactly when an execution beats this.
-pub fn makespan_serial_bound(tree: &Tree, n: u64) -> u64 {
-    n.saturating_mul(tree.compute_time(NodeId::ROOT))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,7 +52,6 @@ mod tests {
     fn single_node_bounds_are_tight() {
         let t = Tree::new(7);
         assert_eq!(makespan_lower_bound(&t, 10), 70);
-        assert_eq!(makespan_serial_bound(&t, 10), 70);
     }
 
     #[test]
@@ -85,13 +70,5 @@ mod tests {
         let t = fig1_tree();
         // 980 · 45/49 = 900 exactly.
         assert_eq!(makespan_lower_bound(&t, 980), 900);
-    }
-
-    #[test]
-    fn lower_bound_below_serial_bound() {
-        let t = fig1_tree();
-        for n in [1u64, 10, 100, 1000] {
-            assert!(makespan_lower_bound(&t, n) <= makespan_serial_bound(&t, n));
-        }
     }
 }
