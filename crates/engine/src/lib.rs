@@ -39,8 +39,5 @@ pub use sim::{SimWorkspace, Simulation};
 pub use snapshot::{SimSnapshot, SnapshotError, WhatIf};
 
 // Trace plumbing, re-exported so engine users name one crate: the sink
-// trait the simulator is generic over plus the stock sinks/writers.
-pub use bc_simcore::{
-    trace, BinWriter, JsonlWriter, NullSink, RingRecorder, TeeSink, TraceEvent, TraceRecord,
-    TraceSink, VecSink,
-};
+// trait the simulator is generic over plus the stock sinks.
+pub use bc_simcore::{trace, NullSink, RingRecorder, TraceEvent, TraceRecord, TraceSink, VecSink};

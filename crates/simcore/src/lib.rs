@@ -25,7 +25,4 @@ pub mod trace;
 pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time, NEAR_BUCKETS};
 pub use quad_heap::{PackedEvent, QuadHeap};
 pub use rng::{job_rng, split_seed};
-pub use trace::{
-    BinWriter, JsonlWriter, NullSink, RingRecorder, TeeSink, TraceEvent, TraceRecord, TraceSink,
-    VecSink,
-};
+pub use trace::{NullSink, RingRecorder, TraceEvent, TraceRecord, TraceSink, VecSink};
