@@ -114,7 +114,7 @@ impl<S: TraceSink> Simulation<S> {
         }
         self.cur.check_last_now = now;
         self.cur.events_since_sweep += 1;
-        let sweep_due = self.cur.events_since_sweep >= (self.ws.hot.len() as u32).max(32);
+        let sweep_due = self.cur.events_since_sweep >= (self.ws.st.hot.len() as u32).max(32);
         if sweep_due || self.cur.finished {
             self.cur.events_since_sweep = 0;
             if let Err(v) = self.verify_invariants() {
@@ -166,8 +166,8 @@ impl<S: TraceSink> Simulation<S> {
     pub fn verify_invariants(&self) -> Result<(), InvariantViolation> {
         self.check_quiescent()?;
         self.check_task_conservation()?;
-        for i in 0..self.ws.hot.len() {
-            if self.ws.hot[i].departed || self.ws.hot[i].crashed {
+        for i in 0..self.ws.st.hot.len() {
+            if self.ws.st.hot[i].departed || self.ws.st.hot[i].crashed {
                 continue;
             }
             self.check_buffer_legality(i)?;
@@ -216,7 +216,7 @@ impl<S: TraceSink> Simulation<S> {
         let mut computing: u64 = 0;
         let mut in_flight: u64 = 0;
         let mut computed_sum: u64 = 0;
-        for (i, n) in self.ws.hot.iter().enumerate() {
+        for (i, n) in self.ws.st.hot.iter().enumerate() {
             computed_sum += n.tasks_computed;
             if n.departed || n.crashed {
                 continue;
@@ -225,9 +225,9 @@ impl<S: TraceSink> Simulation<S> {
                 buffered += u64::from(l.held());
             }
             computing += u64::from(n.computing_since.is_some());
-            if let Some(s) = &self.ws.sending[i] {
-                let child = self.ws.kid(i, s.child_pos);
-                if self.ws.hot[child].departed {
+            if let Some(s) = &self.ws.st.sending[i] {
+                let child = self.ws.st.kid(i, s.child_pos);
+                if self.ws.st.hot[child].departed {
                     return fail(
                         "task-conservation",
                         format!("node {i} is sending to departed child {child}"),
@@ -235,10 +235,10 @@ impl<S: TraceSink> Simulation<S> {
                 }
                 in_flight += 1;
             }
-            for k in self.ws.krange(i) {
-                if self.ws.kid_slot[k].is_some() {
-                    let child = self.ws.kid_node[k] as usize;
-                    if self.ws.hot[child].departed {
+            for k in self.ws.st.krange(i) {
+                if self.ws.st.kid_slot[k].is_some() {
+                    let child = self.ws.st.kid_node[k] as usize;
+                    if self.ws.st.hot[child].departed {
                         return fail(
                             "task-conservation",
                             format!("node {i} holds a slot transfer for departed child {child}"),
@@ -351,7 +351,7 @@ impl<S: TraceSink> Simulation<S> {
     /// ledger's own policy, so a mis-provisioned pool cannot vouch for
     /// itself.
     fn check_buffer_legality(&self, i: usize) -> Result<(), InvariantViolation> {
-        let Some(l) = &self.ws.hot[i].ledger else {
+        let Some(l) = &self.ws.st.hot[i].ledger else {
             return Ok(()); // the root buffers nothing
         };
         if l.held() > l.capacity() {
@@ -437,25 +437,25 @@ impl<S: TraceSink> Simulation<S> {
     /// parent's state — it keeps its covered requests and starves, which
     /// is the accepted fate of an unreachable subtree.
     fn check_coverage(&self, i: usize) -> Result<(), InvariantViolation> {
-        let Some(l) = &self.ws.hot[i].ledger else {
+        let Some(l) = &self.ws.st.hot[i].ledger else {
             return Ok(());
         };
-        let p = self.ws.parent_of[i].expect("non-root has parent");
-        let pos = self.ws.child_pos[i];
-        if self.ws.hot[p].crashed {
+        let p = self.ws.st.parent_of[i].expect("non-root has parent");
+        let pos = self.ws.st.child_pos[i];
+        if self.ws.st.hot[p].crashed {
             return Ok(());
         }
-        let k = self.ws.kid_start[p] as usize + pos;
-        let pending = self.ws.kid_pending[k];
+        let k = self.ws.st.kid_start[p] as usize + pos;
+        let pending = self.ws.st.kid_pending[k];
         let inbound = match self.cfg.protocol {
             Protocol::NonInterruptible => u32::from(
-                self.ws.sending[p]
+                self.ws.st.sending[p]
                     .as_ref()
                     .is_some_and(|s| s.child_pos == pos),
             ),
-            Protocol::Interruptible => u32::from(self.ws.kid_slot[k].is_some()),
+            Protocol::Interruptible => u32::from(self.ws.st.kid_slot[k].is_some()),
         };
-        let me = &self.ws.faults[i];
+        let me = &self.ws.st.faults[i];
         let unheard = me.lost_requests + me.pending_nacks;
         if l.covered() != pending + inbound + unheard {
             return fail(
@@ -476,7 +476,7 @@ impl<S: TraceSink> Simulation<S> {
     /// Per-protocol structural rules at node `i`.
     fn check_protocol_structure(&self, i: usize) -> Result<(), InvariantViolation> {
         let now = self.ws.agenda.now();
-        let n = &self.ws.hot[i];
+        let n = &self.ws.st.hot[i];
         if let Some(since) = n.computing_since {
             if since > now {
                 return fail(
@@ -486,22 +486,22 @@ impl<S: TraceSink> Simulation<S> {
             }
         }
         // A departed child must be fully disentangled from its parent.
-        for k in self.ws.krange(i) {
-            let child = self.ws.kid_node[k] as usize;
-            if self.ws.hot[child].departed && self.ws.kid_pending[k] != 0 {
+        for k in self.ws.st.krange(i) {
+            let child = self.ws.st.kid_node[k] as usize;
+            if self.ws.st.hot[child].departed && self.ws.st.kid_pending[k] != 0 {
                 return fail(
                     "protocol-structure",
                     format!(
                         "node {i} still records {} requests from departed child {child}",
-                        self.ws.kid_pending[k]
+                        self.ws.st.kid_pending[k]
                     ),
                 );
             }
         }
         match self.cfg.protocol {
             Protocol::NonInterruptible => {
-                if self.ws.active[i].is_some()
-                    || self.ws.kid_slot[self.ws.krange(i)]
+                if self.ws.st.active[i].is_some()
+                    || self.ws.st.kid_slot[self.ws.st.krange(i)]
                         .iter()
                         .any(Option::is_some)
                 {
@@ -519,7 +519,7 @@ impl<S: TraceSink> Simulation<S> {
                         ),
                     );
                 }
-                if let Some(s) = &self.ws.sending[i] {
+                if let Some(s) = &self.ws.st.sending[i] {
                     if s.started_at > now {
                         return fail(
                             "protocol-structure",
@@ -535,14 +535,14 @@ impl<S: TraceSink> Simulation<S> {
                 }
             }
             Protocol::Interruptible => {
-                if self.ws.sending[i].is_some() {
+                if self.ws.st.sending[i].is_some() {
                     return fail(
                         "protocol-structure",
                         format!("interruptible node {i} uses the single-send path"),
                     );
                 }
-                if let Some(a) = &self.ws.active[i] {
-                    let slots = &self.ws.kid_slot[self.ws.krange(i)];
+                if let Some(a) = &self.ws.st.active[i] {
+                    let slots = &self.ws.st.kid_slot[self.ws.st.krange(i)];
                     let Some(slot) = slots.get(a.child_pos).and_then(Option::as_ref) else {
                         return fail(
                             "protocol-structure",
@@ -585,30 +585,61 @@ impl<S: TraceSink> Simulation<S> {
         Ok(())
     }
 
-    /// The per-node cached aggregates the hot path short-circuits on
-    /// (`pending_sum`, `slots_used`) must equal what a scan of the CSR
-    /// row derives — a drifted cache would silently skip delegations.
+    /// The caches the hot path reads instead of re-deriving must equal
+    /// what they cache — a drifted cache would silently skip or misrank
+    /// delegations. Per node: `pending_sum` and `slots_used` against a
+    /// scan of the CSR row. Per row entry: `kid_comm` against the tree
+    /// (oracle observer) or the observer's estimate, `kid_compute`
+    /// against the tree, `kid_gone` against the child's own record.
     fn check_row_caches(&self, i: usize) -> Result<(), InvariantViolation> {
-        let r = self.ws.krange(i);
-        let sum: u32 = self.ws.kid_pending[r.clone()].iter().sum();
-        if sum != self.ws.pending_sum[i] {
+        let st = &self.ws.st;
+        let r = st.krange(i);
+        let sum: u32 = st.kid_pending[r.clone()].iter().sum();
+        if sum != st.pending_sum[i] {
             return fail(
                 "row-cache",
                 format!(
                     "node {i} caches {} pending child requests but its row sums to {sum}",
-                    self.ws.pending_sum[i]
+                    st.pending_sum[i]
                 ),
             );
         }
-        let used = self.ws.kid_slot[r].iter().filter(|s| s.is_some()).count() as u32;
-        if used != self.ws.slots_used[i] {
+        let used = st.kid_slot[r.clone()]
+            .iter()
+            .filter(|s| s.is_some())
+            .count() as u32;
+        if used != st.slots_used[i] {
             return fail(
                 "row-cache",
                 format!(
                     "node {i} caches {} occupied slots but its row holds {used}",
-                    self.ws.slots_used[i]
+                    st.slots_used[i]
                 ),
             );
+        }
+        let observer = &st.cold[i].observer;
+        for (pos, k) in r.enumerate() {
+            let child = NodeId(st.kid_node[k]);
+            let comm = if observer.is_oracle() {
+                self.tree.comm_time(child)
+            } else {
+                observer.estimate(pos)
+            };
+            let derived = (
+                comm,
+                self.tree.compute_time(child),
+                st.hot[child.index()].departed,
+            );
+            let cached = (st.kid_comm[k], st.kid_compute[k], st.kid_gone[k]);
+            if cached != derived {
+                return fail(
+                    "row-cache",
+                    format!(
+                        "node {i} caches (comm, compute, gone) = {cached:?} for child {child} \
+                         but derives {derived:?}"
+                    ),
+                );
+            }
         }
         Ok(())
     }
@@ -617,7 +648,7 @@ impl<S: TraceSink> Simulation<S> {
     /// idles with work available. Only meaningful mid-run (wind-down
     /// stops servicing).
     fn check_work_conservation(&self, i: usize) -> Result<(), InvariantViolation> {
-        let n = &self.ws.hot[i];
+        let n = &self.ws.st.hot[i];
         let has_task = if i == 0 {
             self.cur.remaining > 0
         } else {
@@ -630,8 +661,8 @@ impl<S: TraceSink> Simulation<S> {
             );
         }
         if matches!(self.cfg.protocol, Protocol::Interruptible)
-            && self.ws.active[i].is_none()
-            && self.ws.kid_slot[self.ws.krange(i)]
+            && self.ws.st.active[i].is_none()
+            && self.ws.st.kid_slot[self.ws.st.krange(i)]
                 .iter()
                 .any(Option::is_some)
         {
@@ -695,7 +726,7 @@ impl<S: TraceSink> Simulation<S> {
                 );
             }
         }
-        let times = &self.ws.completion_times;
+        let times = &self.ws.st.completion_times;
         if times.len() as u64 != self.cur.completed {
             return fail(
                 "terminal",
@@ -721,7 +752,7 @@ impl<S: TraceSink> Simulation<S> {
             return Ok(());
         }
         let end_time = *times.last().expect("total_tasks >= 1");
-        for (i, n) in self.ws.hot.iter().enumerate() {
+        for (i, n) in self.ws.st.hot.iter().enumerate() {
             let w = u128::from(self.tree.compute_time(NodeId(i as u32)));
             let expected = w * u128::from(n.tasks_computed);
             if u128::from(n.busy_compute) != expected {
@@ -786,7 +817,7 @@ impl<S: TraceSink> Simulation<S> {
             let span = end_time.saturating_sub(last_crash);
             let after = times.iter().filter(|&&t| t > last_crash).count() as u64;
             let mut slack: u64 = 2;
-            for (i, n) in self.ws.hot.iter().enumerate() {
+            for (i, n) in self.ws.st.hot.iter().enumerate() {
                 if i == 0 || n.departed || n.crashed {
                     continue;
                 }
@@ -814,12 +845,12 @@ impl<S: TraceSink> Simulation<S> {
     /// run (no scripted changes), which is the only place it is called.
     fn surviving_tree(&self) -> Tree {
         let mut surv = Tree::new(self.tree.compute_time(NodeId::ROOT));
-        let mut map = vec![NodeId::ROOT; self.ws.hot.len()];
+        let mut map = vec![NodeId::ROOT; self.ws.st.hot.len()];
         let mut stack = vec![0usize];
         while let Some(d) = stack.pop() {
-            for &c in &self.ws.kid_node[self.ws.krange(d)] {
+            for &c in &self.ws.st.kid_node[self.ws.st.krange(d)] {
                 let c = c as usize;
-                if self.ws.hot[c].crashed || self.ws.hot[c].departed {
+                if self.ws.st.hot[c].crashed || self.ws.st.hot[c].departed {
                     continue;
                 }
                 let id = NodeId(c as u32);

@@ -30,7 +30,7 @@
 //!
 //! ## Hot/cold state split (see DESIGN.md, "Event-kernel anatomy")
 //!
-//! Per-node runtime state is split by access frequency. [`HotNode`]
+//! Per-node runtime state is split by access frequency. `HotNode`
 //! holds only what the fault-free event loop touches on (nearly) every
 //! event — the ledger, the compute timer, the busy-time accumulators and
 //! the liveness bits — in ~1.5 cache lines (the old monolithic node
@@ -43,7 +43,7 @@
 //! (`kid_comm` caches the estimate; it is refreshed at the few sites
 //! where an estimate can change). Everything only rare paths read —
 //! observer, selector, preemption counts, decay timestamps — lives in
-//! [`ColdNode`], and fault-recovery state stays in [`FaultRt`] behind
+//! `ColdNode`, and fault-recovery state stays in `FaultRt` behind
 //! the `fault_active` gate as before.
 //!
 //! ## Workspace reuse (campaign engine)
@@ -377,14 +377,56 @@ impl ArrivalRt {
 /// [`Simulation::with_workspace`], get the workspace back from
 /// [`Simulation::run_reusing`], and the steady-state event loop stops
 /// allocating after the first few runs warm the arenas.
+#[derive(Default)]
+pub struct SimWorkspace {
+    pub(crate) agenda: Agenda<Event>,
+    /// Every other container a snapshot captures (see [`RunState`]).
+    pub(crate) st: RunState,
+    /// Between-steps scratch, empty at every quiescent point and never
+    /// captured: the service pass's FIFO and its membership flags, and
+    /// the candidate list of child selection / link reconciling (taken
+    /// and restored around each use so the event loop never allocates).
+    pub(crate) service_queue: VecDeque<usize>,
+    pub(crate) queued: Vec<bool>,
+    pub(crate) candidates: Vec<ChildInfo>,
+}
+
+impl SimWorkspace {
+    /// An empty workspace (allocations happen lazily on first use).
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Convenience: run one simulation in this workspace. Equivalent to
+    /// `Simulation::with_workspace` + `run_reusing`, with the workspace
+    /// automatically returned to `self`.
+    pub fn run(&mut self, tree: Tree, cfg: SimConfig) -> RunResult {
+        let ws = std::mem::take(self);
+        let (result, ws) = Simulation::with_workspace(tree, cfg, ws).run_reusing();
+        *self = ws;
+        result
+    }
+
+    /// Puts the between-steps scratch in its quiescent (empty) state for
+    /// `n` nodes.
+    pub(crate) fn clear_scratch(&mut self, n: usize) {
+        self.service_queue.clear();
+        refill(&mut self.queued, n, false);
+        self.candidates.clear();
+    }
+}
+
+/// The run state a workspace holds besides the agenda: per-node state,
+/// topology, per-child CSR rows and the completion log. A snapshot is a
+/// clone of it; its `wire_struct!` listing in `snapshot.rs` is the
+/// `BCSS` layout.
 ///
 /// Child-indexed protocol state uses a CSR layout: node `i`'s children
 /// occupy indices `kid_start[i]..kid_start[i+1]` of the parallel
 /// `kid_*` arrays. Joins splice into the parent's row (rare, O(total
 /// children)); the hot-path loops get dense sequential scans.
-#[derive(Default)]
-pub struct SimWorkspace {
-    pub(crate) agenda: Agenda<Event>,
+#[derive(Clone, Default)]
+pub(crate) struct RunState {
     /// Hot per-node state (see [`HotNode`]).
     pub(crate) hot: Vec<HotNode>,
     /// Cold per-node state, parallel to `hot` (see [`ColdNode`]).
@@ -411,9 +453,9 @@ pub struct SimWorkspace {
     /// Cached communication estimate for that child: the true edge
     /// weight under an oracle observer, the observer's current estimate
     /// otherwise. Refreshed wherever the estimate can change (observe
-    /// sites, scripted weight changes, joins).
+    /// sites, weight changes, joins).
     pub(crate) kid_comm: Vec<u64>,
-    /// Cached compute weight of that child (scripted changes refresh it).
+    /// Cached compute weight of that child (weight changes refresh it).
     pub(crate) kid_compute: Vec<u64>,
     /// Consecutive missed acks toward that child (fault model).
     pub(crate) kid_missed: Vec<u8>,
@@ -428,32 +470,17 @@ pub struct SimWorkspace {
     /// `HotNode::departed` so candidate loops never touch the child's
     /// cache lines.
     pub(crate) kid_gone: Vec<bool>,
-    pub(crate) service_queue: VecDeque<usize>,
-    pub(crate) queued: Vec<bool>,
     pub(crate) completion_times: Vec<Time>,
     pub(crate) checkpoint_records: Vec<(u64, u32)>,
-    /// Scratch for candidate lists (child selection / link reconciling);
-    /// taken and restored around each use so the event loop never
-    /// allocates.
-    pub(crate) candidates: Vec<ChildInfo>,
 }
 
-impl SimWorkspace {
-    /// An empty workspace (allocations happen lazily on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
+/// `v` becomes `n` copies of `x`, keeping its capacity.
+fn refill<T: Clone>(v: &mut Vec<T>, n: usize, x: T) {
+    v.clear();
+    v.resize(n, x);
+}
 
-    /// Convenience: run one simulation in this workspace. Equivalent to
-    /// `Simulation::with_workspace` + `run_reusing`, with the workspace
-    /// automatically returned to `self`.
-    pub fn run(&mut self, tree: Tree, cfg: SimConfig) -> RunResult {
-        let ws = std::mem::take(self);
-        let (result, ws) = Simulation::with_workspace(tree, cfg, ws).run_reusing();
-        *self = ws;
-        result
-    }
-
+impl RunState {
     /// CSR entry range of node `i`'s children.
     #[inline(always)]
     pub(crate) fn krange(&self, i: usize) -> std::ops::Range<usize> {
@@ -464,6 +491,145 @@ impl SimWorkspace {
     #[inline(always)]
     pub(crate) fn kid(&self, i: usize, pos: usize) -> usize {
         self.kid_node[self.kid_start[i] as usize + pos] as usize
+    }
+
+    /// Rebuilds the state for a fresh run of `cfg` over `tree` in place,
+    /// keeping every container's capacity (what makes repeat runs in one
+    /// workspace allocation-free).
+    fn reset(&mut self, tree: &Tree, cfg: &SimConfig) {
+        let n = tree.len();
+        self.completion_times.clear();
+        self.completion_times.reserve(cfg.total_tasks as usize);
+        self.checkpoint_records.clear();
+        self.checkpoint_records.reserve(cfg.checkpoints.len());
+
+        // Topology + CSR child tables.
+        refill(&mut self.parent_of, n, None);
+        refill(&mut self.child_pos, n, 0);
+        self.kid_start.clear();
+        self.kid_node.clear();
+        self.kid_start.push(0);
+        for id in tree.ids() {
+            for (pos, &ch) in tree.children(id).iter().enumerate() {
+                self.parent_of[ch.index()] = Some(id.index());
+                self.child_pos[ch.index()] = pos;
+                self.kid_node.push(ch.index() as u32);
+            }
+            self.kid_start.push(self.kid_node.len() as u32);
+        }
+        let kids_total = self.kid_node.len();
+        refill(&mut self.kid_pending, kids_total, 0);
+        refill(&mut self.kid_slot, kids_total, None);
+        refill(&mut self.kid_missed, kids_total, 0);
+        refill(&mut self.pending_sum, n, 0);
+        refill(&mut self.slots_used, n, 0);
+        refill(&mut self.kid_gone, kids_total, false);
+        self.kid_compute.clear();
+        self.kid_compute
+            .extend(self.kid_node.iter().map(|&c| tree.compute_time(NodeId(c))));
+
+        // Per-node runtime state, rebuilt in place where possible.
+        self.hot.clear();
+        self.hot.extend((0..n).map(|i| HotNode::fresh(i, cfg)));
+        let reusable = self.cold.len().min(n);
+        for i in 0..reusable {
+            let kids = self.krange(i).len();
+            self.cold[i].reset(kids, cfg);
+        }
+        for i in reusable..n {
+            let kids = self.krange(i).len();
+            self.cold.push(ColdNode::fresh(kids, cfg));
+        }
+        self.cold.truncate(n);
+        refill(&mut self.sending, n, None);
+        refill(&mut self.active, n, None);
+        refill(&mut self.faults, n, FaultRt::default());
+
+        // Estimate cache: the exact value `ChildInfo` used to derive on
+        // every candidate build.
+        self.kid_comm.clear();
+        for i in 0..n {
+            let observer = &self.cold[i].observer;
+            for (pos, &c) in self.kid_node[self.krange(i)].iter().enumerate() {
+                self.kid_comm.push(if observer.is_oracle() {
+                    tree.comm_time(NodeId(c))
+                } else {
+                    observer.estimate(pos)
+                });
+            }
+        }
+    }
+
+    /// A join: splices the newcomer (the next node id) into `p`'s CSR
+    /// row and appends its per-node state. Joins are rare scripted
+    /// events; the O(total children) shift stays off the hot path.
+    fn join_child(&mut self, p: usize, comm: u64, compute: u64, cfg: &SimConfig, now: Time) {
+        let i = self.hot.len();
+        self.parent_of.push(Some(p));
+        let pos = self.krange(p).len();
+        self.child_pos.push(pos);
+        let at = self.kid_start[p + 1] as usize;
+        self.kid_node.insert(at, i as u32);
+        self.kid_pending.insert(at, 0);
+        self.kid_slot.insert(at, None);
+        self.kid_missed.insert(at, 0);
+        self.kid_gone.insert(at, false);
+        self.kid_compute.insert(at, compute);
+        let observer = &mut self.cold[p].observer;
+        observer.add_child();
+        let est = if observer.is_oracle() {
+            comm
+        } else {
+            observer.estimate(pos)
+        };
+        self.kid_comm.insert(at, est);
+        for s in self.kid_start[p + 1..].iter_mut() {
+            *s += 1;
+        }
+        let end = *self.kid_start.last().expect("kid_start is non-empty");
+        self.kid_start.push(end); // the newcomer has no children yet
+        self.hot.push(HotNode::fresh(i, cfg));
+        let mut cold = ColdNode::fresh(0, cfg);
+        cold.last_pressure = now;
+        self.cold.push(cold);
+        self.sending.push(None);
+        self.active.push(None);
+        self.pending_sum.push(0);
+        self.slots_used.push(0);
+        self.faults.push(FaultRt::default());
+    }
+
+    /// A weight change (`CommTime` or `ComputeTime`): edits `tree` and
+    /// refreshes the parent row's cached copy of the weight. In-flight
+    /// work keeps its old duration. Returns the node's parent, whose
+    /// neighborhood the caller re-examines along with the node's.
+    pub(crate) fn set_weight(
+        &mut self,
+        tree: &mut Tree,
+        node: NodeId,
+        kind: ChangeKind,
+    ) -> Option<usize> {
+        let i = node.index();
+        let parent = self.parent_of[i];
+        let k = parent.map(|p| self.kid_start[p] as usize + self.child_pos[i]);
+        match kind {
+            ChangeKind::CommTime(c) => {
+                tree.set_comm_time(node, c);
+                if let (Some(p), Some(k)) = (parent, k) {
+                    if self.cold[p].observer.is_oracle() {
+                        self.kid_comm[k] = c;
+                    }
+                }
+            }
+            ChangeKind::ComputeTime(w) => {
+                tree.set_compute_time(node, w);
+                if let Some(k) = k {
+                    self.kid_compute[k] = w;
+                }
+            }
+            ChangeKind::Join { .. } | ChangeKind::Leave => unreachable!("not a weight change"),
+        }
+        parent
     }
 }
 
@@ -600,89 +766,8 @@ impl<S: TraceSink> Simulation<S> {
         }
 
         ws.agenda.reset();
-        ws.service_queue.clear();
-        ws.queued.clear();
-        ws.queued.resize(n, false);
-        ws.completion_times.clear();
-        ws.completion_times.reserve(cfg.total_tasks as usize);
-        ws.checkpoint_records.clear();
-        ws.checkpoint_records.reserve(cfg.checkpoints.len());
-        ws.candidates.clear();
-
-        // Topology + CSR child tables.
-        ws.parent_of.clear();
-        ws.parent_of.resize(n, None);
-        ws.child_pos.clear();
-        ws.child_pos.resize(n, 0);
-        ws.kid_start.clear();
-        ws.kid_node.clear();
-        ws.kid_start.push(0);
-        for id in tree.ids() {
-            for (pos, &ch) in tree.children(id).iter().enumerate() {
-                ws.parent_of[ch.index()] = Some(id.index());
-                ws.child_pos[ch.index()] = pos;
-                ws.kid_node.push(ch.index() as u32);
-            }
-            ws.kid_start.push(ws.kid_node.len() as u32);
-        }
-        let kids_total = ws.kid_node.len();
-        ws.kid_pending.clear();
-        ws.kid_pending.resize(kids_total, 0);
-        ws.kid_slot.clear();
-        ws.kid_slot.resize_with(kids_total, || None);
-        ws.kid_missed.clear();
-        ws.kid_missed.resize(kids_total, 0);
-        ws.pending_sum.clear();
-        ws.pending_sum.resize(n, 0);
-        ws.slots_used.clear();
-        ws.slots_used.resize(n, 0);
-        ws.kid_gone.clear();
-        ws.kid_gone.resize(kids_total, false);
-        ws.kid_compute.clear();
-        ws.kid_compute
-            .extend(ws.kid_node.iter().map(|&c| tree.compute_time(NodeId(c))));
-
-        // Per-node runtime state, rebuilt in place where possible.
-        ws.hot.clear();
-        for i in 0..n {
-            ws.hot.push(HotNode::fresh(i, &cfg));
-        }
-        let reusable = ws.cold.len().min(n);
-        for i in 0..reusable {
-            let kids = (ws.kid_start[i + 1] - ws.kid_start[i]) as usize;
-            ws.cold[i].reset(kids, &cfg);
-        }
-        for i in reusable..n {
-            let kids = (ws.kid_start[i + 1] - ws.kid_start[i]) as usize;
-            ws.cold.push(ColdNode::fresh(kids, &cfg));
-        }
-        ws.cold.truncate(n);
-        ws.sending.clear();
-        ws.sending.resize_with(n, || None);
-        ws.active.clear();
-        ws.active.resize_with(n, || None);
-        for f in ws.faults.iter_mut().take(n) {
-            *f = FaultRt::default();
-        }
-        while ws.faults.len() < n {
-            ws.faults.push(FaultRt::default());
-        }
-        ws.faults.truncate(n);
-
-        // Estimate cache: the exact value `ChildInfo` used to derive on
-        // every candidate build.
-        ws.kid_comm.clear();
-        for i in 0..n {
-            let oracle = ws.cold[i].observer.is_oracle();
-            let r = ws.kid_start[i] as usize..ws.kid_start[i + 1] as usize;
-            for (pos, &c) in ws.kid_node[r].iter().enumerate() {
-                ws.kid_comm.push(if oracle {
-                    tree.comm_time(NodeId(c))
-                } else {
-                    ws.cold[i].observer.estimate(pos)
-                });
-            }
-        }
+        ws.clear_scratch(n);
+        ws.st.reset(&tree, &cfg);
 
         let arrivals = cfg.arrivals.as_ref().map(ArrivalRt::new);
         let remaining = if arrivals.is_some() {
@@ -755,7 +840,7 @@ impl<S: TraceSink> Simulation<S> {
                 self.ws.agenda.schedule(first.at, Event::Arrival);
             }
         }
-        for i in 0..self.ws.hot.len() {
+        for i in 0..self.ws.st.hot.len() {
             self.enqueue(i);
         }
         mono!(self, drain)
@@ -845,33 +930,36 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn into_result(mut self) -> (RunResult, SimWorkspace, S) {
-        let completion_times = std::mem::take(&mut self.ws.completion_times);
-        let checkpoint_records = std::mem::take(&mut self.ws.checkpoint_records);
+        let completion_times = std::mem::take(&mut self.ws.st.completion_times);
+        let checkpoint_records = std::mem::take(&mut self.ws.st.checkpoint_records);
         let end_time = completion_times.last().copied().unwrap_or(0);
         let result = RunResult {
             end_time,
-            tasks_per_node: self.ws.hot.iter().map(|n| n.tasks_computed).collect(),
+            tasks_per_node: self.ws.st.hot.iter().map(|n| n.tasks_computed).collect(),
             max_buffers_per_node: self
                 .ws
+                .st
                 .hot
                 .iter()
                 .map(|n| n.ledger.as_ref().map_or(0, |l| l.max_capacity()))
                 .collect(),
             final_buffers_per_node: self
                 .ws
+                .st
                 .hot
                 .iter()
                 .map(|n| n.ledger.as_ref().map_or(0, |l| l.capacity()))
                 .collect(),
             peak_held_per_node: self
                 .ws
+                .st
                 .hot
                 .iter()
                 .map(|n| n.ledger.as_ref().map_or(0, |l| l.peak_held()))
                 .collect(),
-            busy_compute_per_node: self.ws.hot.iter().map(|n| n.busy_compute).collect(),
-            busy_link_per_node: self.ws.hot.iter().map(|n| n.busy_link).collect(),
-            preemptions_per_node: self.ws.cold.iter().map(|c| c.preemptions).collect(),
+            busy_compute_per_node: self.ws.st.hot.iter().map(|n| n.busy_compute).collect(),
+            busy_link_per_node: self.ws.st.hot.iter().map(|n| n.busy_link).collect(),
+            preemptions_per_node: self.ws.st.cold.iter().map(|c| c.preemptions).collect(),
             checkpoint_max_buffers: checkpoint_records,
             events_processed: self.cur.events_processed,
             preemptions: self.cur.preemptions,
@@ -923,7 +1011,7 @@ impl<S: TraceSink> Simulation<S> {
                 return self.on_arrival();
             }
         };
-        if self.ws.hot[node].departed || (FA && self.ws.hot[node].crashed) {
+        if self.ws.st.hot[node].departed || (FA && self.ws.st.hot[node].crashed) {
             // Stale event of a node that left (task already reclaimed) or
             // crashed (task already in the lost ledger).
             return;
@@ -937,12 +1025,12 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn on_compute_done<const AR: bool>(&mut self, i: usize) {
-        let started = self.ws.hot[i]
+        let started = self.ws.st.hot[i]
             .computing_since
             .take()
             .expect("ComputeDone on idle processor");
-        self.ws.hot[i].busy_compute += self.ws.agenda.now() - started;
-        self.ws.hot[i].tasks_computed += 1;
+        self.ws.st.hot[i].busy_compute += self.ws.agenda.now() - started;
+        self.ws.st.hot[i].tasks_computed += 1;
         self.emit(TraceEvent::ComputeFinish { node: i as u32 });
         self.record_completion::<AR>();
         if self.cur.finished {
@@ -950,22 +1038,22 @@ impl<S: TraceSink> Simulation<S> {
         }
         // §3.1 growth rule 3: computation completed with all buffers empty.
         let now = self.ws.agenda.now();
-        if let Some(ledger) = &mut self.ws.hot[i].ledger {
+        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
             if ledger.try_grow(GrowthEvent::ComputeCompleted, true) {
-                self.ws.cold[i].last_pressure = now;
+                self.ws.st.cold[i].last_pressure = now;
             }
         }
         self.enqueue(i);
     }
 
     fn on_send_done<const FA: bool>(&mut self, i: usize) {
-        let s = self.ws.sending[i]
+        let s = self.ws.st.sending[i]
             .take()
             .expect("SendDone without in-flight send");
         let now = self.ws.agenda.now();
         let duration = now - s.started_at;
-        self.ws.hot[i].busy_link += duration;
-        let child = self.ws.kid(i, s.child_pos);
+        self.ws.st.hot[i].busy_link += duration;
+        let child = self.ws.st.kid(i, s.child_pos);
         if FA && self.delivery_blocked(child) {
             // The receiver is dead or its link is dark: the sender
             // observes the reset, the task is lost. No latency sample —
@@ -974,7 +1062,7 @@ impl<S: TraceSink> Simulation<S> {
             self.enqueue(i);
             return;
         }
-        self.ws.cold[i].observer.observe(s.child_pos, duration);
+        self.ws.st.cold[i].observer.observe(s.child_pos, duration);
         self.refresh_kid_comm(i, s.child_pos);
         self.emit(TraceEvent::TransferComplete {
             node: i as u32,
@@ -985,22 +1073,22 @@ impl<S: TraceSink> Simulation<S> {
         // §3.1 growth rule 2: send completed, buffers empty, child request
         // outstanding.
         let pressure = self.has_child_requests(i);
-        if let Some(ledger) = &mut self.ws.hot[i].ledger {
+        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
             if ledger.try_grow(GrowthEvent::SendCompleted, pressure) {
-                self.ws.cold[i].last_pressure = now;
+                self.ws.st.cold[i].last_pressure = now;
             }
         }
         self.enqueue(i);
     }
 
     fn on_transfer_done<const FA: bool>(&mut self, i: usize) {
-        let a = self.ws.active[i]
+        let a = self.ws.st.active[i]
             .take()
             .expect("TransferDone without active transfer");
-        self.ws.hot[i].busy_link += self.ws.agenda.now() - a.started_at;
+        self.ws.st.hot[i].busy_link += self.ws.agenda.now() - a.started_at;
         // The event firing means the remaining work ran to zero.
-        let k = self.ws.kid_start[i] as usize + a.child_pos;
-        self.ws.kid_slot[k]
+        let k = self.ws.st.kid_start[i] as usize + a.child_pos;
+        self.ws.st.kid_slot[k]
             .as_mut()
             .expect("active transfer without slot")
             .remaining = 0;
@@ -1008,9 +1096,9 @@ impl<S: TraceSink> Simulation<S> {
         // Growth rule 2 applies to completed communications in general.
         let pressure = self.has_child_requests(i);
         let now = self.ws.agenda.now();
-        if let Some(ledger) = &mut self.ws.hot[i].ledger {
+        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
             if ledger.try_grow(GrowthEvent::SendCompleted, pressure) {
-                self.ws.cold[i].last_pressure = now;
+                self.ws.st.cold[i].last_pressure = now;
             }
         }
         self.reconcile_link::<FA>(i);
@@ -1020,22 +1108,22 @@ impl<S: TraceSink> Simulation<S> {
     /// Completes the (already inactive) transfer in `child_pos`'s slot:
     /// records the observation and delivers the task.
     fn finish_slot<const FA: bool>(&mut self, i: usize, child_pos: usize) {
-        let k = self.ws.kid_start[i] as usize + child_pos;
-        let t = self.ws.kid_slot[k]
+        let k = self.ws.st.kid_start[i] as usize + child_pos;
+        let t = self.ws.st.kid_slot[k]
             .take()
             .expect("completing an empty slot");
-        self.ws.slots_used[i] -= 1;
+        self.ws.st.slots_used[i] -= 1;
         debug_assert_eq!(
             t.remaining, 0,
             "transfer completed with {} timesteps of work left",
             t.remaining
         );
-        let child = self.ws.kid_node[k] as usize;
+        let child = self.ws.st.kid_node[k] as usize;
         if FA && self.delivery_blocked(child) {
             self.on_delivery_failed(i, child_pos, child);
             return;
         }
-        self.ws.cold[i].observer.observe(child_pos, t.total);
+        self.ws.st.cold[i].observer.observe(child_pos, t.total);
         self.refresh_kid_comm(i, child_pos);
         self.emit(TraceEvent::TransferComplete {
             node: i as u32,
@@ -1046,13 +1134,13 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn deliver<const FA: bool>(&mut self, child: usize) {
-        if FA && self.ws.faults[child].orphaned {
+        if FA && self.ws.st.faults[child].orphaned {
             // The node had presumed its parent dead; a delivery proves
             // otherwise and it resumes requesting.
-            self.ws.faults[child].orphaned = false;
-            self.ws.faults[child].retry = 0;
+            self.ws.st.faults[child].orphaned = false;
+            self.ws.st.faults[child].retry = 0;
         }
-        let ledger = self.ws.hot[child]
+        let ledger = self.ws.st.hot[child]
             .ledger
             .as_mut()
             .expect("delivery to the root");
@@ -1065,7 +1153,7 @@ impl<S: TraceSink> Simulation<S> {
                 capacity,
             });
         }
-        let ledger = self.ws.hot[child]
+        let ledger = self.ws.st.hot[child]
             .ledger
             .as_mut()
             .expect("delivery to the root");
@@ -1077,11 +1165,11 @@ impl<S: TraceSink> Simulation<S> {
                 ledger.take_task();
             }
         }
-        if FA && self.ws.faults[child].dup_deliveries > 0 {
+        if FA && self.ws.st.faults[child].dup_deliveries > 0 {
             // The network delivered a second copy of the task; the node
             // recognizes it by identity and drops it without touching the
             // ledger (at-least-once network, at-most-once buffer).
-            self.ws.faults[child].dup_deliveries -= 1;
+            self.ws.st.faults[child].dup_deliveries -= 1;
             self.cur.fstats.duplicates_dropped += 1;
             self.emit(TraceEvent::DuplicateDrop { node: child as u32 });
         }
@@ -1091,63 +1179,25 @@ impl<S: TraceSink> Simulation<S> {
     fn record_completion<const AR: bool>(&mut self) {
         let now = self.ws.agenda.now();
         self.cur.completed += 1;
-        self.ws.completion_times.push(now);
+        self.ws.st.completion_times.push(now);
         while self.cur.next_checkpoint < self.cfg.checkpoints.len()
             && self.cur.completed >= self.cfg.checkpoints[self.cur.next_checkpoint]
         {
             let max = self
                 .ws
+                .st
                 .hot
                 .iter()
                 .map(|n| n.ledger.as_ref().map_or(0, |l| l.max_capacity()))
                 .max()
                 .unwrap_or(0);
             self.ws
+                .st
                 .checkpoint_records
                 .push((self.cfg.checkpoints[self.cur.next_checkpoint], max));
             self.cur.next_checkpoint += 1;
         }
-        while self.cur.next_change < self.cfg.changes.len()
-            && self.cfg.changes[self.cur.next_change].after_tasks <= self.cur.completed
-        {
-            let ch = self.cfg.changes[self.cur.next_change];
-            self.cur.next_change += 1;
-            match ch.kind {
-                ChangeKind::CommTime(c) => {
-                    self.tree.set_comm_time(ch.node, c);
-                    let i = ch.node.index();
-                    if let Some(p) = self.ws.parent_of[i] {
-                        if self.ws.cold[p].observer.is_oracle() {
-                            let k = self.ws.kid_start[p] as usize + self.ws.child_pos[i];
-                            self.ws.kid_comm[k] = c;
-                        }
-                    }
-                }
-                ChangeKind::ComputeTime(w) => {
-                    self.tree.set_compute_time(ch.node, w);
-                    let i = ch.node.index();
-                    if let Some(p) = self.ws.parent_of[i] {
-                        let k = self.ws.kid_start[p] as usize + self.ws.child_pos[i];
-                        self.ws.kid_compute[k] = w;
-                    }
-                }
-                ChangeKind::Join { comm, compute } => {
-                    self.apply_join(ch.node, comm, compute);
-                    continue;
-                }
-                ChangeKind::Leave => {
-                    self.apply_leave(ch.node);
-                    continue;
-                }
-            }
-            // Re-examine the neighborhood under the new weights. In-flight
-            // work keeps its old duration (a transfer/computation started
-            // under the old conditions finishes under them).
-            self.enqueue(ch.node.index());
-            if let Some(p) = self.ws.parent_of[ch.node.index()] {
-                self.enqueue(p);
-            }
-        }
+        self.apply_due_changes();
         if AR {
             // A completion will shortly free queue room (the dispatch
             // already did): re-admit deferred arrivals up to the bound.
@@ -1160,12 +1210,35 @@ impl<S: TraceSink> Simulation<S> {
 
     // ----- dynamic topology (extension) -------------------------------------
 
+    /// Applies every scripted change that is due at the current
+    /// completion count.
+    fn apply_due_changes(&mut self) {
+        while self.cur.next_change < self.cfg.changes.len()
+            && self.cfg.changes[self.cur.next_change].after_tasks <= self.cur.completed
+        {
+            let ch = self.cfg.changes[self.cur.next_change];
+            self.cur.next_change += 1;
+            match ch.kind {
+                ChangeKind::Join { comm, compute } => self.apply_join(ch.node, comm, compute),
+                ChangeKind::Leave => self.apply_leave(ch.node),
+                weight => {
+                    let parent = self.ws.st.set_weight(&mut self.tree, ch.node, weight);
+                    // Re-examine the neighborhood under the new weights.
+                    self.enqueue(ch.node.index());
+                    if let Some(p) = parent {
+                        self.enqueue(p);
+                    }
+                }
+            }
+        }
+    }
+
     /// A new node joins under `parent` — §3's scalability property in
     /// action: the parent only gains one more child to prioritize; no
     /// other node learns anything.
     fn apply_join(&mut self, parent: NodeId, comm: u64, compute: u64) {
         let p = parent.index();
-        if p >= self.ws.hot.len() || self.ws.hot[p].departed || self.ws.hot[p].crashed {
+        if p >= self.ws.st.hot.len() || self.ws.st.hot[p].departed || self.ws.st.hot[p].crashed {
             // The contact node is unknown or gone before the newcomer
             // arrived; in a real overlay the join simply fails.
             self.emit(TraceEvent::JoinDenied { parent: parent.0 });
@@ -1173,41 +1246,9 @@ impl<S: TraceSink> Simulation<S> {
         }
         let id = self.tree.add_child(parent, comm, compute);
         let i = id.index();
-        debug_assert_eq!(i, self.ws.hot.len());
-        self.ws.parent_of.push(Some(p));
-        let pos = (self.ws.kid_start[p + 1] - self.ws.kid_start[p]) as usize;
-        self.ws.child_pos.push(pos);
-        // Splice the newcomer into the parent's CSR row. Joins are rare
-        // scripted events; the O(total children) shift stays off the hot
-        // path.
-        let at = self.ws.kid_start[p + 1] as usize;
-        self.ws.kid_node.insert(at, i as u32);
-        self.ws.kid_pending.insert(at, 0);
-        self.ws.kid_slot.insert(at, None);
-        self.ws.kid_missed.insert(at, 0);
-        self.ws.kid_gone.insert(at, false);
-        self.ws.kid_compute.insert(at, compute);
-        self.ws.cold[p].observer.add_child();
-        let est = if self.ws.cold[p].observer.is_oracle() {
-            comm
-        } else {
-            self.ws.cold[p].observer.estimate(pos)
-        };
-        self.ws.kid_comm.insert(at, est);
-        for s in self.ws.kid_start[p + 1..].iter_mut() {
-            *s += 1;
-        }
-        let end = *self.ws.kid_start.last().expect("kid_start is non-empty");
-        self.ws.kid_start.push(end); // the newcomer has no children yet
-        self.ws.hot.push(HotNode::fresh(i, &self.cfg));
-        let mut cold = ColdNode::fresh(0, &self.cfg);
-        cold.last_pressure = self.ws.agenda.now();
-        self.ws.cold.push(cold);
-        self.ws.sending.push(None);
-        self.ws.active.push(None);
-        self.ws.pending_sum.push(0);
-        self.ws.slots_used.push(0);
-        self.ws.faults.push(FaultRt::default());
+        debug_assert_eq!(i, self.ws.st.hot.len());
+        let now = self.ws.agenda.now();
+        self.ws.st.join_child(p, comm, compute, &self.cfg, now);
         self.ws.queued.push(false);
         self.emit(TraceEvent::NodeJoin {
             node: i as u32,
@@ -1223,21 +1264,21 @@ impl<S: TraceSink> Simulation<S> {
     /// repository for re-dispatch.
     fn apply_leave(&mut self, node: NodeId) {
         let d0 = node.index();
-        assert!(d0 < self.ws.hot.len(), "leave of unknown node {node}");
+        assert!(d0 < self.ws.st.hot.len(), "leave of unknown node {node}");
         assert!(d0 != 0, "the repository cannot leave");
-        if self.ws.hot[d0].departed || self.ws.hot[d0].crashed {
+        if self.ws.st.hot[d0].departed || self.ws.st.hot[d0].crashed {
             return; // already gone (a crash reclaimed nothing — the
                     // tasks are in the lost ledger, not handed back)
         }
         // Reclaim from the boundary edge: the still-present parent may be
         // mid-transfer toward the departing subtree root.
         let mut reclaimed: u64 = 0;
-        let p = self.ws.parent_of[d0].expect("non-root has parent");
-        let pos = self.ws.child_pos[d0];
-        let kp = self.ws.kid_start[p] as usize + pos;
-        let denied = self.ws.kid_pending[kp];
-        self.ws.kid_pending[kp] = 0;
-        self.ws.pending_sum[p] -= denied;
+        let p = self.ws.st.parent_of[d0].expect("non-root has parent");
+        let pos = self.ws.st.child_pos[d0];
+        let kp = self.ws.st.kid_start[p] as usize + pos;
+        let denied = self.ws.st.kid_pending[kp];
+        self.ws.st.kid_pending[kp] = 0;
+        self.ws.st.pending_sum[p] -= denied;
         if S::ENABLED && denied > 0 {
             self.emit(TraceEvent::RequestDeny {
                 node: p as u32,
@@ -1245,23 +1286,23 @@ impl<S: TraceSink> Simulation<S> {
                 count: denied,
             });
         }
-        if let Some(sending) = &self.ws.sending[p] {
+        if let Some(sending) = &self.ws.st.sending[p] {
             if sending.child_pos == pos {
-                let s = self.ws.sending[p].take().expect("checked above");
-                self.ws.hot[p].busy_link += self.ws.agenda.now() - s.started_at;
+                let s = self.ws.st.sending[p].take().expect("checked above");
+                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - s.started_at;
                 self.ws.agenda.cancel(s.handle);
                 reclaimed += 1;
             }
         }
-        if let Some(active) = &self.ws.active[p] {
+        if let Some(active) = &self.ws.st.active[p] {
             if active.child_pos == pos {
-                let a = self.ws.active[p].take().expect("checked above");
-                self.ws.hot[p].busy_link += self.ws.agenda.now() - a.started_at;
+                let a = self.ws.st.active[p].take().expect("checked above");
+                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - a.started_at;
                 self.ws.agenda.cancel(a.handle);
             }
         }
-        if self.ws.kid_slot[kp].take().is_some() {
-            self.ws.slots_used[p] -= 1;
+        if self.ws.st.kid_slot[kp].take().is_some() {
+            self.ws.st.slots_used[p] -= 1;
             reclaimed += 1;
         }
 
@@ -1271,33 +1312,33 @@ impl<S: TraceSink> Simulation<S> {
         // again; its whole subtree is departed, so don't descend either.
         let mut stack = vec![d0];
         while let Some(d) = stack.pop() {
-            if self.ws.hot[d].departed || self.ws.hot[d].crashed {
+            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
                 // A crashed branch's holdings are in the lost ledger, not
                 // reclaimable; its whole subtree is crashed too.
                 continue;
             }
-            let r = self.ws.krange(d);
-            stack.extend(self.ws.kid_node[r.clone()].iter().map(|&c| c as usize));
-            self.ws.hot[d].departed = true;
-            if self.ws.hot[d].computing_since.take().is_some() {
+            let r = self.ws.st.krange(d);
+            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
+            self.ws.st.hot[d].departed = true;
+            if self.ws.st.hot[d].computing_since.take().is_some() {
                 reclaimed += 1; // its ComputeDone event will be ignored
             }
-            if self.ws.sending[d].take().is_some() {
+            if self.ws.st.sending[d].take().is_some() {
                 reclaimed += 1; // SendDone ignored; task vanishes with d
             }
-            self.ws.active[d] = None;
-            reclaimed += self.ws.kid_slot[r.clone()]
+            self.ws.st.active[d] = None;
+            reclaimed += self.ws.st.kid_slot[r.clone()]
                 .iter_mut()
                 .filter_map(Option::take)
                 .count() as u64;
-            self.ws.slots_used[d] = 0;
-            reclaimed += self.ws.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.pending_sum[d] = 0;
+            self.ws.st.slots_used[d] = 0;
+            reclaimed += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
+            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
+            self.ws.st.pending_sum[d] = 0;
             // Mirror the departure into the parent's candidate filter.
-            if let Some(pp) = self.ws.parent_of[d] {
-                let k = self.ws.kid_start[pp] as usize + self.ws.child_pos[d];
-                self.ws.kid_gone[k] = true;
+            if let Some(pp) = self.ws.st.parent_of[d] {
+                let k = self.ws.st.kid_start[pp] as usize + self.ws.st.child_pos[d];
+                self.ws.st.kid_gone[k] = true;
             }
         }
 
@@ -1339,7 +1380,7 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn service<const FA: bool, const IC: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.hot[i].departed || (FA && self.ws.hot[i].crashed) {
+        if self.ws.st.hot[i].departed || (FA && self.ws.st.hot[i].crashed) {
             return;
         }
         if self.cfg.self_first {
@@ -1353,10 +1394,10 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn fill_processor<const AR: bool>(&mut self, i: usize) {
-        if self.ws.hot[i].computing_since.is_some() || !self.take_task::<AR>(i) {
+        if self.ws.st.hot[i].computing_since.is_some() || !self.take_task::<AR>(i) {
             return;
         }
-        self.ws.hot[i].computing_since = Some(self.ws.agenda.now());
+        self.ws.st.hot[i].computing_since = Some(self.ws.agenda.now());
         self.emit(TraceEvent::ComputeStart { node: i as u32 });
         let w = self.tree.compute_time(NodeId(i as u32));
         self.ws.agenda.schedule(w, Event::ComputeDone { node: i });
@@ -1381,7 +1422,10 @@ impl<S: TraceSink> Simulation<S> {
         }
         let pressure = self.has_child_requests(i);
         let now = self.ws.agenda.now();
-        let ledger = self.ws.hot[i].ledger.as_mut().expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i]
+            .ledger
+            .as_mut()
+            .expect("non-root has ledger");
         if ledger.held() == 0 {
             return false;
         }
@@ -1389,7 +1433,7 @@ impl<S: TraceSink> Simulation<S> {
         // Occupancy at the instant of removal, before any growth below.
         let (held, capacity) = (ledger.held(), ledger.capacity());
         if ledger.try_grow(GrowthEvent::ChildRequestPressure, pressure) {
-            self.ws.cold[i].last_pressure = now;
+            self.ws.st.cold[i].last_pressure = now;
         }
         if S::ENABLED {
             self.emit(TraceEvent::BufferRelease {
@@ -1405,12 +1449,15 @@ impl<S: TraceSink> Simulation<S> {
         if i == 0 {
             self.cur.remaining > 0
         } else {
-            self.ws.hot[i].ledger.as_ref().is_some_and(|l| l.held() > 0)
+            self.ws.st.hot[i]
+                .ledger
+                .as_ref()
+                .is_some_and(|l| l.held() > 0)
         }
     }
 
     fn has_child_requests(&self, i: usize) -> bool {
-        self.ws.pending_sum[i] > 0
+        self.ws.st.pending_sum[i] > 0
     }
 
     /// The selection view of `i`'s child at `pos`, read straight from the
@@ -1418,11 +1465,11 @@ impl<S: TraceSink> Simulation<S> {
     /// say; see its field docs).
     #[inline(always)]
     fn child_info(&self, i: usize, pos: usize) -> ChildInfo {
-        let k = self.ws.kid_start[i] as usize + pos;
+        let k = self.ws.st.kid_start[i] as usize + pos;
         ChildInfo {
             index: pos,
-            comm_estimate: self.ws.kid_comm[k],
-            compute_estimate: self.ws.kid_compute[k],
+            comm_estimate: self.ws.st.kid_comm[k],
+            compute_estimate: self.ws.st.kid_compute[k],
         }
     }
 
@@ -1430,15 +1477,15 @@ impl<S: TraceSink> Simulation<S> {
     /// an observation landed.
     #[inline(always)]
     fn refresh_kid_comm(&mut self, i: usize, pos: usize) {
-        let ob = &self.ws.cold[i].observer;
+        let ob = &self.ws.st.cold[i].observer;
         if !ob.is_oracle() {
-            let k = self.ws.kid_start[i] as usize + pos;
-            self.ws.kid_comm[k] = ob.estimate(pos);
+            let k = self.ws.st.kid_start[i] as usize + pos;
+            self.ws.st.kid_comm[k] = ob.estimate(pos);
         }
     }
 
     fn fill_link<const FA: bool, const IC: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.kid_start[i + 1] == self.ws.kid_start[i] {
+        if self.ws.st.kid_start[i + 1] == self.ws.st.kid_start[i] {
             return; // leaves have no outbound link work, ever
         }
         if IC {
@@ -1450,24 +1497,24 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn fill_link_nonic<const FA: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.sending[i].is_some() || self.ws.pending_sum[i] == 0 || !self.has_task(i) {
+        if self.ws.st.sending[i].is_some() || self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
             return;
         }
         let mut candidates = std::mem::take(&mut self.ws.candidates);
         candidates.clear();
-        for (pos, k) in self.ws.krange(i).enumerate() {
-            if self.ws.kid_pending[k] > 0
-                && (!FA || self.ws.kid_missed[k] < self.cur.dead_threshold)
-                && !self.ws.kid_gone[k]
+        for (pos, k) in self.ws.st.krange(i).enumerate() {
+            if self.ws.st.kid_pending[k] > 0
+                && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
+                && !self.ws.st.kid_gone[k]
             {
                 candidates.push(ChildInfo {
                     index: pos,
-                    comm_estimate: self.ws.kid_comm[k],
-                    compute_estimate: self.ws.kid_compute[k],
+                    comm_estimate: self.ws.st.kid_comm[k],
+                    compute_estimate: self.ws.st.kid_compute[k],
                 });
             }
         }
-        let chosen = self.ws.cold[i].selector.select(&candidates);
+        let chosen = self.ws.st.cold[i].selector.select(&candidates);
         self.ws.candidates = candidates;
         let Some(pos) = chosen else {
             return;
@@ -1475,10 +1522,10 @@ impl<S: TraceSink> Simulation<S> {
         if !self.take_task::<AR>(i) {
             return;
         }
-        let k = self.ws.kid_start[i] as usize + pos;
-        self.ws.kid_pending[k] -= 1;
-        self.ws.pending_sum[i] -= 1;
-        let child = self.ws.kid_node[k] as usize;
+        let k = self.ws.st.kid_start[i] as usize + pos;
+        self.ws.st.kid_pending[k] -= 1;
+        self.ws.st.pending_sum[i] -= 1;
+        let child = self.ws.st.kid_node[k] as usize;
         let c = self.tree.comm_time(NodeId(child as u32));
         let now = self.ws.agenda.now();
         self.cur.transfers_started += 1;
@@ -1488,7 +1535,7 @@ impl<S: TraceSink> Simulation<S> {
             work: c,
         });
         let handle = self.ws.agenda.schedule(c, Event::SendDone { node: i });
-        self.ws.sending[i] = Some(Sending {
+        self.ws.st.sending[i] = Some(Sending {
             child_pos: pos,
             started_at: now,
             handle,
@@ -1498,46 +1545,46 @@ impl<S: TraceSink> Simulation<S> {
     /// IC: delegate buffered tasks into empty slots of requesting
     /// children, best-priority first, while tasks last.
     fn fill_slots<const FA: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.pending_sum[i] == 0 {
+        if self.ws.st.pending_sum[i] == 0 {
             return; // no requesting child, so no candidate either
         }
         let mut candidates = std::mem::take(&mut self.ws.candidates);
         loop {
-            if self.ws.pending_sum[i] == 0 || !self.has_task(i) {
+            if self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
                 break;
             }
             candidates.clear();
-            for (pos, k) in self.ws.krange(i).enumerate() {
-                if self.ws.kid_pending[k] > 0
-                    && self.ws.kid_slot[k].is_none()
-                    && (!FA || self.ws.kid_missed[k] < self.cur.dead_threshold)
-                    && !self.ws.kid_gone[k]
+            for (pos, k) in self.ws.st.krange(i).enumerate() {
+                if self.ws.st.kid_pending[k] > 0
+                    && self.ws.st.kid_slot[k].is_none()
+                    && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
+                    && !self.ws.st.kid_gone[k]
                 {
                     candidates.push(ChildInfo {
                         index: pos,
-                        comm_estimate: self.ws.kid_comm[k],
-                        compute_estimate: self.ws.kid_compute[k],
+                        comm_estimate: self.ws.st.kid_comm[k],
+                        compute_estimate: self.ws.st.kid_compute[k],
                     });
                 }
             }
-            let Some(pos) = self.ws.cold[i].selector.select(&candidates) else {
+            let Some(pos) = self.ws.st.cold[i].selector.select(&candidates) else {
                 break;
             };
             if !self.take_task::<AR>(i) {
                 break;
             }
-            let k = self.ws.kid_start[i] as usize + pos;
-            self.ws.kid_pending[k] -= 1;
-            self.ws.pending_sum[i] -= 1;
+            let k = self.ws.st.kid_start[i] as usize + pos;
+            self.ws.st.kid_pending[k] -= 1;
+            self.ws.st.pending_sum[i] -= 1;
             self.cur.transfers_started += 1;
-            let child = self.ws.kid_node[k] as usize;
+            let child = self.ws.st.kid_node[k] as usize;
             let c = self.tree.comm_time(NodeId(child as u32));
-            self.ws.kid_slot[k] = Some(SlotTransfer {
+            self.ws.st.kid_slot[k] = Some(SlotTransfer {
                 remaining: c,
                 total: c,
                 started: false,
             });
-            self.ws.slots_used[i] += 1;
+            self.ws.st.slots_used[i] += 1;
         }
         self.ws.candidates = candidates;
     }
@@ -1548,36 +1595,36 @@ impl<S: TraceSink> Simulation<S> {
         // Fast paths on the occupancy count: nothing to transmit, or the
         // active transfer is the only occupied slot (then the full scan
         // below would find best == active and do nothing).
-        let used = self.ws.slots_used[i];
+        let used = self.ws.st.slots_used[i];
         if used == 0 {
-            debug_assert!(self.ws.active[i].is_none(), "active without slots");
+            debug_assert!(self.ws.st.active[i].is_none(), "active without slots");
             return;
         }
-        if used == 1 && self.ws.active[i].is_some() {
+        if used == 1 && self.ws.st.active[i].is_some() {
             return;
         }
         let mut candidates = std::mem::take(&mut self.ws.candidates);
         candidates.clear();
-        for (pos, k) in self.ws.krange(i).enumerate() {
-            if self.ws.kid_slot[k].is_some() {
+        for (pos, k) in self.ws.st.krange(i).enumerate() {
+            if self.ws.st.kid_slot[k].is_some() {
                 candidates.push(ChildInfo {
                     index: pos,
-                    comm_estimate: self.ws.kid_comm[k],
-                    compute_estimate: self.ws.kid_compute[k],
+                    comm_estimate: self.ws.st.kid_comm[k],
+                    compute_estimate: self.ws.st.kid_compute[k],
                 });
             }
         }
-        let best = self.ws.cold[i].selector.best(&candidates);
+        let best = self.ws.st.cold[i].selector.best(&candidates);
         self.ws.candidates = candidates;
-        match (&self.ws.active[i], best) {
+        match (&self.ws.st.active[i], best) {
             (_, None) => {
-                debug_assert!(self.ws.active[i].is_none(), "active without slots");
+                debug_assert!(self.ws.st.active[i].is_none(), "active without slots");
             }
             (None, Some(b)) => self.activate(i, b),
             (Some(a), Some(b)) if b != a.child_pos => {
                 let a_info = self.child_info(i, a.child_pos);
                 let b_info = self.child_info(i, b);
-                if self.ws.cold[i].selector.outranks(&b_info, &a_info) {
+                if self.ws.st.cold[i].selector.outranks(&b_info, &a_info) {
                     self.preempt::<FA>(i);
                     // The preempted transfer may have completed at this
                     // exact instant; re-rank rather than assuming `b`.
@@ -1589,9 +1636,9 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     fn activate(&mut self, i: usize, pos: usize) {
-        debug_assert!(self.ws.active[i].is_none());
-        let k = self.ws.kid_start[i] as usize + pos;
-        let slot = self.ws.kid_slot[k]
+        debug_assert!(self.ws.st.active[i].is_none());
+        let k = self.ws.st.kid_start[i] as usize + pos;
+        let slot = self.ws.st.kid_slot[k]
             .as_mut()
             .expect("activating an empty slot");
         let remaining = slot.remaining;
@@ -1599,7 +1646,7 @@ impl<S: TraceSink> Simulation<S> {
         let total = slot.total;
         slot.started = true;
         if S::ENABLED {
-            let child = self.ws.kid_node[k];
+            let child = self.ws.st.kid_node[k];
             self.emit(if first {
                 TraceEvent::TransferStart {
                     node: i as u32,
@@ -1619,7 +1666,7 @@ impl<S: TraceSink> Simulation<S> {
             .ws
             .agenda
             .schedule(remaining, Event::TransferDone { node: i });
-        self.ws.active[i] = Some(ActiveTransfer {
+        self.ws.st.active[i] = Some(ActiveTransfer {
             child_pos: pos,
             started_at: now,
             remaining_at_start: remaining,
@@ -1631,22 +1678,22 @@ impl<S: TraceSink> Simulation<S> {
     /// exactly zero work left at this instant).
     fn preempt<const FA: bool>(&mut self, i: usize) {
         self.cur.preemptions += 1;
-        self.ws.cold[i].preemptions += 1;
-        let a = self.ws.active[i].take().expect("preempting idle link");
+        self.ws.st.cold[i].preemptions += 1;
+        let a = self.ws.st.active[i].take().expect("preempting idle link");
         self.ws.agenda.cancel(a.handle);
         let elapsed = self.ws.agenda.now() - a.started_at;
-        self.ws.hot[i].busy_link += elapsed;
+        self.ws.st.hot[i].busy_link += elapsed;
         let remaining = a
             .remaining_at_start
             .checked_sub(elapsed)
             .expect("transfer ran past its completion");
-        let k = self.ws.kid_start[i] as usize + a.child_pos;
-        let slot = self.ws.kid_slot[k]
+        let k = self.ws.st.kid_start[i] as usize + a.child_pos;
+        let slot = self.ws.st.kid_slot[k]
             .as_mut()
             .expect("active transfer without slot");
         slot.remaining = remaining;
         if S::ENABLED {
-            let child = self.ws.kid_node[k];
+            let child = self.ws.st.kid_node[k];
             self.emit(TraceEvent::TransferPreempt {
                 node: i as u32,
                 child,
@@ -1667,37 +1714,43 @@ impl<S: TraceSink> Simulation<S> {
         let now = self.ws.agenda.now();
         // Decay (extension): reclaim an idle grown buffer after a quiet
         // window, before covering it with a fresh request.
-        let last_pressure = self.ws.cold[i].last_pressure;
-        if let Some(ledger) = &mut self.ws.hot[i].ledger {
+        let last_pressure = self.ws.st.cold[i].last_pressure;
+        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
             if let Some(window) = ledger.decay_after() {
                 if now.saturating_sub(last_pressure) >= window && ledger.try_shrink() {
-                    self.ws.cold[i].last_pressure = now;
+                    self.ws.st.cold[i].last_pressure = now;
                 }
             }
         }
-        let ledger = self.ws.hot[i].ledger.as_mut().expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i]
+            .ledger
+            .as_mut()
+            .expect("non-root has ledger");
         let n = ledger.uncovered();
         if n == 0 {
             return;
         }
-        if FA && self.ws.faults[i].orphaned {
+        if FA && self.ws.st.faults[i].orphaned {
             // Retry budget exhausted: presumed-dead parent, stop asking.
             return;
         }
-        let ledger = self.ws.hot[i].ledger.as_mut().expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i]
+            .ledger
+            .as_mut()
+            .expect("non-root has ledger");
         ledger.note_requests_sent(n);
         self.cur.requests_sent += n as u64;
         self.emit(TraceEvent::Request {
             node: i as u32,
             count: n,
         });
-        let parent = self.ws.parent_of[i].expect("non-root has parent");
-        let pos = self.ws.child_pos[i];
+        let parent = self.ws.st.parent_of[i].expect("non-root has parent");
+        let pos = self.ws.st.child_pos[i];
         if FA && self.request_lost(i, parent) {
             // The batch vanished in the network: still covered here (the
             // node believes it asked), unknown to the parent. The timeout
             // withdraws and re-sends it.
-            self.ws.faults[i].lost_requests += n;
+            self.ws.st.faults[i].lost_requests += n;
             self.cur.fstats.requests_dropped += n as u64;
             self.emit(TraceEvent::RequestLoss {
                 node: i as u32,
@@ -1709,14 +1762,14 @@ impl<S: TraceSink> Simulation<S> {
         // Delivered — requests are instantaneous control messages, so
         // delivery doubles as the acknowledgement.
         if FA {
-            self.ws.faults[i].retry = 0;
+            self.ws.st.faults[i].retry = 0;
         }
-        let k = self.ws.kid_start[parent] as usize + pos;
-        self.ws.kid_pending[k] += n;
-        self.ws.pending_sum[parent] += n;
-        if FA && self.ws.kid_missed[k] >= self.cur.dead_threshold {
+        let k = self.ws.st.kid_start[parent] as usize + pos;
+        self.ws.st.kid_pending[k] += n;
+        self.ws.st.pending_sum[parent] += n;
+        if FA && self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
             // Heard from a child previously presumed dead: revise.
-            self.ws.kid_missed[k] = 0;
+            self.ws.st.kid_missed[k] = 0;
             self.cur.fstats.children_revived += 1;
             self.emit(TraceEvent::ChildRevived {
                 node: parent as u32,
@@ -1742,13 +1795,13 @@ impl<S: TraceSink> Simulation<S> {
         let node = f.node.index();
         match f.kind {
             FaultKind::RequestLoss { batches } => {
-                if !self.ws.hot[node].departed && !self.ws.hot[node].crashed {
-                    self.ws.faults[node].drop_batches += batches;
+                if !self.ws.st.hot[node].departed && !self.ws.st.hot[node].crashed {
+                    self.ws.st.faults[node].drop_batches += batches;
                 }
             }
             FaultKind::DuplicateDelivery { copies } => {
-                if !self.ws.hot[node].departed && !self.ws.hot[node].crashed {
-                    self.ws.faults[node].dup_deliveries += copies;
+                if !self.ws.st.hot[node].departed && !self.ws.st.hot[node].crashed {
+                    self.ws.st.faults[node].dup_deliveries += copies;
                 }
             }
             FaultKind::TransferAbort => self.abort_boundary(node, Nack::Instant),
@@ -1759,12 +1812,12 @@ impl<S: TraceSink> Simulation<S> {
 
     /// Whether `i`'s uplink is currently inside an outage window.
     fn link_down(&self, i: usize) -> bool {
-        self.ws.faults[i].outage_until > self.ws.agenda.now()
+        self.ws.st.faults[i].outage_until > self.ws.agenda.now()
     }
 
     /// Whether a completing transfer toward `child` can actually land.
     fn delivery_blocked(&self, child: usize) -> bool {
-        self.ws.hot[child].crashed || self.link_down(child)
+        self.ws.st.hot[child].crashed || self.link_down(child)
     }
 
     /// A transfer from `i` toward child position `pos` completed its
@@ -1781,11 +1834,11 @@ impl<S: TraceSink> Simulation<S> {
         self.cur.fstats.transfer_aborts += 1;
         self.lose_tasks(1);
         self.note_missed_ack(i, pos);
-        let c = &self.ws.hot[child];
+        let c = &self.ws.st.hot[child];
         if !c.crashed && !c.departed {
             // Live but unreachable: the covering request is voided when
             // the link comes back.
-            self.ws.faults[child].pending_nacks += 1;
+            self.ws.st.faults[child].pending_nacks += 1;
         }
     }
 
@@ -1795,35 +1848,35 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn abort_boundary(&mut self, child: usize, nack: Nack) {
-        if self.ws.hot[child].departed {
+        if self.ws.st.hot[child].departed {
             return;
         }
-        let Some(p) = self.ws.parent_of[child] else {
+        let Some(p) = self.ws.st.parent_of[child] else {
             return;
         };
-        if self.ws.hot[p].departed || self.ws.hot[p].crashed {
+        if self.ws.st.hot[p].departed || self.ws.st.hot[p].crashed {
             return;
         }
-        let pos = self.ws.child_pos[child];
+        let pos = self.ws.st.child_pos[child];
         let now = self.ws.agenda.now();
         let mut aborted = false;
-        if let Some(s) = &self.ws.sending[p] {
+        if let Some(s) = &self.ws.st.sending[p] {
             if s.child_pos == pos {
-                let s = self.ws.sending[p].take().expect("checked above");
-                self.ws.hot[p].busy_link += now - s.started_at;
+                let s = self.ws.st.sending[p].take().expect("checked above");
+                self.ws.st.hot[p].busy_link += now - s.started_at;
                 self.ws.agenda.cancel(s.handle);
                 aborted = true;
             }
         }
-        if let Some(a) = &self.ws.active[p] {
+        if let Some(a) = &self.ws.st.active[p] {
             if a.child_pos == pos {
-                let a = self.ws.active[p].take().expect("checked above");
-                self.ws.hot[p].busy_link += now - a.started_at;
+                let a = self.ws.st.active[p].take().expect("checked above");
+                self.ws.st.hot[p].busy_link += now - a.started_at;
                 self.ws.agenda.cancel(a.handle);
-                let k = self.ws.kid_start[p] as usize + pos;
-                let t = self.ws.kid_slot[k].take();
+                let k = self.ws.st.kid_start[p] as usize + pos;
+                let t = self.ws.st.kid_slot[k].take();
                 debug_assert!(t.is_some(), "active transfer without slot");
-                self.ws.slots_used[p] -= 1;
+                self.ws.st.slots_used[p] -= 1;
                 aborted = true;
             }
         }
@@ -1841,14 +1894,14 @@ impl<S: TraceSink> Simulation<S> {
             Nack::Instant => {
                 // The child sees its inbound transfer reset: the covering
                 // request is void, so it re-requests immediately.
-                self.ws.hot[child]
+                self.ws.st.hot[child]
                     .ledger
                     .as_mut()
                     .expect("non-root has ledger")
                     .uncover(1);
                 self.enqueue(child);
             }
-            Nack::Deferred => self.ws.faults[child].pending_nacks += 1,
+            Nack::Deferred => self.ws.st.faults[child].pending_nacks += 1,
             Nack::None => {}
         }
         if matches!(self.cfg.protocol, Protocol::Interruptible) {
@@ -1863,17 +1916,17 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn on_link_outage(&mut self, node: usize, duration: u64) {
-        if self.ws.hot[node].departed || self.ws.hot[node].crashed {
+        if self.ws.st.hot[node].departed || self.ws.st.hot[node].crashed {
             return;
         }
         let until = self.ws.agenda.now() + duration;
-        if until > self.ws.faults[node].outage_until {
-            self.ws.faults[node].outage_until = until;
+        if until > self.ws.st.faults[node].outage_until {
+            self.ws.st.faults[node].outage_until = until;
             self.ws.agenda.schedule(duration, Event::OutageEnd { node });
         }
         self.emit(TraceEvent::LinkDown {
             node: node as u32,
-            until: self.ws.faults[node].outage_until,
+            until: self.ws.st.faults[node].outage_until,
         });
         // Anything mid-flight toward the node is torn down; the nack
         // cannot cross the dark link until the outage ends.
@@ -1885,16 +1938,16 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn on_outage_end(&mut self, node: usize) {
-        if self.ws.hot[node].departed || self.ws.hot[node].crashed {
+        if self.ws.st.hot[node].departed || self.ws.st.hot[node].crashed {
             return;
         }
-        if self.ws.agenda.now() < self.ws.faults[node].outage_until {
+        if self.ws.agenda.now() < self.ws.st.faults[node].outage_until {
             return; // superseded by a longer overlapping outage
         }
-        let k = self.ws.faults[node].pending_nacks;
-        self.ws.faults[node].pending_nacks = 0;
+        let k = self.ws.st.faults[node].pending_nacks;
+        self.ws.st.faults[node].pending_nacks = 0;
         if k > 0 {
-            self.ws.hot[node]
+            self.ws.st.hot[node]
                 .ledger
                 .as_mut()
                 .expect("non-root has ledger")
@@ -1913,7 +1966,7 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn apply_crash(&mut self, d0: usize) {
-        if self.ws.hot[d0].departed || self.ws.hot[d0].crashed {
+        if self.ws.st.hot[d0].departed || self.ws.st.hot[d0].crashed {
             return;
         }
         // The boundary in-flight transfer aborts immediately: the sender's
@@ -1922,31 +1975,31 @@ impl<S: TraceSink> Simulation<S> {
         let mut lost: u64 = 0;
         let mut stack = vec![d0];
         while let Some(d) = stack.pop() {
-            if self.ws.hot[d].departed || self.ws.hot[d].crashed {
+            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
                 // Already-gone branches hold nothing (reclaimed or lost
                 // when they went); don't descend or count them again.
                 continue;
             }
-            let r = self.ws.krange(d);
-            stack.extend(self.ws.kid_node[r.clone()].iter().map(|&c| c as usize));
-            self.ws.hot[d].crashed = true;
-            let timeout = self.ws.faults[d].timeout.take();
-            if self.ws.hot[d].computing_since.take().is_some() {
+            let r = self.ws.st.krange(d);
+            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
+            self.ws.st.hot[d].crashed = true;
+            let timeout = self.ws.st.faults[d].timeout.take();
+            if self.ws.st.hot[d].computing_since.take().is_some() {
                 lost += 1;
             }
-            let sending = self.ws.sending[d].take();
+            let sending = self.ws.st.sending[d].take();
             if sending.is_some() {
                 lost += 1;
             }
-            let active = self.ws.active[d].take();
-            lost += self.ws.kid_slot[r.clone()]
+            let active = self.ws.st.active[d].take();
+            lost += self.ws.st.kid_slot[r.clone()]
                 .iter_mut()
                 .filter_map(Option::take)
                 .count() as u64;
-            self.ws.slots_used[d] = 0;
-            lost += self.ws.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.pending_sum[d] = 0;
+            self.ws.st.slots_used[d] = 0;
+            lost += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
+            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
+            self.ws.st.pending_sum[d] = 0;
             if let Some(h) = timeout {
                 self.ws.agenda.cancel(h);
             }
@@ -2121,26 +2174,26 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn on_request_timeout(&mut self, i: usize) {
-        self.ws.faults[i].timeout = None;
-        if self.ws.hot[i].departed || self.ws.hot[i].crashed {
+        self.ws.st.faults[i].timeout = None;
+        if self.ws.st.hot[i].departed || self.ws.st.hot[i].crashed {
             return;
         }
-        let lost = self.ws.faults[i].lost_requests;
+        let lost = self.ws.st.faults[i].lost_requests;
         if lost == 0 {
             // Everything sent since arming was acknowledged.
-            self.ws.faults[i].retry = 0;
+            self.ws.st.faults[i].retry = 0;
             return;
         }
-        self.ws.faults[i].retry += 1;
-        let retry = self.ws.faults[i].retry;
-        self.ws.faults[i].lost_requests = 0;
-        self.ws.hot[i]
+        self.ws.st.faults[i].retry += 1;
+        let retry = self.ws.st.faults[i].retry;
+        self.ws.st.faults[i].lost_requests = 0;
+        self.ws.st.hot[i]
             .ledger
             .as_mut()
             .expect("non-root has ledger")
             .uncover(lost);
         if retry > self.cur.recovery.max_retries {
-            self.ws.faults[i].orphaned = true;
+            self.ws.st.faults[i].orphaned = true;
             self.cur.fstats.gave_up += 1;
             return;
         }
@@ -2158,10 +2211,10 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn arm_request_timeout(&mut self, i: usize) {
-        if self.ws.faults[i].timeout.is_some() {
+        if self.ws.st.faults[i].timeout.is_some() {
             return;
         }
-        let retry = self.ws.faults[i].retry;
+        let retry = self.ws.st.faults[i].retry;
         let base = self.cur.recovery.request_timeout;
         let shift = retry.min(self.cur.recovery.backoff_cap).min(32);
         let jitter =
@@ -2171,7 +2224,7 @@ impl<S: TraceSink> Simulation<S> {
             .ws
             .agenda
             .schedule(deadline, Event::RequestTimeout { node: i });
-        self.ws.faults[i].timeout = Some(handle);
+        self.ws.st.faults[i].timeout = Some(handle);
     }
 
     /// A transfer from `i` toward child position `pos` went unacknowledged;
@@ -2179,12 +2232,12 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn note_missed_ack(&mut self, i: usize, pos: usize) {
-        let k = self.ws.kid_start[i] as usize + pos;
-        if self.ws.kid_missed[k] >= self.cur.dead_threshold {
+        let k = self.ws.st.kid_start[i] as usize + pos;
+        if self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
             return;
         }
-        self.ws.kid_missed[k] += 1;
-        if self.ws.kid_missed[k] >= self.cur.dead_threshold {
+        self.ws.st.kid_missed[k] += 1;
+        if self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
             self.declare_dead(i, pos);
         }
     }
@@ -2197,31 +2250,31 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn declare_dead(&mut self, i: usize, pos: usize) {
-        let k = self.ws.kid_start[i] as usize + pos;
-        let child = self.ws.kid_node[k] as usize;
+        let k = self.ws.st.kid_start[i] as usize + pos;
+        let child = self.ws.st.kid_node[k] as usize;
         self.cur.fstats.children_declared_dead += 1;
         self.emit(TraceEvent::ChildDead {
             node: i as u32,
             child: child as u32,
         });
-        let denied = self.ws.kid_pending[k];
+        let denied = self.ws.st.kid_pending[k];
         if denied == 0 {
             return;
         }
-        self.ws.kid_pending[k] = 0;
-        self.ws.pending_sum[i] -= denied;
+        self.ws.st.kid_pending[k] = 0;
+        self.ws.st.pending_sum[i] -= denied;
         self.emit(TraceEvent::RequestDeny {
             node: i as u32,
             child: child as u32,
             count: denied,
         });
-        if self.ws.hot[child].crashed || self.ws.hot[child].departed {
+        if self.ws.st.hot[child].crashed || self.ws.st.hot[child].departed {
             return;
         }
         if self.link_down(child) {
-            self.ws.faults[child].pending_nacks += denied;
+            self.ws.st.faults[child].pending_nacks += denied;
         } else {
-            self.ws.hot[child]
+            self.ws.st.hot[child]
                 .ledger
                 .as_mut()
                 .expect("non-root has ledger")
@@ -2235,11 +2288,11 @@ impl<S: TraceSink> Simulation<S> {
     #[cold]
     #[inline(never)]
     fn request_lost(&mut self, i: usize, parent: usize) -> bool {
-        if self.ws.faults[i].drop_batches > 0 {
-            self.ws.faults[i].drop_batches -= 1;
+        if self.ws.st.faults[i].drop_batches > 0 {
+            self.ws.st.faults[i].drop_batches -= 1;
             return true;
         }
-        self.link_down(i) || self.ws.hot[parent].crashed
+        self.link_down(i) || self.ws.st.hot[parent].crashed
     }
 
     // ----- introspection (for tests) ---------------------------------------
@@ -2338,14 +2391,6 @@ impl<S: TraceSink> Simulation<S> {
     /// plan faults and the full service pass are deferred to `start`.
     pub(crate) fn apply_fork_edits(&mut self, touched: &[usize], injected: &[FaultEvent]) {
         if !injected.is_empty() {
-            let n = self.ws.hot.len();
-            for f in injected {
-                assert!(
-                    f.node.index() < n,
-                    "fault targets unknown node {} (tree has {n})",
-                    f.node
-                );
-            }
             let now = self.ws.agenda.now();
             let plan = self.cfg.fault_plan.get_or_insert_with(FaultPlan::default);
             let base = plan.faults.len();
@@ -2369,7 +2414,7 @@ impl<S: TraceSink> Simulation<S> {
             return;
         }
         for &i in touched {
-            if i < self.ws.hot.len() {
+            if i < self.ws.st.hot.len() {
                 self.enqueue(i);
             }
         }
@@ -2382,10 +2427,5 @@ impl Simulation {
     /// no tracing — the plain continuation.
     pub fn from_snapshot(snap: &SimSnapshot) -> Simulation {
         Simulation::from_snapshot_traced(snap, SimWorkspace::new(), NullSink)
-    }
-
-    /// [`Simulation::from_snapshot`] reusing `ws`'s allocations.
-    pub fn from_snapshot_with(snap: &SimSnapshot, ws: SimWorkspace) -> Simulation {
-        Simulation::from_snapshot_traced(snap, ws, NullSink)
     }
 }

@@ -45,7 +45,7 @@ use crate::config::{
 };
 use crate::result::FaultStats;
 use crate::sim::{
-    ActiveTransfer, ArrivalState, ColdNode, Event, FaultRt, HotNode, Progress, Sending,
+    ActiveTransfer, ArrivalState, ColdNode, Event, FaultRt, HotNode, Progress, RunState, Sending,
     SimWorkspace, Simulation, SlotTransfer,
 };
 use crate::wire::{get_n, wire_enum, wire_struct, Rd, Wire};
@@ -60,32 +60,14 @@ use bc_simcore::{AgendaSnapshot, NullSink, SlotSnapshot, Time, TraceSink, VecSin
 // In-memory snapshot types
 // ---------------------------------------------------------------------------
 
-/// Verbatim capture of a [`SimWorkspace`]'s runtime containers. The
-/// between-steps scratch (service queue, queued flags, candidate list)
-/// is empty at any quiescent point and is not captured; restore
-/// re-clears it.
+/// Capture of a [`SimWorkspace`]: the agenda's own snapshot and a clone
+/// of the run state. The between-steps scratch (service queue, queued
+/// flags, candidate list) is empty at any quiescent point and is not
+/// captured; restore re-clears it.
 #[derive(Clone)]
 pub(crate) struct WorkspaceSnapshot {
     pub(crate) agenda: AgendaSnapshot<Event>,
-    pub(crate) hot: Vec<HotNode>,
-    pub(crate) cold: Vec<ColdNode>,
-    pub(crate) sending: Vec<Option<Sending>>,
-    pub(crate) active: Vec<Option<ActiveTransfer>>,
-    pub(crate) faults: Vec<FaultRt>,
-    pub(crate) parent_of: Vec<Option<usize>>,
-    pub(crate) child_pos: Vec<usize>,
-    pub(crate) kid_start: Vec<u32>,
-    pub(crate) kid_node: Vec<u32>,
-    pub(crate) kid_pending: Vec<u32>,
-    pub(crate) kid_slot: Vec<Option<SlotTransfer>>,
-    pub(crate) kid_comm: Vec<u64>,
-    pub(crate) kid_compute: Vec<u64>,
-    pub(crate) kid_missed: Vec<u8>,
-    pub(crate) pending_sum: Vec<u32>,
-    pub(crate) slots_used: Vec<u32>,
-    pub(crate) kid_gone: Vec<bool>,
-    pub(crate) completion_times: Vec<Time>,
-    pub(crate) checkpoint_records: Vec<(u64, u32)>,
+    pub(crate) st: RunState,
 }
 
 /// Complete mid-run state of a [`Simulation`], captured by
@@ -207,33 +189,22 @@ impl WhatIf {
     /// Sets the edge weight `c_node` from the fork instant on, exactly
     /// like a scripted [`ChangeKind::CommTime`].
     pub fn set_comm_time(&mut self, node: NodeId, c: u64) {
-        self.snap.tree.set_comm_time(node, c);
-        let i = node.index();
-        let ws = &mut self.snap.ws;
-        if let Some(p) = ws.parent_of[i] {
-            if ws.cold[p].observer.is_oracle() {
-                let k = ws.kid_start[p] as usize + ws.child_pos[i];
-                ws.kid_comm[k] = c;
-            }
-            self.touched.push(p);
-        }
-        self.touched.push(i);
-        self.register_change(node, ChangeKind::CommTime(c));
+        self.set_weight(node, ChangeKind::CommTime(c));
     }
 
     /// Sets the compute weight `w_node` from the fork instant on,
     /// exactly like a scripted [`ChangeKind::ComputeTime`].
     pub fn set_compute_time(&mut self, node: NodeId, w: u64) {
-        self.snap.tree.set_compute_time(node, w);
-        let i = node.index();
-        let ws = &mut self.snap.ws;
-        if let Some(p) = ws.parent_of[i] {
-            let k = ws.kid_start[p] as usize + ws.child_pos[i];
-            ws.kid_compute[k] = w;
+        self.set_weight(node, ChangeKind::ComputeTime(w));
+    }
+
+    fn set_weight(&mut self, node: NodeId, kind: ChangeKind) {
+        let snap = &mut self.snap;
+        if let Some(p) = snap.ws.st.set_weight(&mut snap.tree, node, kind) {
             self.touched.push(p);
         }
-        self.touched.push(i);
-        self.register_change(node, ChangeKind::ComputeTime(w));
+        self.touched.push(node.index());
+        self.register_change(node, kind);
     }
 
     /// Records an already-applied weight tweak in the branch's change
@@ -260,7 +231,7 @@ impl WhatIf {
     /// materialized and the branch runs the fault-aware event loop.
     pub fn add_fault(&mut self, fault: FaultEvent) {
         assert!(
-            fault.node.index() < self.snap.ws.hot.len(),
+            fault.node.index() < self.snap.ws.st.hot.len(),
             "fault targets unknown node {}",
             fault.node
         );
@@ -286,56 +257,16 @@ impl SimWorkspace {
         );
         WorkspaceSnapshot {
             agenda: self.agenda.snapshot(),
-            hot: self.hot.clone(),
-            cold: self.cold.clone(),
-            sending: self.sending.clone(),
-            active: self.active.clone(),
-            faults: self.faults.clone(),
-            parent_of: self.parent_of.clone(),
-            child_pos: self.child_pos.clone(),
-            kid_start: self.kid_start.clone(),
-            kid_node: self.kid_node.clone(),
-            kid_pending: self.kid_pending.clone(),
-            kid_slot: self.kid_slot.clone(),
-            kid_comm: self.kid_comm.clone(),
-            kid_compute: self.kid_compute.clone(),
-            kid_missed: self.kid_missed.clone(),
-            pending_sum: self.pending_sum.clone(),
-            slots_used: self.slots_used.clone(),
-            kid_gone: self.kid_gone.clone(),
-            completion_times: self.completion_times.clone(),
-            checkpoint_records: self.checkpoint_records.clone(),
+            st: self.st.clone(),
         }
     }
 
-    /// Overwrites this workspace with a captured state, reusing existing
-    /// allocations where possible. The scratch containers are re-cleared
-    /// to their quiescent (empty) state.
+    /// Overwrites this workspace with a captured state, reusing the
+    /// agenda's and the scratch containers' allocations.
     pub(crate) fn restore(&mut self, s: &WorkspaceSnapshot) {
         self.agenda.restore(&s.agenda);
-        self.hot.clone_from(&s.hot);
-        self.cold.clone_from(&s.cold);
-        self.sending.clone_from(&s.sending);
-        self.active.clone_from(&s.active);
-        self.faults.clone_from(&s.faults);
-        self.parent_of.clone_from(&s.parent_of);
-        self.child_pos.clone_from(&s.child_pos);
-        self.kid_start.clone_from(&s.kid_start);
-        self.kid_node.clone_from(&s.kid_node);
-        self.kid_pending.clone_from(&s.kid_pending);
-        self.kid_slot.clone_from(&s.kid_slot);
-        self.kid_comm.clone_from(&s.kid_comm);
-        self.kid_compute.clone_from(&s.kid_compute);
-        self.kid_missed.clone_from(&s.kid_missed);
-        self.pending_sum.clone_from(&s.pending_sum);
-        self.slots_used.clone_from(&s.slots_used);
-        self.kid_gone.clone_from(&s.kid_gone);
-        self.completion_times.clone_from(&s.completion_times);
-        self.checkpoint_records.clone_from(&s.checkpoint_records);
-        self.service_queue.clear();
-        self.queued.clear();
-        self.queued.resize(s.hot.len(), false);
-        self.candidates.clear();
+        self.st = s.st.clone();
+        self.clear_scratch(s.st.hot.len());
     }
 }
 
@@ -567,7 +498,7 @@ impl SimSnapshot {
 wire_struct!(SimSnapshot { tree, cfg, ws, cur, arrivals } check snapshot_consistent);
 
 fn snapshot_consistent(s: &SimSnapshot) -> Result<(), SnapshotError> {
-    if s.ws.hot.len() != s.tree.len() {
+    if s.ws.st.hot.len() != s.tree.len() {
         return Err(SnapshotError::Corrupt("arena size != tree size"));
     }
     // Restore unwraps the pairing of an arrival plan and its state.
@@ -778,8 +709,11 @@ wire_enum!(AdmissionPolicy, "admission policy tag out of range" {
 
 // Per-node arrays take their length from `hot`, per-edge arrays from
 // `kid_node`; neither carries a prefix of its own.
-wire_struct!(WorkspaceSnapshot {
-    agenda,
+wire_struct!(WorkspaceSnapshot { agenda, st });
+
+// Per-node arrays take their length from `hot`, per-edge arrays from
+// `kid_node`; neither carries a prefix of its own.
+wire_struct!(RunState {
     hot,
     cold[hot.len()],
     sending[hot.len()],
@@ -801,15 +735,15 @@ wire_struct!(WorkspaceSnapshot {
     checkpoint_records,
 } check csr_consistent);
 
-fn csr_consistent(ws: &WorkspaceSnapshot) -> Result<(), SnapshotError> {
-    let starts = &ws.kid_start;
+fn csr_consistent(st: &RunState) -> Result<(), SnapshotError> {
+    let starts = &st.kid_start;
     if starts.first() != Some(&0)
-        || starts.last().map(|&end| end as usize) != Some(ws.kid_node.len())
+        || starts.last().map(|&end| end as usize) != Some(st.kid_node.len())
         || starts.windows(2).any(|w| w[0] > w[1])
     {
         return Err(SnapshotError::Corrupt("CSR row offsets inconsistent"));
     }
-    if ws.kid_node.iter().any(|&k| k as usize >= ws.hot.len()) {
+    if st.kid_node.iter().any(|&k| k as usize >= st.hot.len()) {
         return Err(SnapshotError::Corrupt("child node out of range"));
     }
     Ok(())

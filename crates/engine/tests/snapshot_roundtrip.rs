@@ -191,7 +191,7 @@ proptest! {
             let bytes = snap.to_bytes();
             let decoded = SimSnapshot::from_bytes(&bytes).expect("decode own snapshot");
             prop_assert_eq!(decoded.to_bytes(), bytes, "re-encode not byte-identical ({})", name);
-            let redone = finish(Simulation::from_snapshot_with(&decoded, SimWorkspace::new()));
+            let redone = finish(Simulation::from_snapshot(&decoded));
             prop_assert_eq!(&redone, &reference, "serialized restore diverged ({})", name);
         }
     }
@@ -337,7 +337,7 @@ fn whatif_branches_diverge_and_complete() {
     let mut tree = Tree::new(50);
     let a = tree.add_child(NodeId::ROOT, 2, 8);
     let _b = tree.add_child(NodeId::ROOT, 3, 9);
-    let cfg = SimConfig::interruptible(2, 120).with_checked(false);
+    let cfg = SimConfig::interruptible(2, 120).with_checked(true);
     let (reference, snap) = run_and_capture(tree, cfg, 150);
 
     let baseline = finish(snap.fork(|_| {}));
