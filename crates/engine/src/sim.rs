@@ -58,15 +58,20 @@
 
 use crate::arrivals::{AdmissionPolicy, Arrival};
 use crate::config::{
-    ChangeKind, FaultEvent, FaultInjection, FaultKind, FaultPlan, Protocol, RecoveryTuning,
-    SelectorKind, SimConfig,
+    ChangeKind, FaultEvent, FaultInjection, FaultPlan, Protocol, RecoveryTuning, SelectorKind,
+    SimConfig,
 };
 use crate::result::{ArrivalStats, FaultStats, RunResult};
 use crate::snapshot::{SimSnapshot, TimeTravel};
 use bc_core::{BufferLedger, BufferPolicy, ChildInfo, ChildSelector, GrowthEvent, LatencyObserver};
 use bc_platform::{NodeId, Tree};
-use bc_simcore::{split_seed, Agenda, EventHandle, NullSink, Time, TraceEvent, TraceSink};
+use bc_simcore::{Agenda, EventHandle, NullSink, Time, TraceEvent, TraceSink};
 use std::collections::VecDeque;
+
+mod admission;
+mod faults;
+mod service;
+mod topology;
 
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Event {
@@ -120,18 +125,6 @@ impl Event {
             Event::Arrival => 7,
         }
     }
-}
-
-/// How an aborted transfer's negative acknowledgement reaches the
-/// intended receiver.
-#[derive(Clone, Copy)]
-enum Nack {
-    /// The child is live with its uplink up: it re-requests immediately.
-    Instant,
-    /// The child's uplink is down: the nack resolves at the outage's end.
-    Deferred,
-    /// The child crashed: there is no one to notify.
-    None,
 }
 
 /// Non-IC: the single in-flight outbound transfer.
@@ -1206,1093 +1199,6 @@ impl<S: TraceSink> Simulation<S> {
         if self.cur.completed >= self.cur.finish_target {
             self.cur.finished = true;
         }
-    }
-
-    // ----- dynamic topology (extension) -------------------------------------
-
-    /// Applies every scripted change that is due at the current
-    /// completion count.
-    fn apply_due_changes(&mut self) {
-        while self.cur.next_change < self.cfg.changes.len()
-            && self.cfg.changes[self.cur.next_change].after_tasks <= self.cur.completed
-        {
-            let ch = self.cfg.changes[self.cur.next_change];
-            self.cur.next_change += 1;
-            match ch.kind {
-                ChangeKind::Join { comm, compute } => self.apply_join(ch.node, comm, compute),
-                ChangeKind::Leave => self.apply_leave(ch.node),
-                weight => {
-                    let parent = self.ws.st.set_weight(&mut self.tree, ch.node, weight);
-                    // Re-examine the neighborhood under the new weights.
-                    self.enqueue(ch.node.index());
-                    if let Some(p) = parent {
-                        self.enqueue(p);
-                    }
-                }
-            }
-        }
-    }
-
-    /// A new node joins under `parent` — §3's scalability property in
-    /// action: the parent only gains one more child to prioritize; no
-    /// other node learns anything.
-    fn apply_join(&mut self, parent: NodeId, comm: u64, compute: u64) {
-        let p = parent.index();
-        if p >= self.ws.st.hot.len() || self.ws.st.hot[p].departed || self.ws.st.hot[p].crashed {
-            // The contact node is unknown or gone before the newcomer
-            // arrived; in a real overlay the join simply fails.
-            self.emit(TraceEvent::JoinDenied { parent: parent.0 });
-            return;
-        }
-        let id = self.tree.add_child(parent, comm, compute);
-        let i = id.index();
-        debug_assert_eq!(i, self.ws.st.hot.len());
-        let now = self.ws.agenda.now();
-        self.ws.st.join_child(p, comm, compute, &self.cfg, now);
-        self.ws.queued.push(false);
-        self.emit(TraceEvent::NodeJoin {
-            node: i as u32,
-            parent: p as u32,
-        });
-        // The newcomer requests its initial tasks; the parent re-evaluates.
-        self.enqueue(i);
-        self.enqueue(p);
-    }
-
-    /// The subtree rooted at `node` departs. Every task it holds — in
-    /// buffers, on a processor, or in flight toward it — returns to the
-    /// repository for re-dispatch.
-    fn apply_leave(&mut self, node: NodeId) {
-        let d0 = node.index();
-        assert!(d0 < self.ws.st.hot.len(), "leave of unknown node {node}");
-        assert!(d0 != 0, "the repository cannot leave");
-        if self.ws.st.hot[d0].departed || self.ws.st.hot[d0].crashed {
-            return; // already gone (a crash reclaimed nothing — the
-                    // tasks are in the lost ledger, not handed back)
-        }
-        // Reclaim from the boundary edge: the still-present parent may be
-        // mid-transfer toward the departing subtree root.
-        let mut reclaimed: u64 = 0;
-        let p = self.ws.st.parent_of[d0].expect("non-root has parent");
-        let pos = self.ws.st.child_pos[d0];
-        let kp = self.ws.st.kid_start[p] as usize + pos;
-        let denied = self.ws.st.kid_pending[kp];
-        self.ws.st.kid_pending[kp] = 0;
-        self.ws.st.pending_sum[p] -= denied;
-        if S::ENABLED && denied > 0 {
-            self.emit(TraceEvent::RequestDeny {
-                node: p as u32,
-                child: d0 as u32,
-                count: denied,
-            });
-        }
-        if let Some(sending) = &self.ws.st.sending[p] {
-            if sending.child_pos == pos {
-                let s = self.ws.st.sending[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - s.started_at;
-                self.ws.agenda.cancel(s.handle);
-                reclaimed += 1;
-            }
-        }
-        if let Some(active) = &self.ws.st.active[p] {
-            if active.child_pos == pos {
-                let a = self.ws.st.active[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - a.started_at;
-                self.ws.agenda.cancel(a.handle);
-            }
-        }
-        if self.ws.st.kid_slot[kp].take().is_some() {
-            self.ws.st.slots_used[p] -= 1;
-            reclaimed += 1;
-        }
-
-        // Walk the departing subtree, reclaiming everything it holds. A
-        // branch that departed earlier was already reclaimed then (its
-        // ledger still reports its old holdings) and must not be counted
-        // again; its whole subtree is departed, so don't descend either.
-        let mut stack = vec![d0];
-        while let Some(d) = stack.pop() {
-            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
-                // A crashed branch's holdings are in the lost ledger, not
-                // reclaimable; its whole subtree is crashed too.
-                continue;
-            }
-            let r = self.ws.st.krange(d);
-            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
-            self.ws.st.hot[d].departed = true;
-            if self.ws.st.hot[d].computing_since.take().is_some() {
-                reclaimed += 1; // its ComputeDone event will be ignored
-            }
-            if self.ws.st.sending[d].take().is_some() {
-                reclaimed += 1; // SendDone ignored; task vanishes with d
-            }
-            self.ws.st.active[d] = None;
-            reclaimed += self.ws.st.kid_slot[r.clone()]
-                .iter_mut()
-                .filter_map(Option::take)
-                .count() as u64;
-            self.ws.st.slots_used[d] = 0;
-            reclaimed += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.st.pending_sum[d] = 0;
-            // Mirror the departure into the parent's candidate filter.
-            if let Some(pp) = self.ws.st.parent_of[d] {
-                let k = self.ws.st.kid_start[pp] as usize + self.ws.st.child_pos[d];
-                self.ws.st.kid_gone[k] = true;
-            }
-        }
-
-        self.emit(TraceEvent::NodeLeave {
-            node: d0 as u32,
-            reclaimed,
-        });
-        self.cur.remaining += reclaimed;
-        // The parent's link may have freed; the repository has new work.
-        if matches!(self.cfg.protocol, Protocol::Interruptible) {
-            if self.cur.fault_active {
-                self.reconcile_link::<true>(p);
-            } else {
-                self.reconcile_link::<false>(p);
-            }
-        }
-        self.enqueue(p);
-        self.enqueue(0);
-    }
-
-    // ----- service pass ---------------------------------------------------
-
-    fn enqueue(&mut self, i: usize) {
-        if !self.ws.queued[i] {
-            self.ws.queued[i] = true;
-            self.ws.service_queue.push_back(i);
-        }
-    }
-
-    fn drain<const FA: bool, const IC: bool, const AR: bool>(&mut self) {
-        debug_assert_eq!(IC, self.cfg.protocol == Protocol::Interruptible);
-        while let Some(i) = self.ws.service_queue.pop_front() {
-            self.ws.queued[i] = false;
-            if self.cur.finished {
-                continue;
-            }
-            self.service::<FA, IC, AR>(i);
-        }
-    }
-
-    fn service<const FA: bool, const IC: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.hot[i].departed || (FA && self.ws.st.hot[i].crashed) {
-            return;
-        }
-        if self.cfg.self_first {
-            self.fill_processor::<AR>(i);
-            self.fill_link::<FA, IC, AR>(i);
-        } else {
-            self.fill_link::<FA, IC, AR>(i);
-            self.fill_processor::<AR>(i);
-        }
-        self.issue_requests::<FA>(i);
-    }
-
-    fn fill_processor<const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.hot[i].computing_since.is_some() || !self.take_task::<AR>(i) {
-            return;
-        }
-        self.ws.st.hot[i].computing_since = Some(self.ws.agenda.now());
-        self.emit(TraceEvent::ComputeStart { node: i as u32 });
-        let w = self.tree.compute_time(NodeId(i as u32));
-        self.ws.agenda.schedule(w, Event::ComputeDone { node: i });
-    }
-
-    /// Takes one task for local use (compute or send start). Returns false
-    /// if none is available. Applies §3.1 growth rule 1 on the transition
-    /// to empty. Under `AR`, a root take is a *dispatch*: the unit leaves
-    /// the admission queue and its wait ends (latency accounting).
-    fn take_task<const AR: bool>(&mut self, i: usize) -> bool {
-        if i == 0 {
-            if self.cur.remaining == 0 {
-                return false;
-            }
-            self.cur.remaining -= 1;
-            if AR {
-                let now = self.ws.agenda.now();
-                let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-                ar.state.dispatch_times.push(now);
-            }
-            return true;
-        }
-        let pressure = self.has_child_requests(i);
-        let now = self.ws.agenda.now();
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
-        if ledger.held() == 0 {
-            return false;
-        }
-        ledger.take_task();
-        // Occupancy at the instant of removal, before any growth below.
-        let (held, capacity) = (ledger.held(), ledger.capacity());
-        if ledger.try_grow(GrowthEvent::ChildRequestPressure, pressure) {
-            self.ws.st.cold[i].last_pressure = now;
-        }
-        if S::ENABLED {
-            self.emit(TraceEvent::BufferRelease {
-                node: i as u32,
-                held,
-                capacity,
-            });
-        }
-        true
-    }
-
-    fn has_task(&self, i: usize) -> bool {
-        if i == 0 {
-            self.cur.remaining > 0
-        } else {
-            self.ws.st.hot[i]
-                .ledger
-                .as_ref()
-                .is_some_and(|l| l.held() > 0)
-        }
-    }
-
-    fn has_child_requests(&self, i: usize) -> bool {
-        self.ws.st.pending_sum[i] > 0
-    }
-
-    /// The selection view of `i`'s child at `pos`, read straight from the
-    /// CSR caches (`kid_comm` holds exactly what the observer/tree would
-    /// say; see its field docs).
-    #[inline(always)]
-    fn child_info(&self, i: usize, pos: usize) -> ChildInfo {
-        let k = self.ws.st.kid_start[i] as usize + pos;
-        ChildInfo {
-            index: pos,
-            comm_estimate: self.ws.st.kid_comm[k],
-            compute_estimate: self.ws.st.kid_compute[k],
-        }
-    }
-
-    /// Re-derives the cached comm estimate for `i`'s child at `pos` after
-    /// an observation landed.
-    #[inline(always)]
-    fn refresh_kid_comm(&mut self, i: usize, pos: usize) {
-        let ob = &self.ws.st.cold[i].observer;
-        if !ob.is_oracle() {
-            let k = self.ws.st.kid_start[i] as usize + pos;
-            self.ws.st.kid_comm[k] = ob.estimate(pos);
-        }
-    }
-
-    fn fill_link<const FA: bool, const IC: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.kid_start[i + 1] == self.ws.st.kid_start[i] {
-            return; // leaves have no outbound link work, ever
-        }
-        if IC {
-            self.fill_slots::<FA, AR>(i);
-            self.reconcile_link::<FA>(i);
-        } else {
-            self.fill_link_nonic::<FA, AR>(i);
-        }
-    }
-
-    fn fill_link_nonic<const FA: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.sending[i].is_some() || self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
-            return;
-        }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        candidates.clear();
-        for (pos, k) in self.ws.st.krange(i).enumerate() {
-            if self.ws.st.kid_pending[k] > 0
-                && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
-                && !self.ws.st.kid_gone[k]
-            {
-                candidates.push(ChildInfo {
-                    index: pos,
-                    comm_estimate: self.ws.st.kid_comm[k],
-                    compute_estimate: self.ws.st.kid_compute[k],
-                });
-            }
-        }
-        let chosen = self.ws.st.cold[i].selector.select(&candidates);
-        self.ws.candidates = candidates;
-        let Some(pos) = chosen else {
-            return;
-        };
-        if !self.take_task::<AR>(i) {
-            return;
-        }
-        let k = self.ws.st.kid_start[i] as usize + pos;
-        self.ws.st.kid_pending[k] -= 1;
-        self.ws.st.pending_sum[i] -= 1;
-        let child = self.ws.st.kid_node[k] as usize;
-        let c = self.tree.comm_time(NodeId(child as u32));
-        let now = self.ws.agenda.now();
-        self.cur.transfers_started += 1;
-        self.emit(TraceEvent::TransferStart {
-            node: i as u32,
-            child: child as u32,
-            work: c,
-        });
-        let handle = self.ws.agenda.schedule(c, Event::SendDone { node: i });
-        self.ws.st.sending[i] = Some(Sending {
-            child_pos: pos,
-            started_at: now,
-            handle,
-        });
-    }
-
-    /// IC: delegate buffered tasks into empty slots of requesting
-    /// children, best-priority first, while tasks last.
-    fn fill_slots<const FA: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.pending_sum[i] == 0 {
-            return; // no requesting child, so no candidate either
-        }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        loop {
-            if self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
-                break;
-            }
-            candidates.clear();
-            for (pos, k) in self.ws.st.krange(i).enumerate() {
-                if self.ws.st.kid_pending[k] > 0
-                    && self.ws.st.kid_slot[k].is_none()
-                    && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
-                    && !self.ws.st.kid_gone[k]
-                {
-                    candidates.push(ChildInfo {
-                        index: pos,
-                        comm_estimate: self.ws.st.kid_comm[k],
-                        compute_estimate: self.ws.st.kid_compute[k],
-                    });
-                }
-            }
-            let Some(pos) = self.ws.st.cold[i].selector.select(&candidates) else {
-                break;
-            };
-            if !self.take_task::<AR>(i) {
-                break;
-            }
-            let k = self.ws.st.kid_start[i] as usize + pos;
-            self.ws.st.kid_pending[k] -= 1;
-            self.ws.st.pending_sum[i] -= 1;
-            self.cur.transfers_started += 1;
-            let child = self.ws.st.kid_node[k] as usize;
-            let c = self.tree.comm_time(NodeId(child as u32));
-            self.ws.st.kid_slot[k] = Some(SlotTransfer {
-                remaining: c,
-                total: c,
-                started: false,
-            });
-            self.ws.st.slots_used[i] += 1;
-        }
-        self.ws.candidates = candidates;
-    }
-
-    /// IC: ensure the link transmits the highest-priority occupied slot,
-    /// preempting if a better slot appeared (§3.2).
-    fn reconcile_link<const FA: bool>(&mut self, i: usize) {
-        // Fast paths on the occupancy count: nothing to transmit, or the
-        // active transfer is the only occupied slot (then the full scan
-        // below would find best == active and do nothing).
-        let used = self.ws.st.slots_used[i];
-        if used == 0 {
-            debug_assert!(self.ws.st.active[i].is_none(), "active without slots");
-            return;
-        }
-        if used == 1 && self.ws.st.active[i].is_some() {
-            return;
-        }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        candidates.clear();
-        for (pos, k) in self.ws.st.krange(i).enumerate() {
-            if self.ws.st.kid_slot[k].is_some() {
-                candidates.push(ChildInfo {
-                    index: pos,
-                    comm_estimate: self.ws.st.kid_comm[k],
-                    compute_estimate: self.ws.st.kid_compute[k],
-                });
-            }
-        }
-        let best = self.ws.st.cold[i].selector.best(&candidates);
-        self.ws.candidates = candidates;
-        match (&self.ws.st.active[i], best) {
-            (_, None) => {
-                debug_assert!(self.ws.st.active[i].is_none(), "active without slots");
-            }
-            (None, Some(b)) => self.activate(i, b),
-            (Some(a), Some(b)) if b != a.child_pos => {
-                let a_info = self.child_info(i, a.child_pos);
-                let b_info = self.child_info(i, b);
-                if self.ws.st.cold[i].selector.outranks(&b_info, &a_info) {
-                    self.preempt::<FA>(i);
-                    // The preempted transfer may have completed at this
-                    // exact instant; re-rank rather than assuming `b`.
-                    self.reconcile_link::<FA>(i);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn activate(&mut self, i: usize, pos: usize) {
-        debug_assert!(self.ws.st.active[i].is_none());
-        let k = self.ws.st.kid_start[i] as usize + pos;
-        let slot = self.ws.st.kid_slot[k]
-            .as_mut()
-            .expect("activating an empty slot");
-        let remaining = slot.remaining;
-        let first = !slot.started;
-        let total = slot.total;
-        slot.started = true;
-        if S::ENABLED {
-            let child = self.ws.st.kid_node[k];
-            self.emit(if first {
-                TraceEvent::TransferStart {
-                    node: i as u32,
-                    child,
-                    work: total,
-                }
-            } else {
-                TraceEvent::TransferResume {
-                    node: i as u32,
-                    child,
-                    remaining,
-                }
-            });
-        }
-        let now = self.ws.agenda.now();
-        let handle = self
-            .ws
-            .agenda
-            .schedule(remaining, Event::TransferDone { node: i });
-        self.ws.st.active[i] = Some(ActiveTransfer {
-            child_pos: pos,
-            started_at: now,
-            remaining_at_start: remaining,
-            handle,
-        });
-    }
-
-    /// Shelves the active transfer (or finishes it inline if it has
-    /// exactly zero work left at this instant).
-    fn preempt<const FA: bool>(&mut self, i: usize) {
-        self.cur.preemptions += 1;
-        self.ws.st.cold[i].preemptions += 1;
-        let a = self.ws.st.active[i].take().expect("preempting idle link");
-        self.ws.agenda.cancel(a.handle);
-        let elapsed = self.ws.agenda.now() - a.started_at;
-        self.ws.st.hot[i].busy_link += elapsed;
-        let remaining = a
-            .remaining_at_start
-            .checked_sub(elapsed)
-            .expect("transfer ran past its completion");
-        let k = self.ws.st.kid_start[i] as usize + a.child_pos;
-        let slot = self.ws.st.kid_slot[k]
-            .as_mut()
-            .expect("active transfer without slot");
-        slot.remaining = remaining;
-        if S::ENABLED {
-            let child = self.ws.st.kid_node[k];
-            self.emit(TraceEvent::TransferPreempt {
-                node: i as u32,
-                child,
-                remaining,
-            });
-        }
-        if remaining == 0 {
-            self.finish_slot::<FA>(i, a.child_pos);
-        }
-    }
-
-    // ----- requests -------------------------------------------------------
-
-    fn issue_requests<const FA: bool>(&mut self, i: usize) {
-        if i == 0 {
-            return;
-        }
-        let now = self.ws.agenda.now();
-        // Decay (extension): reclaim an idle grown buffer after a quiet
-        // window, before covering it with a fresh request.
-        let last_pressure = self.ws.st.cold[i].last_pressure;
-        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
-            if let Some(window) = ledger.decay_after() {
-                if now.saturating_sub(last_pressure) >= window && ledger.try_shrink() {
-                    self.ws.st.cold[i].last_pressure = now;
-                }
-            }
-        }
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
-        let n = ledger.uncovered();
-        if n == 0 {
-            return;
-        }
-        if FA && self.ws.st.faults[i].orphaned {
-            // Retry budget exhausted: presumed-dead parent, stop asking.
-            return;
-        }
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
-        ledger.note_requests_sent(n);
-        self.cur.requests_sent += n as u64;
-        self.emit(TraceEvent::Request {
-            node: i as u32,
-            count: n,
-        });
-        let parent = self.ws.st.parent_of[i].expect("non-root has parent");
-        let pos = self.ws.st.child_pos[i];
-        if FA && self.request_lost(i, parent) {
-            // The batch vanished in the network: still covered here (the
-            // node believes it asked), unknown to the parent. The timeout
-            // withdraws and re-sends it.
-            self.ws.st.faults[i].lost_requests += n;
-            self.cur.fstats.requests_dropped += n as u64;
-            self.emit(TraceEvent::RequestLoss {
-                node: i as u32,
-                count: n,
-            });
-            self.arm_request_timeout(i);
-            return;
-        }
-        // Delivered — requests are instantaneous control messages, so
-        // delivery doubles as the acknowledgement.
-        if FA {
-            self.ws.st.faults[i].retry = 0;
-        }
-        let k = self.ws.st.kid_start[parent] as usize + pos;
-        self.ws.st.kid_pending[k] += n;
-        self.ws.st.pending_sum[parent] += n;
-        if FA && self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
-            // Heard from a child previously presumed dead: revise.
-            self.ws.st.kid_missed[k] = 0;
-            self.cur.fstats.children_revived += 1;
-            self.emit(TraceEvent::ChildRevived {
-                node: parent as u32,
-                child: i as u32,
-            });
-        }
-        self.enqueue(parent);
-    }
-
-    // ----- fault model & recovery (extension) -------------------------------
-
-    /// A scheduled environment fault strikes.
-    #[cold]
-    #[inline(never)]
-    fn on_fault(&mut self, index: usize) {
-        let f = self
-            .cfg
-            .fault_plan
-            .as_ref()
-            .expect("fault without plan")
-            .faults[index];
-        self.cur.fstats.faults_injected += 1;
-        let node = f.node.index();
-        match f.kind {
-            FaultKind::RequestLoss { batches } => {
-                if !self.ws.st.hot[node].departed && !self.ws.st.hot[node].crashed {
-                    self.ws.st.faults[node].drop_batches += batches;
-                }
-            }
-            FaultKind::DuplicateDelivery { copies } => {
-                if !self.ws.st.hot[node].departed && !self.ws.st.hot[node].crashed {
-                    self.ws.st.faults[node].dup_deliveries += copies;
-                }
-            }
-            FaultKind::TransferAbort => self.abort_boundary(node, Nack::Instant),
-            FaultKind::LinkOutage { duration } => self.on_link_outage(node, duration),
-            FaultKind::Crash => self.apply_crash(node),
-        }
-    }
-
-    /// Whether `i`'s uplink is currently inside an outage window.
-    fn link_down(&self, i: usize) -> bool {
-        self.ws.st.faults[i].outage_until > self.ws.agenda.now()
-    }
-
-    /// Whether a completing transfer toward `child` can actually land.
-    fn delivery_blocked(&self, child: usize) -> bool {
-        self.ws.st.hot[child].crashed || self.link_down(child)
-    }
-
-    /// A transfer from `i` toward child position `pos` completed its
-    /// transmission but could not be delivered (receiver crashed or its
-    /// link is dark): the task is lost and the sender notices the missed
-    /// acknowledgement.
-    #[cold]
-    #[inline(never)]
-    fn on_delivery_failed(&mut self, i: usize, pos: usize, child: usize) {
-        self.emit(TraceEvent::TransferAbort {
-            node: i as u32,
-            child: child as u32,
-        });
-        self.cur.fstats.transfer_aborts += 1;
-        self.lose_tasks(1);
-        self.note_missed_ack(i, pos);
-        let c = &self.ws.st.hot[child];
-        if !c.crashed && !c.departed {
-            // Live but unreachable: the covering request is voided when
-            // the link comes back.
-            self.ws.st.faults[child].pending_nacks += 1;
-        }
-    }
-
-    /// Tears down the in-flight transfer (if any) from `child`'s parent
-    /// toward `child`. Parked IC slots are left alone — they fail at
-    /// delivery time if the child is still unreachable then.
-    #[cold]
-    #[inline(never)]
-    fn abort_boundary(&mut self, child: usize, nack: Nack) {
-        if self.ws.st.hot[child].departed {
-            return;
-        }
-        let Some(p) = self.ws.st.parent_of[child] else {
-            return;
-        };
-        if self.ws.st.hot[p].departed || self.ws.st.hot[p].crashed {
-            return;
-        }
-        let pos = self.ws.st.child_pos[child];
-        let now = self.ws.agenda.now();
-        let mut aborted = false;
-        if let Some(s) = &self.ws.st.sending[p] {
-            if s.child_pos == pos {
-                let s = self.ws.st.sending[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += now - s.started_at;
-                self.ws.agenda.cancel(s.handle);
-                aborted = true;
-            }
-        }
-        if let Some(a) = &self.ws.st.active[p] {
-            if a.child_pos == pos {
-                let a = self.ws.st.active[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += now - a.started_at;
-                self.ws.agenda.cancel(a.handle);
-                let k = self.ws.st.kid_start[p] as usize + pos;
-                let t = self.ws.st.kid_slot[k].take();
-                debug_assert!(t.is_some(), "active transfer without slot");
-                self.ws.st.slots_used[p] -= 1;
-                aborted = true;
-            }
-        }
-        if !aborted {
-            return;
-        }
-        self.emit(TraceEvent::TransferAbort {
-            node: p as u32,
-            child: child as u32,
-        });
-        self.cur.fstats.transfer_aborts += 1;
-        self.lose_tasks(1);
-        self.note_missed_ack(p, pos);
-        match nack {
-            Nack::Instant => {
-                // The child sees its inbound transfer reset: the covering
-                // request is void, so it re-requests immediately.
-                self.ws.st.hot[child]
-                    .ledger
-                    .as_mut()
-                    .expect("non-root has ledger")
-                    .uncover(1);
-                self.enqueue(child);
-            }
-            Nack::Deferred => self.ws.st.faults[child].pending_nacks += 1,
-            Nack::None => {}
-        }
-        if matches!(self.cfg.protocol, Protocol::Interruptible) {
-            // Faults are the only path here, so the plan is active.
-            self.reconcile_link::<true>(p);
-        }
-        self.enqueue(p);
-    }
-
-    /// `node`'s uplink goes dark for `duration` timesteps. Overlapping
-    /// outages extend the window to the furthest end.
-    #[cold]
-    #[inline(never)]
-    fn on_link_outage(&mut self, node: usize, duration: u64) {
-        if self.ws.st.hot[node].departed || self.ws.st.hot[node].crashed {
-            return;
-        }
-        let until = self.ws.agenda.now() + duration;
-        if until > self.ws.st.faults[node].outage_until {
-            self.ws.st.faults[node].outage_until = until;
-            self.ws.agenda.schedule(duration, Event::OutageEnd { node });
-        }
-        self.emit(TraceEvent::LinkDown {
-            node: node as u32,
-            until: self.ws.st.faults[node].outage_until,
-        });
-        // Anything mid-flight toward the node is torn down; the nack
-        // cannot cross the dark link until the outage ends.
-        self.abort_boundary(node, Nack::Deferred);
-    }
-
-    /// `node`'s outage window ended: deferred nacks resolve and the node
-    /// re-requests for the newly voided coverage.
-    #[cold]
-    #[inline(never)]
-    fn on_outage_end(&mut self, node: usize) {
-        if self.ws.st.hot[node].departed || self.ws.st.hot[node].crashed {
-            return;
-        }
-        if self.ws.agenda.now() < self.ws.st.faults[node].outage_until {
-            return; // superseded by a longer overlapping outage
-        }
-        let k = self.ws.st.faults[node].pending_nacks;
-        self.ws.st.faults[node].pending_nacks = 0;
-        if k > 0 {
-            self.ws.st.hot[node]
-                .ledger
-                .as_mut()
-                .expect("non-root has ledger")
-                .uncover(k);
-        }
-        self.emit(TraceEvent::LinkUp { node: node as u32 });
-        self.enqueue(node);
-    }
-
-    /// The subtree rooted at `d0` dies abruptly. Unlike a graceful
-    /// [`apply_leave`](Self::apply_leave), nothing is handed back: every
-    /// task the subtree holds is destroyed and enters the repository's
-    /// reissue ledger after the detection latency, and the parent is NOT
-    /// told — it keeps its pending requests and keeps delegating until
-    /// missed acks cross the threshold (locality: no global knowledge).
-    #[cold]
-    #[inline(never)]
-    fn apply_crash(&mut self, d0: usize) {
-        if self.ws.st.hot[d0].departed || self.ws.st.hot[d0].crashed {
-            return;
-        }
-        // The boundary in-flight transfer aborts immediately: the sender's
-        // link observes the reset (one missed ack right away).
-        self.abort_boundary(d0, Nack::None);
-        let mut lost: u64 = 0;
-        let mut stack = vec![d0];
-        while let Some(d) = stack.pop() {
-            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
-                // Already-gone branches hold nothing (reclaimed or lost
-                // when they went); don't descend or count them again.
-                continue;
-            }
-            let r = self.ws.st.krange(d);
-            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
-            self.ws.st.hot[d].crashed = true;
-            let timeout = self.ws.st.faults[d].timeout.take();
-            if self.ws.st.hot[d].computing_since.take().is_some() {
-                lost += 1;
-            }
-            let sending = self.ws.st.sending[d].take();
-            if sending.is_some() {
-                lost += 1;
-            }
-            let active = self.ws.st.active[d].take();
-            lost += self.ws.st.kid_slot[r.clone()]
-                .iter_mut()
-                .filter_map(Option::take)
-                .count() as u64;
-            self.ws.st.slots_used[d] = 0;
-            lost += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.st.pending_sum[d] = 0;
-            if let Some(h) = timeout {
-                self.ws.agenda.cancel(h);
-            }
-            if let Some(s) = sending {
-                self.ws.agenda.cancel(s.handle);
-            }
-            if let Some(a) = active {
-                self.ws.agenda.cancel(a.handle);
-            }
-        }
-        self.emit(TraceEvent::NodeCrash {
-            node: d0 as u32,
-            lost,
-        });
-        self.cur.fstats.crashes += 1;
-        self.cur.fstats.last_crash_time = Some(self.ws.agenda.now());
-        self.lose_tasks(lost);
-    }
-
-    /// `n` tasks were destroyed by a fault: they enter the lost ledger and
-    /// the repository re-injects them after the detection latency.
-    #[cold]
-    #[inline(never)]
-    fn lose_tasks(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.cur.lost_pending += n;
-        self.cur.fstats.tasks_lost += n;
-        self.ws
-            .agenda
-            .schedule(self.cur.recovery.reissue_delay, Event::Reissue { count: n });
-    }
-
-    /// The repository's detection latency elapsed: `count` lost tasks
-    /// re-enter the remaining pool (exactly once — conservation holds).
-    #[cold]
-    #[inline(never)]
-    fn on_reissue(&mut self, count: u64) {
-        debug_assert!(self.cur.lost_pending >= count, "reissue of untracked tasks");
-        self.cur.lost_pending -= count;
-        if matches!(self.cfg.fault, Some(FaultInjection::SwallowReissue)) {
-            // The injected bug: the repository forgets the lost tasks.
-            // Task conservation breaks and the checker must say so.
-            return;
-        }
-        self.cur.remaining += count;
-        self.cur.fstats.tasks_reissued += count;
-        self.emit(TraceEvent::TaskReissue { count });
-        self.enqueue(0);
-    }
-
-    // ----- open-world arrivals (extension) ----------------------------------
-
-    /// The arrival cursor's chained event fired: inject every arrival
-    /// due now, then re-chain for the next instant. Arrivals are rare
-    /// relative to protocol events, so this stays off the inline path.
-    #[cold]
-    #[inline(never)]
-    fn on_arrival(&mut self) {
-        let now = self.ws.agenda.now();
-        loop {
-            let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-            let Some(&a) = ar.schedule.get(ar.state.cursor) else {
-                return; // schedule exhausted; no re-chain
-            };
-            if a.at > now {
-                self.ws.agenda.schedule(a.at - now, Event::Arrival);
-                return;
-            }
-            let idx = ar.state.cursor as u32;
-            ar.state.cursor += 1;
-            ar.state.submitted += a.units;
-            self.emit(TraceEvent::TaskArrival {
-                class: a.class,
-                units: a.units,
-            });
-            self.submit_arrival(a, idx);
-        }
-    }
-
-    /// Admission control for one arrival: admit within the queue bound,
-    /// otherwise shed (`Drop`) or backpressure (`Defer`).
-    fn submit_arrival(&mut self, a: Arrival, idx: u32) {
-        let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-        if self.cur.remaining + a.units <= ar.queue_cap {
-            self.admit_units(a.class, a.units);
-            return;
-        }
-        match ar.policy {
-            AdmissionPolicy::Drop => {
-                ar.state.rejected += a.units;
-                self.cur.finish_target -= a.units;
-                self.emit(TraceEvent::TaskReject {
-                    class: a.class,
-                    units: a.units,
-                });
-                // The shed units may have been the last outstanding work.
-                if self.cur.completed >= self.cur.finish_target {
-                    self.cur.finished = true;
-                }
-            }
-            AdmissionPolicy::Defer => {
-                if let Some(FaultInjection::LeakQueuedTask { every }) = self.cfg.fault {
-                    ar.state.leak_tick += 1;
-                    if ar.state.leak_tick.is_multiple_of(every) {
-                        // The injected bug: the arrival is counted as
-                        // submitted but silently dropped — neither queued,
-                        // admitted, nor rejected. Open-world conservation
-                        // breaks and the checker must say so.
-                        return;
-                    }
-                }
-                ar.state.deferred.push_back(idx);
-                ar.state.deferred_units += a.units;
-                ar.state.deferrals += 1;
-                ar.state.peak_deferred = ar.state.peak_deferred.max(ar.state.deferred_units);
-                let waiting = ar.state.deferred_units;
-                self.emit(TraceEvent::TaskDefer {
-                    class: a.class,
-                    units: a.units,
-                    waiting,
-                });
-            }
-        }
-    }
-
-    /// `units` tasks of `class` enter the repository queue.
-    fn admit_units(&mut self, class: u32, units: u64) {
-        let now = self.ws.agenda.now();
-        self.cur.remaining += units;
-        let queued = self.cur.remaining;
-        let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-        ar.state.admitted += units;
-        ar.state.admitted_per_class[class as usize] += units;
-        for _ in 0..units {
-            ar.state.admit_times.push(now);
-            ar.state.admit_class.push(class);
-        }
-        self.emit(TraceEvent::TaskAdmit {
-            class,
-            units,
-            queued,
-        });
-        self.enqueue(0);
-    }
-
-    /// Re-admits deferred arrivals while the queue bound allows (called
-    /// at each completion in open-world mode — dispatches have already
-    /// freed the room by then).
-    #[cold]
-    #[inline(never)]
-    fn drain_deferred(&mut self) {
-        loop {
-            let ar = self.arrivals.as_deref_mut().expect("AR without runtime");
-            let Some(&idx) = ar.state.deferred.front() else {
-                return;
-            };
-            let a = ar.schedule[idx as usize];
-            if self.cur.remaining + a.units > ar.queue_cap {
-                return;
-            }
-            ar.state.deferred.pop_front();
-            ar.state.deferred_units -= a.units;
-            self.admit_units(a.class, a.units);
-        }
-    }
-
-    /// `i`'s request timeout fired: withdraw any lost requests and re-send
-    /// them, or give up after the retry budget (a later successful
-    /// delivery revives the node).
-    #[cold]
-    #[inline(never)]
-    fn on_request_timeout(&mut self, i: usize) {
-        self.ws.st.faults[i].timeout = None;
-        if self.ws.st.hot[i].departed || self.ws.st.hot[i].crashed {
-            return;
-        }
-        let lost = self.ws.st.faults[i].lost_requests;
-        if lost == 0 {
-            // Everything sent since arming was acknowledged.
-            self.ws.st.faults[i].retry = 0;
-            return;
-        }
-        self.ws.st.faults[i].retry += 1;
-        let retry = self.ws.st.faults[i].retry;
-        self.ws.st.faults[i].lost_requests = 0;
-        self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger")
-            .uncover(lost);
-        if retry > self.cur.recovery.max_retries {
-            self.ws.st.faults[i].orphaned = true;
-            self.cur.fstats.gave_up += 1;
-            return;
-        }
-        self.cur.fstats.retries += 1;
-        self.emit(TraceEvent::RequestRetry {
-            node: i as u32,
-            retry,
-            count: lost,
-        });
-        self.enqueue(i);
-    }
-
-    /// Arms `i`'s request timeout (one outstanding at a time) with
-    /// exponential backoff and deterministic seeded jitter.
-    #[cold]
-    #[inline(never)]
-    fn arm_request_timeout(&mut self, i: usize) {
-        if self.ws.st.faults[i].timeout.is_some() {
-            return;
-        }
-        let retry = self.ws.st.faults[i].retry;
-        let base = self.cur.recovery.request_timeout;
-        let shift = retry.min(self.cur.recovery.backoff_cap).min(32);
-        let jitter =
-            split_seed(self.cur.fault_seed, ((i as u64) << 32) | retry as u64) % (base / 4 + 1);
-        let deadline = base.saturating_mul(1u64 << shift).saturating_add(jitter);
-        let handle = self
-            .ws
-            .agenda
-            .schedule(deadline, Event::RequestTimeout { node: i });
-        self.ws.st.faults[i].timeout = Some(handle);
-    }
-
-    /// A transfer from `i` toward child position `pos` went unacknowledged;
-    /// at the threshold the child is presumed dead.
-    #[cold]
-    #[inline(never)]
-    fn note_missed_ack(&mut self, i: usize, pos: usize) {
-        let k = self.ws.st.kid_start[i] as usize + pos;
-        if self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
-            return;
-        }
-        self.ws.st.kid_missed[k] += 1;
-        if self.ws.st.kid_missed[k] >= self.cur.dead_threshold {
-            self.declare_dead(i, pos);
-        }
-    }
-
-    /// `i` declares child position `pos` dead: its outstanding requests are
-    /// discarded and it stops being a delegation candidate until it is
-    /// heard from again. The belief may be wrong (outage, not crash) — a
-    /// live child must not starve on requests the parent silently dropped,
-    /// so it is nacked like an aborted transfer.
-    #[cold]
-    #[inline(never)]
-    fn declare_dead(&mut self, i: usize, pos: usize) {
-        let k = self.ws.st.kid_start[i] as usize + pos;
-        let child = self.ws.st.kid_node[k] as usize;
-        self.cur.fstats.children_declared_dead += 1;
-        self.emit(TraceEvent::ChildDead {
-            node: i as u32,
-            child: child as u32,
-        });
-        let denied = self.ws.st.kid_pending[k];
-        if denied == 0 {
-            return;
-        }
-        self.ws.st.kid_pending[k] = 0;
-        self.ws.st.pending_sum[i] -= denied;
-        self.emit(TraceEvent::RequestDeny {
-            node: i as u32,
-            child: child as u32,
-            count: denied,
-        });
-        if self.ws.st.hot[child].crashed || self.ws.st.hot[child].departed {
-            return;
-        }
-        if self.link_down(child) {
-            self.ws.st.faults[child].pending_nacks += denied;
-        } else {
-            self.ws.st.hot[child]
-                .ledger
-                .as_mut()
-                .expect("non-root has ledger")
-                .uncover(denied);
-            self.enqueue(child);
-        }
-    }
-
-    /// Whether the request batch `i` is sending right now gets lost
-    /// (scheduled drop, dark uplink, or dead parent).
-    #[cold]
-    #[inline(never)]
-    fn request_lost(&mut self, i: usize, parent: usize) -> bool {
-        if self.ws.st.faults[i].drop_batches > 0 {
-            self.ws.st.faults[i].drop_batches -= 1;
-            return true;
-        }
-        self.link_down(i) || self.ws.st.hot[parent].crashed
     }
 
     // ----- introspection (for tests) ---------------------------------------
