@@ -32,6 +32,9 @@
 //!   preempt; IC nodes never use the single-send path; an active
 //!   transfer always transmits an occupied slot of a live child and its
 //!   completion event is pending in the agenda.
+//! * **Row caches** — every cache the hot path reads instead of
+//!   re-deriving (`pending_sum`, `slots_used`, and per child `kid_comm`,
+//!   `kid_compute`, `kid_gone`) equals what it caches.
 //! * **Work conservation** — after a service cascade no resource idles
 //!   with work available: a node holding a buffered task is computing,
 //!   and an IC node with occupied slots is transmitting.

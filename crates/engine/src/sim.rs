@@ -55,6 +55,17 @@
 //! back from [`Simulation::run_reusing`], so after the first few runs
 //! warm the capacities, subsequent runs perform **no steady-state heap
 //! allocation at all** (verified by the `alloc_free` integration test).
+//! Everything in the workspace but the agenda and the between-steps
+//! scratch is one cloneable `RunState`, so a snapshot captures it with a
+//! clone and a restore assigns the clone back.
+//!
+//! ## Layout
+//!
+//! This file holds the types, [`Simulation`], the step loop, event
+//! dispatch and the result. The service cascade is in `sim/service.rs`,
+//! faults and recovery in `sim/faults.rs`, open-world admission in
+//! `sim/admission.rs`, and joins, leaves and scripted weight changes in
+//! `sim/topology.rs`.
 
 use crate::arrivals::{AdmissionPolicy, Arrival};
 use crate::config::{
@@ -184,6 +195,12 @@ pub(crate) struct HotNode {
 }
 
 impl HotNode {
+    /// The buffer ledger of a non-root node.
+    #[inline(always)]
+    pub(crate) fn ledger_mut(&mut self) -> &mut BufferLedger {
+        self.ledger.as_mut().expect("non-root has ledger")
+    }
+
     fn fresh(index: usize, cfg: &SimConfig) -> HotNode {
         HotNode {
             ledger: (index != 0).then(|| BufferLedger::new(effective_buffers(cfg))),
@@ -592,6 +609,39 @@ impl RunState {
         self.faults.push(FaultRt::default());
     }
 
+    /// The nodes of `d0`'s subtree that are still present, in walk
+    /// order. A departed or crashed branch is skipped whole: it gave up
+    /// its holdings when it went, and its subtree went with it.
+    fn live_subtree(&self, d0: usize) -> Vec<usize> {
+        let (mut live, mut stack) = (Vec::new(), vec![d0]);
+        while let Some(d) = stack.pop() {
+            if !self.hot[d].departed && !self.hot[d].crashed {
+                live.push(d);
+                stack.extend(self.kid_node[self.krange(d)].iter().map(|&c| c as usize));
+            }
+        }
+        live
+    }
+
+    /// Empties node `d` for a leave or a crash: takes every task it holds
+    /// (computing, sending, parked in its IC slots, buffered) and clears
+    /// its children's pending requests. Returns the task count and the
+    /// taken in-flight records, whose events the caller cancels or lets
+    /// go stale.
+    fn take_holdings(&mut self, d: usize) -> (u64, Option<Sending>, Option<ActiveTransfer>) {
+        let r = self.krange(d);
+        let sending = self.sending[d].take();
+        let slots = self.kid_slot[r.clone()].iter_mut().filter_map(Option::take);
+        let held = slots.count() as u64
+            + u64::from(sending.is_some())
+            + u64::from(self.hot[d].computing_since.take().is_some())
+            + self.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
+        self.slots_used[d] = 0;
+        self.kid_pending[r].iter_mut().for_each(|q| *q = 0);
+        self.pending_sum[d] = 0;
+        (held, sending, self.active[d].take())
+    }
+
     /// A weight change (`CommTime` or `ComputeTime`): edits `tree` and
     /// refreshes the parent row's cached copy of the weight. In-flight
     /// work keeps its old duration. Returns the node's parent, whose
@@ -629,7 +679,7 @@ impl RunState {
 /// The progress cursors of a [`Simulation`]: every piece of run state
 /// that is not the tree, the configuration, a workspace container, or
 /// the arrival runtime. A [`SimSnapshot`] stores a clone of it.
-#[derive(Clone)]
+#[derive(Clone, Default)]
 pub(crate) struct Progress {
     /// Tasks the root has not yet dispensed (to itself or a child). In
     /// open-world mode this is the *admitted* queue — the quantity the
@@ -714,6 +764,12 @@ impl Simulation {
     pub fn with_workspace(tree: Tree, cfg: SimConfig, ws: SimWorkspace) -> Self {
         Simulation::traced(tree, cfg, ws, NullSink)
     }
+
+    /// Rebuilds the captured run from `snap` with a fresh workspace and
+    /// no tracing — the plain continuation.
+    pub fn from_snapshot(snap: &SimSnapshot) -> Simulation {
+        Simulation::from_snapshot_traced(snap, SimWorkspace::new(), NullSink)
+    }
 }
 
 /// Calls `$sim.$method::<FA, IC, AR>()` with the const parameters that
@@ -788,25 +844,12 @@ impl<S: TraceSink> Simulation<S> {
             sink,
             cur: Progress {
                 remaining,
-                completed: 0,
                 finish_target,
-                next_checkpoint: 0,
-                next_change: 0,
-                events_processed: 0,
-                preemptions: 0,
-                transfers_started: 0,
-                requests_sent: 0,
-                started: false,
-                finished: false,
-                check_last_now: 0,
-                events_since_sweep: 0,
-                faulty_deliveries: 0,
                 fault_active,
                 recovery,
                 fault_seed,
                 dead_threshold,
-                lost_pending: 0,
-                fstats: FaultStats::default(),
+                ..Progress::default()
             },
             time_travel,
             arrivals,
@@ -926,32 +969,20 @@ impl<S: TraceSink> Simulation<S> {
         let completion_times = std::mem::take(&mut self.ws.st.completion_times);
         let checkpoint_records = std::mem::take(&mut self.ws.st.checkpoint_records);
         let end_time = completion_times.last().copied().unwrap_or(0);
+        let hot = &self.ws.st.hot;
+        let per_ledger = |stat: fn(&BufferLedger) -> u32| -> Vec<u32> {
+            hot.iter()
+                .map(|n| n.ledger.as_ref().map_or(0, stat))
+                .collect()
+        };
         let result = RunResult {
             end_time,
-            tasks_per_node: self.ws.st.hot.iter().map(|n| n.tasks_computed).collect(),
-            max_buffers_per_node: self
-                .ws
-                .st
-                .hot
-                .iter()
-                .map(|n| n.ledger.as_ref().map_or(0, |l| l.max_capacity()))
-                .collect(),
-            final_buffers_per_node: self
-                .ws
-                .st
-                .hot
-                .iter()
-                .map(|n| n.ledger.as_ref().map_or(0, |l| l.capacity()))
-                .collect(),
-            peak_held_per_node: self
-                .ws
-                .st
-                .hot
-                .iter()
-                .map(|n| n.ledger.as_ref().map_or(0, |l| l.peak_held()))
-                .collect(),
-            busy_compute_per_node: self.ws.st.hot.iter().map(|n| n.busy_compute).collect(),
-            busy_link_per_node: self.ws.st.hot.iter().map(|n| n.busy_link).collect(),
+            tasks_per_node: hot.iter().map(|n| n.tasks_computed).collect(),
+            max_buffers_per_node: per_ledger(BufferLedger::max_capacity),
+            final_buffers_per_node: per_ledger(BufferLedger::capacity),
+            peak_held_per_node: per_ledger(BufferLedger::peak_held),
+            busy_compute_per_node: hot.iter().map(|n| n.busy_compute).collect(),
+            busy_link_per_node: hot.iter().map(|n| n.busy_link).collect(),
             preemptions_per_node: self.ws.st.cold.iter().map(|c| c.preemptions).collect(),
             checkpoint_max_buffers: checkpoint_records,
             events_processed: self.cur.events_processed,
@@ -1030,12 +1061,7 @@ impl<S: TraceSink> Simulation<S> {
             return;
         }
         // §3.1 growth rule 3: computation completed with all buffers empty.
-        let now = self.ws.agenda.now();
-        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
-            if ledger.try_grow(GrowthEvent::ComputeCompleted, true) {
-                self.ws.st.cold[i].last_pressure = now;
-            }
-        }
+        self.try_grow(i, GrowthEvent::ComputeCompleted, true);
         self.enqueue(i);
     }
 
@@ -1066,11 +1092,7 @@ impl<S: TraceSink> Simulation<S> {
         // §3.1 growth rule 2: send completed, buffers empty, child request
         // outstanding.
         let pressure = self.has_child_requests(i);
-        if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
-            if ledger.try_grow(GrowthEvent::SendCompleted, pressure) {
-                self.ws.st.cold[i].last_pressure = now;
-            }
-        }
+        self.try_grow(i, GrowthEvent::SendCompleted, pressure);
         self.enqueue(i);
     }
 
@@ -1088,14 +1110,21 @@ impl<S: TraceSink> Simulation<S> {
         self.finish_slot::<FA>(i, a.child_pos);
         // Growth rule 2 applies to completed communications in general.
         let pressure = self.has_child_requests(i);
+        self.try_grow(i, GrowthEvent::SendCompleted, pressure);
+        self.reconcile_link::<FA>(i);
+        self.enqueue(i);
+    }
+
+    /// A §3.1 growth event at node `i`: the ledger grows if its policy
+    /// allows, and a growth stamps the pressure time that decay waits out.
+    #[inline(always)]
+    fn try_grow(&mut self, i: usize, event: GrowthEvent, pressure: bool) {
         let now = self.ws.agenda.now();
         if let Some(ledger) = &mut self.ws.st.hot[i].ledger {
-            if ledger.try_grow(GrowthEvent::SendCompleted, pressure) {
+            if ledger.try_grow(event, pressure) {
                 self.ws.st.cold[i].last_pressure = now;
             }
         }
-        self.reconcile_link::<FA>(i);
-        self.enqueue(i);
     }
 
     /// Completes the (already inactive) transfer in `child_pos`'s slot:
@@ -1133,10 +1162,7 @@ impl<S: TraceSink> Simulation<S> {
             self.ws.st.faults[child].orphaned = false;
             self.ws.st.faults[child].retry = 0;
         }
-        let ledger = self.ws.st.hot[child]
-            .ledger
-            .as_mut()
-            .expect("delivery to the root");
+        let ledger = self.ws.st.hot[child].ledger_mut();
         ledger.task_arrived();
         if S::ENABLED {
             let (held, capacity) = (ledger.held(), ledger.capacity());
@@ -1146,10 +1172,7 @@ impl<S: TraceSink> Simulation<S> {
                 capacity,
             });
         }
-        let ledger = self.ws.st.hot[child]
-            .ledger
-            .as_mut()
-            .expect("delivery to the root");
+        let ledger = self.ws.st.hot[child].ledger_mut();
         if let Some(FaultInjection::LeakTask { every }) = self.cfg.fault {
             self.cur.faulty_deliveries += 1;
             if self.cur.faulty_deliveries.is_multiple_of(every) {
@@ -1167,6 +1190,26 @@ impl<S: TraceSink> Simulation<S> {
             self.emit(TraceEvent::DuplicateDrop { node: child as u32 });
         }
         self.enqueue(child);
+    }
+
+    /// Stops `p`'s transmission toward child position `pos`, if one is
+    /// in flight: books its busy time and cancels its completion event.
+    /// Returns whether a non-IC send and whether an IC active transfer
+    /// stopped.
+    fn stop_transfer_to(&mut self, p: usize, pos: usize) -> (bool, bool) {
+        let now = self.ws.agenda.now();
+        let st = &mut self.ws.st;
+        let sent = st.sending[p].take_if(|s| s.child_pos == pos);
+        let active = st.active[p].take_if(|a| a.child_pos == pos);
+        let stopped = [
+            sent.as_ref().map(|s| (s.started_at, s.handle)),
+            active.as_ref().map(|a| (a.started_at, a.handle)),
+        ];
+        for (started_at, handle) in stopped.into_iter().flatten() {
+            st.hot[p].busy_link += now - started_at;
+            self.ws.agenda.cancel(handle);
+        }
+        (sent.is_some(), active.is_some())
     }
 
     fn record_completion<const AR: bool>(&mut self) {
@@ -1325,13 +1368,5 @@ impl<S: TraceSink> Simulation<S> {
             }
         }
         mono!(self, drain)
-    }
-}
-
-impl Simulation {
-    /// Rebuilds the captured run from `snap` with a fresh workspace and
-    /// no tracing — the plain continuation.
-    pub fn from_snapshot(snap: &SimSnapshot) -> Simulation {
-        Simulation::from_snapshot_traced(snap, SimWorkspace::new(), NullSink)
     }
 }

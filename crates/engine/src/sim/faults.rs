@@ -97,29 +97,14 @@ impl<S: TraceSink> Simulation<S> {
             return;
         }
         let pos = self.ws.st.child_pos[child];
-        let now = self.ws.agenda.now();
-        let mut aborted = false;
-        if let Some(s) = &self.ws.st.sending[p] {
-            if s.child_pos == pos {
-                let s = self.ws.st.sending[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += now - s.started_at;
-                self.ws.agenda.cancel(s.handle);
-                aborted = true;
-            }
+        let (sent, active) = self.stop_transfer_to(p, pos);
+        if active {
+            let k = self.ws.st.kid_start[p] as usize + pos;
+            let t = self.ws.st.kid_slot[k].take();
+            debug_assert!(t.is_some(), "active transfer without slot");
+            self.ws.st.slots_used[p] -= 1;
         }
-        if let Some(a) = &self.ws.st.active[p] {
-            if a.child_pos == pos {
-                let a = self.ws.st.active[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += now - a.started_at;
-                self.ws.agenda.cancel(a.handle);
-                let k = self.ws.st.kid_start[p] as usize + pos;
-                let t = self.ws.st.kid_slot[k].take();
-                debug_assert!(t.is_some(), "active transfer without slot");
-                self.ws.st.slots_used[p] -= 1;
-                aborted = true;
-            }
-        }
-        if !aborted {
+        if !sent && !active {
             return;
         }
         self.emit(TraceEvent::TransferAbort {
@@ -133,11 +118,7 @@ impl<S: TraceSink> Simulation<S> {
             Nack::Instant => {
                 // The child sees its inbound transfer reset: the covering
                 // request is void, so it re-requests immediately.
-                self.ws.st.hot[child]
-                    .ledger
-                    .as_mut()
-                    .expect("non-root has ledger")
-                    .uncover(1);
+                self.ws.st.hot[child].ledger_mut().uncover(1);
                 self.enqueue(child);
             }
             Nack::Deferred => self.ws.st.faults[child].pending_nacks += 1,
@@ -186,11 +167,7 @@ impl<S: TraceSink> Simulation<S> {
         let k = self.ws.st.faults[node].pending_nacks;
         self.ws.st.faults[node].pending_nacks = 0;
         if k > 0 {
-            self.ws.st.hot[node]
-                .ledger
-                .as_mut()
-                .expect("non-root has ledger")
-                .uncover(k);
+            self.ws.st.hot[node].ledger_mut().uncover(k);
         }
         self.emit(TraceEvent::LinkUp { node: node as u32 });
         self.enqueue(node);
@@ -212,41 +189,14 @@ impl<S: TraceSink> Simulation<S> {
         // link observes the reset (one missed ack right away).
         self.abort_boundary(d0, Nack::None);
         let mut lost: u64 = 0;
-        let mut stack = vec![d0];
-        while let Some(d) = stack.pop() {
-            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
-                // Already-gone branches hold nothing (reclaimed or lost
-                // when they went); don't descend or count them again.
-                continue;
-            }
-            let r = self.ws.st.krange(d);
-            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
+        for d in self.ws.st.live_subtree(d0) {
             self.ws.st.hot[d].crashed = true;
             let timeout = self.ws.st.faults[d].timeout.take();
-            if self.ws.st.hot[d].computing_since.take().is_some() {
-                lost += 1;
-            }
-            let sending = self.ws.st.sending[d].take();
-            if sending.is_some() {
-                lost += 1;
-            }
-            let active = self.ws.st.active[d].take();
-            lost += self.ws.st.kid_slot[r.clone()]
-                .iter_mut()
-                .filter_map(Option::take)
-                .count() as u64;
-            self.ws.st.slots_used[d] = 0;
-            lost += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.st.pending_sum[d] = 0;
-            if let Some(h) = timeout {
+            let (held, sending, active) = self.ws.st.take_holdings(d);
+            lost += held;
+            let handles = [timeout, sending.map(|s| s.handle), active.map(|a| a.handle)];
+            for h in handles.into_iter().flatten() {
                 self.ws.agenda.cancel(h);
-            }
-            if let Some(s) = sending {
-                self.ws.agenda.cancel(s.handle);
-            }
-            if let Some(a) = active {
-                self.ws.agenda.cancel(a.handle);
             }
         }
         self.emit(TraceEvent::NodeCrash {
@@ -310,11 +260,7 @@ impl<S: TraceSink> Simulation<S> {
         self.ws.st.faults[i].retry += 1;
         let retry = self.ws.st.faults[i].retry;
         self.ws.st.faults[i].lost_requests = 0;
-        self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger")
-            .uncover(lost);
+        self.ws.st.hot[i].ledger_mut().uncover(lost);
         if retry > self.cur.recovery.max_retries {
             self.ws.st.faults[i].orphaned = true;
             self.cur.fstats.gave_up += 1;
@@ -397,11 +343,7 @@ impl<S: TraceSink> Simulation<S> {
         if self.link_down(child) {
             self.ws.st.faults[child].pending_nacks += denied;
         } else {
-            self.ws.st.hot[child]
-                .ledger
-                .as_mut()
-                .expect("non-root has ledger")
-                .uncover(denied);
+            self.ws.st.hot[child].ledger_mut().uncover(denied);
             self.enqueue(child);
         }
     }

@@ -71,10 +71,7 @@ impl<S: TraceSink> Simulation<S> {
         }
         let pressure = self.has_child_requests(i);
         let now = self.ws.agenda.now();
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i].ledger_mut();
         if ledger.held() == 0 {
             return false;
         }
@@ -371,10 +368,7 @@ impl<S: TraceSink> Simulation<S> {
                 }
             }
         }
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i].ledger_mut();
         let n = ledger.uncovered();
         if n == 0 {
             return;
@@ -383,10 +377,7 @@ impl<S: TraceSink> Simulation<S> {
             // Retry budget exhausted: presumed-dead parent, stop asking.
             return;
         }
-        let ledger = self.ws.st.hot[i]
-            .ledger
-            .as_mut()
-            .expect("non-root has ledger");
+        let ledger = self.ws.st.hot[i].ledger_mut();
         ledger.note_requests_sent(n);
         self.cur.requests_sent += n as u64;
         self.emit(TraceEvent::Request {

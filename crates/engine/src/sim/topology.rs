@@ -84,21 +84,8 @@ impl<S: TraceSink> Simulation<S> {
                 count: denied,
             });
         }
-        if let Some(sending) = &self.ws.st.sending[p] {
-            if sending.child_pos == pos {
-                let s = self.ws.st.sending[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - s.started_at;
-                self.ws.agenda.cancel(s.handle);
-                reclaimed += 1;
-            }
-        }
-        if let Some(active) = &self.ws.st.active[p] {
-            if active.child_pos == pos {
-                let a = self.ws.st.active[p].take().expect("checked above");
-                self.ws.st.hot[p].busy_link += self.ws.agenda.now() - a.started_at;
-                self.ws.agenda.cancel(a.handle);
-            }
-        }
+        let (sent, _) = self.stop_transfer_to(p, pos);
+        reclaimed += u64::from(sent);
         if self.ws.st.kid_slot[kp].take().is_some() {
             self.ws.st.slots_used[p] -= 1;
             reclaimed += 1;
@@ -108,31 +95,11 @@ impl<S: TraceSink> Simulation<S> {
         // branch that departed earlier was already reclaimed then (its
         // ledger still reports its old holdings) and must not be counted
         // again; its whole subtree is departed, so don't descend either.
-        let mut stack = vec![d0];
-        while let Some(d) = stack.pop() {
-            if self.ws.st.hot[d].departed || self.ws.st.hot[d].crashed {
-                // A crashed branch's holdings are in the lost ledger, not
-                // reclaimable; its whole subtree is crashed too.
-                continue;
-            }
-            let r = self.ws.st.krange(d);
-            stack.extend(self.ws.st.kid_node[r.clone()].iter().map(|&c| c as usize));
+        for d in self.ws.st.live_subtree(d0) {
+            // The departed node's pending ComputeDone / SendDone events
+            // are ignored when they fire.
+            reclaimed += self.ws.st.take_holdings(d).0;
             self.ws.st.hot[d].departed = true;
-            if self.ws.st.hot[d].computing_since.take().is_some() {
-                reclaimed += 1; // its ComputeDone event will be ignored
-            }
-            if self.ws.st.sending[d].take().is_some() {
-                reclaimed += 1; // SendDone ignored; task vanishes with d
-            }
-            self.ws.st.active[d] = None;
-            reclaimed += self.ws.st.kid_slot[r.clone()]
-                .iter_mut()
-                .filter_map(Option::take)
-                .count() as u64;
-            self.ws.st.slots_used[d] = 0;
-            reclaimed += self.ws.st.hot[d].ledger.as_ref().map_or(0, |l| l.held()) as u64;
-            self.ws.st.kid_pending[r].iter_mut().for_each(|q| *q = 0);
-            self.ws.st.pending_sum[d] = 0;
             // Mirror the departure into the parent's candidate filter.
             if let Some(pp) = self.ws.st.parent_of[d] {
                 let k = self.ws.st.kid_start[pp] as usize + self.ws.st.child_pos[d];

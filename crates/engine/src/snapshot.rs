@@ -24,9 +24,10 @@
 //!   suffix leading up to the violation (`BC_SNAPSHOT_DIR` or the
 //!   system temp dir).
 //!
-//! The progress cursors and the arrival state are the simulation's own
-//! `Progress` and `ArrivalState` structs, cloned on capture and on
-//! restore; the workspace arenas are copied into a `WorkspaceSnapshot`.
+//! The workspace arenas, the progress cursors and the arrival state are
+//! the simulation's own `RunState`, `Progress` and `ArrivalState`
+//! structs, cloned on capture and on restore; only the agenda has a
+//! snapshot form of its own.
 //!
 //! Snapshots also serialize to a compact versioned binary format
 //! ([`SimSnapshot::to_bytes`] / [`SimSnapshot::from_bytes`]): magic
