@@ -19,7 +19,7 @@
 //! Discrete time makes "Poisson" precise as its discrete analog: a
 //! Bernoulli process whose geometric inter-arrival gaps have the
 //! requested mean. Gaps are sampled by exact inversion in Q32
-//! fixed-point (see [`geometric_gap`]), which is why no float ever
+//! fixed-point (see `geometric_gap`), which is why no float ever
 //! enters the schedule.
 
 use bc_simcore::split_seed;

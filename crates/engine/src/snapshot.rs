@@ -708,8 +708,6 @@ wire_enum!(AdmissionPolicy, "admission policy tag out of range" {
 
 // ----- workspace --------------------------------------------------------------
 
-// Per-node arrays take their length from `hot`, per-edge arrays from
-// `kid_node`; neither carries a prefix of its own.
 wire_struct!(WorkspaceSnapshot { agenda, st });
 
 // Per-node arrays take their length from `hot`, per-edge arrays from

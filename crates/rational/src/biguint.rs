@@ -372,7 +372,7 @@ impl BigUint {
     ///
     /// Each operand's limbs are cloned once; every step then subtracts
     /// and shifts in place, so the loop allocates nothing. Once both
-    /// operands fit in two limbs the word-level [`gcd_u128`] finishes.
+    /// operands fit in two limbs the word-level `gcd_u128` finishes.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
         if self.is_zero() {
             return other.clone();

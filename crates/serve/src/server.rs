@@ -55,7 +55,7 @@ impl TraceSink for StreamSink {
         }
     }
 
-    /// The newest undrained records (at most [`RETAINED_TAIL`]).
+    /// The newest undrained records (at most `RETAINED_TAIL`).
     fn retained(&self, out: &mut Vec<TraceRecord>) {
         let from = self.records.len().saturating_sub(RETAINED_TAIL);
         out.extend_from_slice(&self.records[from..]);
