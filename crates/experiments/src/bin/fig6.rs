@@ -17,12 +17,6 @@ fn main() {
     let fig = fig6::run(&campaign);
     let text = fig6::render(&fig, 25, 4);
     println!("{text}");
-    let (all_s, all_d) = fig6::means(&fig.all);
-    let (ns, nd) = fig6::means(&fig.nonic_used);
-    let (is_, id) = fig6::means(&fig.ic_used);
-    println!(
-        "\nmeans — all: {all_s:.1} nodes / depth {all_d:.1}; \
-         used non-IC: {ns:.1} / {nd:.1}; used IC FB=3: {is_:.1} / {id:.1}"
-    );
+    print!("\n{}", fig6::summary(&fig));
     write_artifact(&cli, "fig6.txt", &text);
 }

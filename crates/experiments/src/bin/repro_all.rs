@@ -1,10 +1,17 @@
 //! Regenerates every table and figure in one run (laptop-sized defaults;
 //! pass --full for paper scale — expect a long run on one core).
+//!
+//! `--doc PATH` also rewrites every `<!-- gen:NAME --> … <!-- /gen -->`
+//! block of the Markdown file PATH with section NAME's rendered text
+//! (see `bc_experiments::doc_blocks`). EXPERIMENTS.md's measured numbers
+//! are those blocks, regenerated with `--trees 300 --doc EXPERIMENTS.md`.
 
+use bc_core::GrowthGate;
 use bc_experiments::campaign::CampaignConfig;
 use bc_experiments::cli::{parse, write_artifact, Defaults};
 use bc_experiments::{
-    elasticity, fig3, fig4, fig5, fig6, fig7, overlay, startup, table1, table2, utilization,
+    doc_blocks, elasticity, fig3, fig4, fig5, fig6, fig7, overlay, startup, table1, table2,
+    utilization,
 };
 use std::time::Instant;
 
@@ -18,29 +25,40 @@ fn main() {
         },
     );
     let t0 = Instant::now();
+    let mut sections: Vec<(&str, String)> = Vec::new();
     let mut all = String::new();
-    let mut section = |title: &str, body: String| {
+    let mut section = |name: &'static str, title: &str, body: String| {
         println!("\n=== {title} ===\n{body}");
         all.push_str(&format!("\n=== {title} ===\n{body}\n"));
+        sections.push((name, body));
     };
 
     let c_fig3 = CampaignConfig::paper(cli.trees.min(200), 2_000, cli.seed);
-    section("Figure 3", fig3::render(&fig3::run(&c_fig3), 200));
+    section("fig3", "Figure 3", fig3::render(&fig3::run(&c_fig3), 200));
 
     let c_main = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    section("Figure 4", fig4::render(&fig4::run(&c_main)));
+    section("fig4", "Figure 4", fig4::render(&fig4::run(&c_main)));
 
     let c_classes = CampaignConfig::paper(cli.trees.min(200), 4_000, cli.seed);
-    section("Figure 5", fig5::render(&fig5::run(&c_classes)));
+    section("fig5", "Figure 5", fig5::render(&fig5::run(&c_classes)));
 
     let c_fig6 = CampaignConfig::paper(cli.trees.min(300), cli.tasks, cli.seed);
-    section("Figure 6", fig6::render(&fig6::run(&c_fig6), 25, 4));
+    let fig = fig6::run(&c_fig6);
+    section(
+        "fig6",
+        "Figure 6",
+        fig6::render(&fig, 25, 4) + "\n" + &fig6::summary(&fig),
+    );
 
-    section("Figure 7", fig7::render(&fig7::run(1_000, 200)));
+    section("fig7", "Figure 7", fig7::render(&fig7::run(1_000, 200)));
 
-    section("Table 1", table1::render(&table1::run(&c_main)));
+    section("table1", "Table 1", table1::render(&table1::run(&c_main)));
 
-    section("Table 2", table2::render(&table2::run(&c_classes)));
+    section(
+        "table2",
+        "Table 2",
+        table2::render(&table2::run(&c_classes)),
+    );
 
     let overlay_cfg = overlay::OverlayConfig {
         graphs: cli.trees.min(50),
@@ -48,14 +66,22 @@ fn main() {
         ..overlay::OverlayConfig::default()
     };
     section(
+        "overlay",
         "Overlay extension",
         overlay::render(&overlay::run(&overlay_cfg)),
     );
 
     let c_startup = CampaignConfig::paper(cli.trees.min(60), 4_000, cli.seed);
     section(
+        "startup",
         "Startup-time extension",
         startup::render(&startup::run(&c_startup)),
+    );
+
+    section(
+        "table2_filled",
+        "Table 2, growth gate AfterPoolFilled",
+        table2::render(&table2::run_gated(&c_startup, GrowthGate::AfterPoolFilled)),
     );
 
     let util_cfg = utilization::UtilizationConfig {
@@ -64,6 +90,7 @@ fn main() {
         ..utilization::UtilizationConfig::default()
     };
     section(
+        "utilization",
         "Per-node rate validation",
         utilization::render(&utilization::run(&util_cfg)),
     );
@@ -74,10 +101,24 @@ fn main() {
         ..elasticity::ElasticityConfig::default()
     };
     section(
+        "elasticity",
         "Elasticity extension",
         elasticity::render(&elasticity::run(&elastic_cfg)),
     );
 
     println!("\ntotal: {:.1?}", t0.elapsed());
     write_artifact(&cli, "repro_all.txt", &all);
+    if let Some(path) = &cli.doc {
+        let doc = std::fs::read_to_string(path).expect("read --doc file");
+        match doc_blocks::fill(&doc, &sections) {
+            Ok(filled) => {
+                std::fs::write(path, filled).expect("write --doc file");
+                eprintln!("rewrote the generated blocks of {}", path.display());
+            }
+            Err(e) => {
+                eprintln!("error: {}: {e}", path.display());
+                std::process::exit(1);
+            }
+        }
+    }
 }

@@ -3,7 +3,8 @@
 //! Flags: `--trees N`, `--tasks N`, `--seed N`, `--full` (paper-scale
 //! campaign), `--threads N` (campaign worker threads), `--shard-size N`
 //! (trees per streaming shard), `--out DIR` (also write CSV artifacts
-//! there).
+//! there), `--doc PATH` (`repro_all`: rewrite the document's generated
+//! blocks).
 //!
 //! Binaries call [`parse`], which on a bad command line prints a
 //! one-line error plus usage to **stderr** and exits with code 2 (the
@@ -36,6 +37,9 @@ pub struct Cli {
     pub shard_size: usize,
     /// Directory for CSV artifacts.
     pub out: Option<PathBuf>,
+    /// Markdown document whose generated blocks `repro_all` rewrites
+    /// (see [`crate::doc_blocks`]).
+    pub doc: Option<PathBuf>,
     /// Durable-checkpoint directory for resumable streaming campaigns
     /// (None = no checkpointing; the fault-free hot path is untouched).
     pub checkpoint_dir: Option<PathBuf>,
@@ -68,7 +72,7 @@ pub enum CliError {
 fn usage_line(defaults: Defaults) -> String {
     format!(
         "flags: --trees N --tasks N --seed N --full --gate every|arrival|filled --threads N \
-         --shard-size N --out DIR \
+         --shard-size N --out DIR --doc PATH \
          --checkpoint-dir DIR --checkpoint-every N --resume\n\
          defaults: trees={} (full: {}), tasks={}, seed=2003, shard-size=512, \
          checkpoint-every=8",
@@ -93,6 +97,7 @@ pub fn try_parse(
         threads: None,
         shard_size: 512,
         out: None,
+        doc: None,
         checkpoint_dir: None,
         checkpoint_every: 8,
         resume: false,
@@ -143,6 +148,7 @@ pub fn try_parse(
                 cli.shard_size = n;
             }
             "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
+            "--doc" => cli.doc = Some(PathBuf::from(value("--doc")?)),
             "--checkpoint-dir" => {
                 cli.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?))
             }
@@ -224,6 +230,9 @@ mod tests {
         assert_eq!(cli.seed, 2003);
         assert!(!cli.full);
         assert!(cli.out.is_none());
+        assert!(cli.doc.is_none());
+        let cli = try_parse(args(&["--doc", "EXPERIMENTS.md"]), D).unwrap();
+        assert_eq!(cli.doc.as_deref(), Some(Path::new("EXPERIMENTS.md")));
     }
 
     #[test]

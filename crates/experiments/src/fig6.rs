@@ -96,6 +96,18 @@ pub fn render(fig: &Fig6, size_bin: u64, depth_bin: u64) -> String {
     out
 }
 
+/// The headline comparison: mean size and depth of the whole trees and
+/// of each protocol's used subtrees, on one line.
+pub fn summary(fig: &Fig6) -> String {
+    let (all_s, all_d) = means(&fig.all);
+    let (ns, nd) = means(&fig.nonic_used);
+    let (is_, id) = means(&fig.ic_used);
+    format!(
+        "means — all: {all_s:.1} nodes / depth {all_d:.1}; \
+         used non-IC: {ns:.1} / {nd:.1}; used IC FB=3: {is_:.1} / {id:.1}\n"
+    )
+}
+
 /// Mean used-subtree size and depth, for the headline comparison.
 pub fn means(data: &[(u64, u64)]) -> (f64, f64) {
     if data.is_empty() {

@@ -9,6 +9,7 @@
 
 pub mod campaign;
 pub mod cli;
+pub mod doc_blocks;
 pub mod elasticity;
 pub mod fig3;
 pub mod fig4;
