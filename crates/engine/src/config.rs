@@ -237,9 +237,10 @@ pub struct SimConfig {
     /// checker is read-only — results are bit-identical either way.
     ///
     /// Defaults **on** under `debug_assertions` (so the whole test suite
-    /// runs checked) or the `checked` cargo feature, **off** in release
-    /// campaigns. See DESIGN.md "Invariants & checked mode" for what each
-    /// invariant encodes and what checking costs.
+    /// runs checked), **off** in release campaigns; a release run opts in
+    /// with [`SimConfig::with_checked`] (`bc-serve` takes `"checked":true`).
+    /// See DESIGN.md "Invariants & checked mode" for what each invariant
+    /// encodes and what checking costs.
     ///
     /// On a violation, the panic is preceded by whatever the simulation's
     /// trace sink retains — run with a `bc_simcore::RingRecorder` (as
@@ -315,7 +316,7 @@ impl SimConfig {
             checkpoints: Vec::new(),
             changes: Vec::new(),
             max_events: 500_000_000,
-            checked: cfg!(any(debug_assertions, feature = "checked")),
+            checked: cfg!(debug_assertions),
             fault: None,
             fault_plan: None,
             arrivals: None,
@@ -504,10 +505,7 @@ mod tests {
         // Checked defaults on under debug_assertions (every debug test run)
         // and off as shipped — this test runs in both profiles.
         let cfg = SimConfig::interruptible(3, 10);
-        assert_eq!(
-            cfg.checked,
-            cfg!(any(debug_assertions, feature = "checked"))
-        );
+        assert_eq!(cfg.checked, cfg!(debug_assertions));
         assert_eq!(cfg.fault, None);
         let cfg = cfg.with_checked(false);
         assert!(!cfg.checked);
