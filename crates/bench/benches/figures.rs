@@ -1,10 +1,12 @@
 //! One bench per figure of the paper's evaluation. Each runs a
-//! miniaturized version of the experiment (the shape-preserving subset);
-//! regenerating the full artifact is `cargo run -p bc-experiments --bin
-//! figN`.
+//! miniaturized version of the experiment (the shape-preserving subset):
+//! the figure's own variants through the campaign driver, then its
+//! builder. Regenerating the full artifact is `cargo run -p
+//! bc-experiments --bin figN`.
 
 use bandwidth_centric::prelude::*;
 use bc_bench::bench_campaign;
+use bc_experiments::campaign::{run_ratio_classes, run_variants};
 use bc_experiments::{fig3, fig4, fig5, fig6, fig7};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -19,21 +21,31 @@ fn bench_fig3(c: &mut Criterion) {
 fn bench_fig4(c: &mut Criterion) {
     let campaign = bench_campaign(4, 800);
     c.bench_function("fig4_variant_cdfs", |b| {
-        b.iter(|| black_box(fig4::run(black_box(&campaign))))
+        b.iter(|| {
+            let configs = fig4::configs(campaign.tasks, GrowthGate::default());
+            let runs = run_variants(black_box(&campaign), &configs);
+            black_box(fig4::build(&runs, campaign.tasks))
+        })
     });
 }
 
 fn bench_fig5(c: &mut Criterion) {
     let campaign = bench_campaign(2, 800);
     c.bench_function("fig5_ratio_classes", |b| {
-        b.iter(|| black_box(fig5::run(black_box(&campaign))))
+        b.iter(|| {
+            let runs = run_ratio_classes(black_box(&campaign), &fig5::configs(campaign.tasks));
+            black_box(fig5::build(&runs[0], &runs[1], campaign.tasks))
+        })
     });
 }
 
 fn bench_fig6(c: &mut Criterion) {
     let campaign = bench_campaign(4, 800);
     c.bench_function("fig6_used_subtrees", |b| {
-        b.iter(|| black_box(fig6::run(black_box(&campaign))))
+        b.iter(|| {
+            let runs = run_variants(black_box(&campaign), &fig6::configs(campaign.tasks));
+            black_box(fig6::build(&runs[0], &runs[1]))
+        })
     });
 }
 

@@ -31,15 +31,16 @@
 //! `--scaling-trees N` (smoke campaign size, default 256),
 //! `--out DIR` (default `.`).
 
+use bc_engine::SimConfig;
 use bc_experiments::campaign::{
-    accumulate_materialized, fraction_reached, run_campaign, run_campaign_prepared,
-    run_campaign_streaming, run_campaign_with_results, run_grid_streaming, CampaignConfig,
-    CampaignGrid,
+    accumulate_materialized, fraction_reached, run_campaign_streaming, run_grid_streaming,
+    run_variants, run_variants_with, CampaignConfig, CampaignGrid, TreeRun,
 };
 use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
 use bc_rational::{BigInt, BigUint, Rational, Sign};
 use bc_steady::{lp_optimal_rate, SteadyState};
+use rayon::prelude::*;
 use serde::{object, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::path::PathBuf;
@@ -404,7 +405,7 @@ fn threads_curve(campaign: &CampaignConfig, counts: &[usize], rounds: usize) -> 
                 .build_global()
                 .unwrap();
             let t0 = Instant::now();
-            let runs = run_campaign(campaign, |t| bc_engine::SimConfig::interruptible(3, t));
+            let runs = ic3_runs(campaign);
             let ns = t0.elapsed().as_nanos() as f64;
             let summary: Vec<_> = runs.iter().map(|r| (r.onset, r.end_time)).collect();
             match &baseline {
@@ -464,7 +465,8 @@ fn streaming_report(campaign: &CampaignConfig, grid: &CampaignGrid, shard_size: 
     // after the fact.
     let t0 = Instant::now();
     let (materialized, mat_peak) = measure_peak_bytes(|| {
-        run_campaign_with_results(campaign, |t| bc_engine::SimConfig::interruptible(3, t))
+        let ic3 = [SimConfig::interruptible(3, campaign.tasks)];
+        run_variants_with(campaign, &ic3, |run, result| (run, result)).remove(0)
     });
     let mat_ns = t0.elapsed().as_nanos() as f64;
     let reference = accumulate_materialized(&materialized);
@@ -472,16 +474,12 @@ fn streaming_report(campaign: &CampaignConfig, grid: &CampaignGrid, shard_size: 
 
     // Materialized (summaries only): the pre-streaming campaign mode —
     // per-tree TreeRun summaries, raw results dropped eagerly.
-    let (_runs, summaries_peak) = measure_peak_bytes(|| {
-        run_campaign(campaign, |t| bc_engine::SimConfig::interruptible(3, t))
-    });
+    let (_runs, summaries_peak) = measure_peak_bytes(|| ic3_runs(campaign));
 
     // Streaming sharded: accumulators only.
     let t0 = Instant::now();
     let (streamed, stream_peak) = measure_peak_bytes(|| {
-        run_campaign_streaming(campaign, shard_size, |t| {
-            bc_engine::SimConfig::interruptible(3, t)
-        })
+        run_campaign_streaming(campaign, shard_size, |t| SimConfig::interruptible(3, t))
     });
     let stream_ns = t0.elapsed().as_nanos() as f64;
     assert_eq!(
@@ -495,7 +493,7 @@ fn streaming_report(campaign: &CampaignConfig, grid: &CampaignGrid, shard_size: 
     let t0 = Instant::now();
     let (cells, grid_peak) = measure_peak_bytes(|| {
         run_grid_streaming(grid, shard_size, |c| {
-            bc_engine::SimConfig::interruptible(c.buffers, c.tasks)
+            SimConfig::interruptible(c.buffers, c.tasks)
         })
     });
     let grid_ns = t0.elapsed().as_nanos() as f64;
@@ -564,24 +562,28 @@ fn streaming_report(campaign: &CampaignConfig, grid: &CampaignGrid, shard_size: 
 }
 
 /// The paper's evaluation shape (§4.1): `trees` random trees from the
-/// default generator, both protocols over the same prepared population.
+/// default generator under both protocols. `prepare_wall_ms` times one
+/// preparation pass (generation + Theorem 1) on its own; each protocol's
+/// `wall_ms` is its campaign through [`run_variants`], which prepares
+/// every tree again alongside its simulation.
 fn paper_scale_report(scale: &CampaignScale) -> Value {
     let campaign = CampaignConfig::paper(scale.trees, scale.tasks, 2003);
     let t0 = Instant::now();
-    let prepared = campaign.prepare_all();
+    let sizes: Vec<usize> = (0..campaign.trees)
+        .into_par_iter()
+        .map(|i| campaign.prepare(i).tree.len())
+        .collect();
     let prepare_ns = t0.elapsed().as_nanos() as f64;
+    std::hint::black_box(sizes);
 
     let mut protocols = Vec::new();
-    let runs_of = [("ic_fb3", true), ("nonic_ib1", false)];
-    for (name, interruptible) in runs_of {
+    let runs_of = [
+        ("ic_fb3", SimConfig::interruptible(3, scale.tasks)),
+        ("nonic_ib1", SimConfig::non_interruptible(1, scale.tasks)),
+    ];
+    for (name, config) in runs_of {
         let t0 = Instant::now();
-        let runs = run_campaign_prepared(&prepared, &campaign, |t| {
-            if interruptible {
-                bc_engine::SimConfig::interruptible(3, t)
-            } else {
-                bc_engine::SimConfig::non_interruptible(1, t)
-            }
-        });
+        let runs = run_variants(&campaign, &[config]).remove(0);
         let ns = t0.elapsed().as_nanos() as f64;
         let events: u64 = runs.iter().map(|r| r.events).sum();
         let fraction = fraction_reached(&runs);
@@ -609,6 +611,58 @@ fn paper_scale_report(scale: &CampaignScale) -> Value {
         ("prepare_wall_ms", wall_ms(prepare_ns)),
         ("protocols", Value::Array(protocols)),
     ])
+}
+
+/// The `kernel_profile` section: per-event-kind counts and cycle
+/// histograms from one instrumented IC/FB=3 pass over `campaign`, separate
+/// from every timed run (which keep collection disabled, so the headline
+/// numbers never include profiling overhead).
+#[cfg(feature = "profile")]
+fn kernel_profile(campaign: &CampaignConfig) -> Value {
+    bc_engine::profile::reset();
+    bc_engine::profile::enable(true);
+    let _ = ic3_runs(campaign);
+    bc_engine::profile::enable(false);
+    let p = bc_engine::profile::snapshot();
+    let kinds: Vec<Value> = p
+        .counts
+        .iter()
+        .zip(&p.histograms)
+        .map(|(&(name, n), &(_, hist))| {
+            let first = hist.iter().position(|&c| c > 0).unwrap_or(0);
+            let last = hist.iter().rposition(|&c| c > 0).unwrap_or(0);
+            let hist = hist[first..=last].iter().map(|&c| Value::Int(c as i128));
+            object(vec![
+                ("kind", Value::Str(name.to_string())),
+                ("events", Value::Int(n as i128)),
+                ("log2_cycles_first_bucket", Value::Int(first as i128)),
+                ("log2_cycles_histogram", Value::Array(hist.collect())),
+            ])
+        })
+        .collect();
+    let note = "per-event cost in cycles (rdtsc), service cascade included; histogram \
+                bucket b counts events costing [2^(first+b), 2^(first+b+1)) cycles";
+    object(vec![
+        ("enabled", Value::Bool(true)),
+        ("note", Value::Str(note.to_string())),
+        ("kinds", Value::Array(kinds)),
+    ])
+}
+
+/// The `kernel_profile` section of a build without the `profile` feature.
+#[cfg(not(feature = "profile"))]
+fn kernel_profile(_: &CampaignConfig) -> Value {
+    let note = "build with `--features profile` to collect per-event-kind cycle histograms";
+    object(vec![
+        ("enabled", Value::Bool(false)),
+        ("note", Value::Str(note.to_string())),
+    ])
+}
+
+/// The IC/FB=3 runs of `campaign`, the protocol every curve and
+/// comparison here times.
+fn ic3_runs(campaign: &CampaignConfig) -> Vec<TreeRun> {
+    run_variants(campaign, &[SimConfig::interruptible(3, campaign.tasks)]).remove(0)
 }
 
 /// The 64-tree benchmark campaign every curve and comparison runs over.
@@ -645,45 +699,6 @@ fn scaling_smoke(
         ..bench_campaign()
     };
     let curve = threads_curve(&campaign, counts, rounds);
-    // One instrumented pass for the profile artifact (collection stays
-    // off during the timed curve above; see `campaign_report`).
-    #[cfg(feature = "profile")]
-    let kernel_profile = {
-        bc_engine::profile::reset();
-        bc_engine::profile::enable(true);
-        let _ = run_campaign(&campaign, |t| bc_engine::SimConfig::interruptible(3, t));
-        bc_engine::profile::enable(false);
-        let p = bc_engine::profile::snapshot();
-        let kinds: Vec<Value> = p
-            .counts
-            .iter()
-            .zip(&p.histograms)
-            .map(|(&(name, n), &(_, hist))| {
-                let first = hist.iter().position(|&c| c > 0).unwrap_or(0);
-                let last = hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-                object(vec![
-                    ("kind", Value::Str(name.to_string())),
-                    ("events", Value::Int(n as i128)),
-                    ("log2_cycles_first_bucket", Value::Int(first as i128)),
-                    (
-                        "log2_cycles_histogram",
-                        Value::Array(
-                            hist[first..=last]
-                                .iter()
-                                .map(|&c| Value::Int(c as i128))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        object(vec![
-            ("enabled", Value::Bool(true)),
-            ("kinds", Value::Array(kinds)),
-        ])
-    };
-    #[cfg(not(feature = "profile"))]
-    let kernel_profile = object(vec![("enabled", Value::Bool(false))]);
     let mut report = object(vec![
         (
             "generated_by",
@@ -692,7 +707,7 @@ fn scaling_smoke(
         ("trees", Value::Int(trees as i128)),
         ("host_cpus", Value::Int(host_cpus() as i128)),
         ("threads_curve", curve.clone()),
-        ("kernel_profile", kernel_profile),
+        ("kernel_profile", kernel_profile(&campaign)),
     ]);
     sort_keys(&mut report);
     std::fs::create_dir_all(out).expect("create --out directory");
@@ -796,69 +811,11 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
     let campaign = bench_campaign();
     let mut runs = Vec::new();
     let campaign_ns = time_ns(samples, || {
-        runs = run_campaign(&campaign, |t| bc_engine::SimConfig::interruptible(3, t));
+        runs = ic3_runs(&campaign);
     });
     let events: u64 = runs.iter().map(|r| r.events).sum();
     let reached = runs.iter().filter(|r| r.reached()).count();
-
-    // Kernel profile: one instrumented pass over the same campaign,
-    // separate from the timed runs above (which keep collection disabled,
-    // so the headline numbers never include profiling overhead).
-    #[cfg(feature = "profile")]
-    let kernel_profile = {
-        bc_engine::profile::reset();
-        bc_engine::profile::enable(true);
-        let profiled = run_campaign(&campaign, |t| bc_engine::SimConfig::interruptible(3, t));
-        bc_engine::profile::enable(false);
-        assert_eq!(profiled.len(), runs.len());
-        let p = bc_engine::profile::snapshot();
-        let kinds: Vec<Value> = p
-            .counts
-            .iter()
-            .zip(&p.histograms)
-            .map(|(&(name, n), &(_, hist))| {
-                let first = hist.iter().position(|&c| c > 0).unwrap_or(0);
-                let last = hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-                object(vec![
-                    ("kind", Value::Str(name.to_string())),
-                    ("events", Value::Int(n as i128)),
-                    ("log2_cycles_first_bucket", Value::Int(first as i128)),
-                    (
-                        "log2_cycles_histogram",
-                        Value::Array(
-                            hist[first..=last]
-                                .iter()
-                                .map(|&c| Value::Int(c as i128))
-                                .collect(),
-                        ),
-                    ),
-                ])
-            })
-            .collect();
-        object(vec![
-            ("enabled", Value::Bool(true)),
-            (
-                "note",
-                Value::Str(
-                    "per-event cost in cycles (rdtsc), service cascade included; histogram \
-                     bucket b counts events costing [2^(first+b), 2^(first+b+1)) cycles"
-                        .to_string(),
-                ),
-            ),
-            ("kinds", Value::Array(kinds)),
-        ])
-    };
-    #[cfg(not(feature = "profile"))]
-    let kernel_profile = object(vec![
-        ("enabled", Value::Bool(false)),
-        (
-            "note",
-            Value::Str(
-                "build with `--features profile` to collect per-event-kind cycle histograms"
-                    .to_string(),
-            ),
-        ),
-    ]);
+    let profile = kernel_profile(&campaign);
 
     let curve = threads_curve(&campaign, &scale.curve_threads, samples);
     let streaming = streaming_report(&campaign, &scale.grid, scale.shard_size);
@@ -925,7 +882,7 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
                 ),
             ]),
         ),
-        ("kernel_profile", kernel_profile),
+        ("kernel_profile", profile),
         ("threads_curve", curve),
         ("streaming_campaign", streaming),
         ("campaign_paper_scale", paper_scale),

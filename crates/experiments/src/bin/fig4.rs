@@ -1,6 +1,6 @@
 //! Regenerates Figure 4 (CDF of trees reaching optimal steady state).
 
-use bc_experiments::campaign::CampaignConfig;
+use bc_experiments::campaign::{run_variants, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
 use bc_experiments::fig4;
 
@@ -14,7 +14,8 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let fig = fig4::run_gated(&campaign, cli.gate);
+    let runs = run_variants(&campaign, &fig4::configs(cli.tasks, cli.gate));
+    let fig = fig4::build(&runs, cli.tasks);
     let text = fig4::render(&fig);
     println!("{text}");
     write_artifact(&cli, "fig4.txt", &text);

@@ -1,6 +1,6 @@
 //! Regenerates Figure 5 (impact of computation-to-communication ratio).
 
-use bc_experiments::campaign::CampaignConfig;
+use bc_experiments::campaign::{run_ratio_classes, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
 use bc_experiments::fig5;
 
@@ -14,7 +14,8 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let fig = fig5::run(&campaign);
+    let runs = run_ratio_classes(&campaign, &fig5::configs(cli.tasks));
+    let fig = fig5::build(&runs[0], &runs[1], cli.tasks);
     let text = fig5::render(&fig);
     println!("{text}");
     write_artifact(&cli, "fig5.txt", &text);

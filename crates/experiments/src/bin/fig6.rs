@@ -1,6 +1,6 @@
 //! Regenerates Figure 6 (tree size/depth PDFs, all vs used nodes).
 
-use bc_experiments::campaign::CampaignConfig;
+use bc_experiments::campaign::{run_variants, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
 use bc_experiments::fig6;
 
@@ -14,7 +14,8 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let fig = fig6::run(&campaign);
+    let runs = run_variants(&campaign, &fig6::configs(cli.tasks));
+    let fig = fig6::build(&runs[0], &runs[1]);
     let text = fig6::render(&fig, 25, 4);
     println!("{text}");
     print!("\n{}", fig6::summary(&fig));

@@ -1,8 +1,9 @@
 //! Regenerates Table 1 (% reaching optimal using at most n buffers).
 
-use bc_experiments::campaign::CampaignConfig;
+use bc_core::GrowthGate;
+use bc_experiments::campaign::{run_variants, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
-use bc_experiments::table1;
+use bc_experiments::{fig4, table1};
 
 fn main() {
     let cli = parse(
@@ -14,7 +15,8 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let t = table1::run(&campaign);
+    let runs = run_variants(&campaign, &fig4::configs(cli.tasks, GrowthGate::default()));
+    let t = table1::build(&runs[0], &runs[1..]);
     let text = table1::render(&t);
     println!("{text}");
     write_artifact(&cli, "table1.txt", &text);

@@ -1,6 +1,6 @@
 //! Regenerates Table 2 (buffers used by non-IC across ratio classes).
 
-use bc_experiments::campaign::CampaignConfig;
+use bc_experiments::campaign::{run_ratio_classes, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
 use bc_experiments::table2;
 
@@ -14,7 +14,8 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let t = table2::run_gated(&campaign, cli.gate);
+    let runs = run_ratio_classes(&campaign, &[table2::config(cli.gate, cli.tasks)]);
+    let t = table2::build(&runs[0], cli.tasks);
     let text = table2::render(&t);
     println!("{text}");
     write_artifact(&cli, "table2.txt", &text);

@@ -1,9 +1,11 @@
-//! Shared campaign infrastructure: run one protocol over many random
-//! trees in parallel and summarize each run.
+//! Shared campaign infrastructure: run protocol variants over many
+//! random trees in parallel and summarize each run.
 //!
 //! Reproducibility: tree `i` of a campaign is generated from
 //! `split_seed(campaign_seed, i)`, so any subset of a campaign can be
 //! re-run independently and results never depend on thread scheduling.
+//! In particular the runs over the first `n` trees of a campaign are the
+//! runs of the same campaign shrunk to `n` trees.
 
 use bc_engine::durability::{
     fnv1a64, take_u128_le as u128le, take_u64_le as u64le, CheckpointError, CheckpointKind,
@@ -21,6 +23,10 @@ use rayon::prelude::*;
 /// 2^15 and buffer pools up to 2^15 resolve to distinct buckets; larger
 /// values saturate into the last one).
 pub const HIST_BUCKETS: usize = 16;
+
+/// The paper's computation-to-communication ratio classes (Figure 5,
+/// Table 2): compute scale `x`, with comm times still in `[1, d]`.
+pub const RATIO_CLASSES: [u64; 4] = [500, 1_000, 5_000, 10_000];
 
 /// Configuration of a multi-tree campaign.
 #[derive(Clone, Debug)]
@@ -47,6 +53,17 @@ impl CampaignConfig {
             seed,
             tree_config: RandomTreeConfig::default(),
             onset: OnsetConfig::default(),
+        }
+    }
+
+    /// The population of ratio class `x` (see [`RATIO_CLASSES`]): this
+    /// campaign's shape with compute scale `x`, seeded `seed + x` so the
+    /// classes draw decorrelated trees.
+    pub fn ratio_class(&self, x: u64) -> Self {
+        CampaignConfig {
+            seed: self.seed.wrapping_add(x),
+            tree_config: self.tree_config.with_compute_scale(x),
+            ..self.clone()
         }
     }
 
@@ -84,8 +101,9 @@ pub fn campaign_tree(tree_config: &RandomTreeConfig, seed: u64, i: usize) -> Tre
 }
 
 /// A campaign tree plus its steady-state analysis, generated once and
-/// reused across protocols (multi-protocol experiments like Table 1 and
-/// Fig 6 previously regenerated and re-analyzed every tree per protocol).
+/// shared by the Theorem 1 oracle and every protocol variant run over the
+/// tree ([`run_variants`] prepares each tree once, runs all its variants
+/// and drops it; only the streaming benchmark keeps a prepared population).
 #[derive(Clone, Debug)]
 pub struct PreparedTree {
     /// Campaign index of the tree.
@@ -98,7 +116,7 @@ pub struct PreparedTree {
 
 /// Summary of one simulated tree (completion times are reduced to the
 /// onset verdict and buffer statistics to keep big campaigns in memory).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TreeRun {
     /// Campaign index of the tree.
     pub index: usize,
@@ -130,36 +148,66 @@ impl TreeRun {
     }
 }
 
-/// Runs `make_config(tasks)`-configured simulations over every tree of
-/// the campaign, in parallel, and summarizes each.
-pub fn run_campaign(
-    campaign: &CampaignConfig,
-    make_config: impl Fn(u64) -> SimConfig + Sync,
-) -> Vec<TreeRun> {
-    run_campaign_prepared(&campaign.prepare_all(), campaign, make_config)
+/// Runs every configuration of `configs` over every tree of the campaign
+/// and summarizes each run: `runs[v][i]` is variant `v` on tree `i`.
+pub fn run_variants(campaign: &CampaignConfig, configs: &[SimConfig]) -> Vec<Vec<TreeRun>> {
+    run_variants_with(campaign, configs, |run, _| run)
 }
 
-/// Like [`run_campaign`], but over an already-prepared population: the
-/// trees and their oracle analyses are shared, not regenerated. Callers
-/// running several protocols over the same population should prepare once
-/// and call this per protocol.
-pub fn run_campaign_prepared(
-    prepared: &[PreparedTree],
+/// The one materialized campaign driver: [`run_variants`], keeping
+/// `keep(summary, raw result)` of each run.
+///
+/// One parallel pass over the tree indices: a worker prepares tree `i`
+/// once ([`CampaignConfig::prepare`]), runs every variant on it in the
+/// worker's reused `SimWorkspace` and drops the tree, so no prepared
+/// population is ever held. After a worker's first few trees warm the
+/// arenas the event loop never allocates (see the engine's `alloc_free`
+/// test). Results are identical at any thread count: each run depends
+/// only on its tree and config.
+pub fn run_variants_with<T: Send>(
     campaign: &CampaignConfig,
-    make_config: impl Fn(u64) -> SimConfig + Sync,
-) -> Vec<TreeRun> {
-    prepared
-        .par_iter()
-        .map_init(SimWorkspace::new, |ws, p| {
-            // Each worker thread keeps one workspace for its whole share
-            // of the campaign, so after its first few trees warm the
-            // arenas the event loop never allocates (see the engine's
-            // `alloc_free` test). Results are identical at any thread
-            // count: each run depends only on its tree and config.
-            let result = ws.run(p.tree.clone(), make_config(campaign.tasks));
-            summarize(p.index, &p.tree, &p.analysis, &result, campaign.onset)
+    configs: &[SimConfig],
+    keep: impl Fn(TreeRun, RunResult) -> T + Sync,
+) -> Vec<Vec<T>> {
+    let per_tree: Vec<Vec<T>> = (0..campaign.trees)
+        .into_par_iter()
+        .map_init(SimWorkspace::new, |ws, i| {
+            let p = campaign.prepare(i);
+            configs
+                .iter()
+                .map(|cfg| {
+                    let result = ws.run(p.tree.clone(), cfg.clone());
+                    let run = summarize(i, &p.tree, &p.analysis, &result, campaign.onset);
+                    keep(run, result)
+                })
+                .collect()
         })
-        .collect()
+        .collect();
+    let mut runs: Vec<Vec<T>> = configs
+        .iter()
+        .map(|_| Vec::with_capacity(campaign.trees))
+        .collect();
+    for tree_runs in per_tree {
+        runs.iter_mut()
+            .zip(tree_runs)
+            .for_each(|(v, run)| v.push(run));
+    }
+    runs
+}
+
+/// [`run_variants`] over every ratio class population (see
+/// [`CampaignConfig::ratio_class`]): `runs[v][c][i]` is variant `v` on
+/// tree `i` of class `RATIO_CLASSES[c]`.
+pub fn run_ratio_classes(
+    campaign: &CampaignConfig,
+    configs: &[SimConfig],
+) -> Vec<Vec<Vec<TreeRun>>> {
+    let mut runs = vec![Vec::new(); configs.len()];
+    for x in RATIO_CLASSES {
+        let class_runs = run_variants(&campaign.ratio_class(x), configs);
+        runs.iter_mut().zip(class_runs).for_each(|(v, r)| v.push(r));
+    }
+    runs
 }
 
 /// Summarizes one finished run.
@@ -377,27 +425,8 @@ impl CampaignAccumulator {
     }
 }
 
-/// Like [`run_campaign`], but keeps each tree's raw [`RunResult`]
-/// alongside its summary — the fully **materialized** campaign mode.
-/// This is what a post-hoc aggregation needs to compute everything a
-/// [`CampaignAccumulator`] holds, and the memory baseline the streaming
-/// mode is benchmarked (and tested bit-identical) against.
-pub fn run_campaign_with_results(
-    campaign: &CampaignConfig,
-    make_config: impl Fn(u64) -> SimConfig + Sync,
-) -> Vec<(TreeRun, RunResult)> {
-    campaign
-        .prepare_all()
-        .par_iter()
-        .map_init(SimWorkspace::new, |ws, p| {
-            let result = ws.run(p.tree.clone(), make_config(campaign.tasks));
-            let run = summarize(p.index, &p.tree, &p.analysis, &result, campaign.onset);
-            (run, result)
-        })
-        .collect()
-}
-
-/// Folds a materialized campaign into an accumulator, tree-index order.
+/// Folds a materialized campaign (`run_variants_with` keeping
+/// `(summary, result)` pairs) into an accumulator, tree-index order.
 /// This is the reference the streaming path is tested bit-identical
 /// against — note it needs the raw `RunResult`s kept alive, which is
 /// exactly what the streaming path exists to avoid.
@@ -1021,14 +1050,20 @@ mod tests {
     #[test]
     fn campaign_is_deterministic_and_parallel_safe() {
         let c = tiny_campaign();
-        let a = run_campaign(&c, |t| SimConfig::interruptible(3, t));
-        let b = run_campaign(&c, |t| SimConfig::interruptible(3, t));
+        let ic3 = [SimConfig::interruptible(3, c.tasks)];
+        let a = run_variants(&c, &ic3).remove(0);
+        let b = run_variants(&c, &ic3).remove(0);
         assert_eq!(a.len(), 8);
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.onset, y.onset);
             assert_eq!(x.end_time, y.end_time);
             assert_eq!(x.events, y.events);
         }
+    }
+
+    fn materialized_ic3(c: &CampaignConfig) -> Vec<(TreeRun, RunResult)> {
+        let ic3 = [SimConfig::interruptible(3, c.tasks)];
+        run_variants_with(c, &ic3, |run, result| (run, result)).remove(0)
     }
 
     #[test]
@@ -1043,7 +1078,7 @@ mod tests {
     #[test]
     fn ic3_reaches_optimal_on_most_small_trees() {
         let c = tiny_campaign();
-        let runs = run_campaign(&c, |t| SimConfig::interruptible(3, t));
+        let runs = run_variants(&c, &[SimConfig::interruptible(3, c.tasks)]).remove(0);
         let frac = fraction_reached(&runs);
         assert!(frac >= 0.5, "IC/FB=3 reached only {frac}");
     }
@@ -1051,7 +1086,7 @@ mod tests {
     #[test]
     fn streaming_matches_materialized_at_every_shard_size() {
         let c = tiny_campaign();
-        let materialized = run_campaign_with_results(&c, |t| SimConfig::interruptible(3, t));
+        let materialized = materialized_ic3(&c);
         let reference = accumulate_materialized(&materialized);
         assert_eq!(reference.trees(), 8);
         assert!(reference.fraction_reached() > 0.0);
@@ -1068,7 +1103,7 @@ mod tests {
     #[test]
     fn accumulator_merge_is_exact_over_shard_groupings() {
         let c = tiny_campaign();
-        let materialized = run_campaign_with_results(&c, |t| SimConfig::interruptible(3, t));
+        let materialized = materialized_ic3(&c);
         let whole = accumulate_materialized(&materialized);
         let (a, b) = materialized.split_at(3);
         let mut left = accumulate_materialized(a);

@@ -7,7 +7,7 @@
 //! Headline numbers: IC/FB=3 reaches the optimal rate in 99.57 % of
 //! trees, IC/FB=2 98.51 %, IC/FB=1 ~82 %, non-IC/IB=1 20.18 %.
 
-use crate::campaign::{fraction_reached, run_campaign, CampaignConfig, TreeRun};
+use crate::campaign::{fraction_reached, TreeRun};
 use bc_core::GrowthGate;
 use bc_engine::SimConfig;
 use bc_metrics::{ascii_table, onset_cdf, Chart};
@@ -43,40 +43,33 @@ pub struct Fig4 {
     pub probes: Vec<u64>,
 }
 
-/// The four protocol variants of Fig 4, paper order.
-pub fn paper_variants(tasks: u64) -> Vec<(String, SimConfig)> {
-    variants_gated(tasks, GrowthGate::default())
-}
+/// Labels of the four protocol variants of Fig 4, paper order.
+pub const VARIANTS: [&str; 4] = ["non-IC, IB=1", "IC, FB=1", "IC, FB=2", "IC, FB=3"];
 
-/// The four variants with an explicit non-IC growth gate.
-pub fn variants_gated(tasks: u64, gate: GrowthGate) -> Vec<(String, SimConfig)> {
+/// The configurations of [`VARIANTS`], with an explicit non-IC growth
+/// gate (Table 1 reads the same four runs under the default gate).
+pub fn configs(tasks: u64, gate: GrowthGate) -> Vec<SimConfig> {
     vec![
-        (
-            "non-IC, IB=1".to_string(),
-            SimConfig::non_interruptible_gated(1, gate, tasks),
-        ),
-        ("IC, FB=1".to_string(), SimConfig::interruptible(1, tasks)),
-        ("IC, FB=2".to_string(), SimConfig::interruptible(2, tasks)),
-        ("IC, FB=3".to_string(), SimConfig::interruptible(3, tasks)),
+        SimConfig::non_interruptible_gated(1, gate, tasks),
+        SimConfig::interruptible(1, tasks),
+        SimConfig::interruptible(2, tasks),
+        SimConfig::interruptible(3, tasks),
     ]
 }
 
-/// Runs the Fig 4 experiment under the default growth gate.
-pub fn run(campaign: &CampaignConfig) -> Fig4 {
-    run_gated(campaign, GrowthGate::default())
-}
-
-/// Runs Fig 4 with an explicit non-IC growth gate.
-pub fn run_gated(campaign: &CampaignConfig, gate: GrowthGate) -> Fig4 {
-    let variants = variants_gated(campaign.tasks, gate)
-        .into_iter()
-        .map(|(label, cfg)| VariantResult {
-            label,
-            runs: run_campaign(campaign, |_| cfg.clone()),
+/// Builds Fig 4 from the runs of [`configs`] (`runs[v]` is variant `v`).
+pub fn build(runs: &[Vec<TreeRun>], tasks: u64) -> Fig4 {
+    assert_eq!(runs.len(), VARIANTS.len(), "one run set per Fig 4 variant");
+    let variants = VARIANTS
+        .iter()
+        .zip(runs)
+        .map(|(label, runs)| VariantResult {
+            label: label.to_string(),
+            runs: runs.clone(),
         })
         .collect();
     // Probe grid matching the figure's axis (0..5000 for 10 000 tasks).
-    let max_x = campaign.tasks / 2;
+    let max_x = tasks / 2;
     let probes: Vec<u64> = (1..=50).map(|k| k * max_x / 50).collect();
     Fig4 { variants, probes }
 }
@@ -125,6 +118,7 @@ pub fn render(fig: &Fig4) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_variants, CampaignConfig};
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -149,7 +143,8 @@ mod tests {
                 crossings: 2,
             },
         };
-        let fig = run(&campaign);
+        let configs = configs(campaign.tasks, GrowthGate::default());
+        let fig = build(&run_variants(&campaign, &configs), campaign.tasks);
         assert_eq!(fig.variants.len(), 4);
         let pct: Vec<f64> = fig.variants.iter().map(|v| v.fraction_reached()).collect();
         // At paper scale FB3 ≥ FB2 ≥ FB1 ≫ non-IC. At this miniature

@@ -7,12 +7,9 @@
 //! classes; non-IC suffers greatly as the ratio rises; startup time grows
 //! with the ratio for every protocol.
 
-use crate::campaign::{run_campaign, CampaignConfig, TreeRun};
+use crate::campaign::{TreeRun, RATIO_CLASSES};
 use bc_engine::SimConfig;
 use bc_metrics::{ascii_table, onset_cdf, Chart};
-
-/// The paper's four computation-scale classes.
-pub const CLASSES: [u64; 4] = [500, 1_000, 5_000, 10_000];
 
 /// Results for one (class, protocol) cell.
 #[derive(Clone, Debug)]
@@ -47,31 +44,28 @@ pub struct Fig5 {
     pub probes: Vec<u64>,
 }
 
-/// Runs Fig 5 over the campaign shape (tree count/tasks/seed taken from
-/// `campaign`; the compute scale is overridden per class).
-pub fn run(campaign: &CampaignConfig) -> Fig5 {
+/// The two protocols of Fig 5: non-IC/IB=1, then IC/FB=3.
+pub fn configs(tasks: u64) -> Vec<SimConfig> {
+    vec![
+        SimConfig::non_interruptible(1, tasks),
+        SimConfig::interruptible(3, tasks),
+    ]
+}
+
+/// Builds Fig 5 from each protocol's runs per ratio class (indexed like
+/// `RATIO_CLASSES`; see `campaign::run_ratio_classes`), `tasks` per run.
+pub fn build(nonic: &[Vec<TreeRun>], ic: &[Vec<TreeRun>], tasks: u64) -> Fig5 {
     let mut cells = Vec::new();
-    for &x in &CLASSES {
-        let mut class_campaign = campaign.clone();
-        class_campaign.tree_config = campaign.tree_config.with_compute_scale(x);
-        // Decorrelate tree draws across classes while keeping the run
-        // reproducible.
-        class_campaign.seed = campaign.seed.wrapping_add(x);
-        for (protocol, cfg) in [
-            (
-                "non-IC, IB=1",
-                SimConfig::non_interruptible(1, campaign.tasks),
-            ),
-            ("IC, FB=3", SimConfig::interruptible(3, campaign.tasks)),
-        ] {
+    for (c, &x) in RATIO_CLASSES.iter().enumerate() {
+        for (protocol, runs) in [("non-IC, IB=1", &nonic[c]), ("IC, FB=3", &ic[c])] {
             cells.push(ClassResult {
                 compute_scale: x,
                 protocol: protocol.to_string(),
-                runs: run_campaign(&class_campaign, |_| cfg.clone()),
+                runs: runs.clone(),
             });
         }
     }
-    let max_x = campaign.tasks / 2;
+    let max_x = tasks / 2;
     let probes: Vec<u64> = (1..=40).map(|k| k * max_x / 40).collect();
     Fig5 { cells, probes }
 }
@@ -129,6 +123,7 @@ pub fn render(fig: &Fig5) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_ratio_classes, CampaignConfig};
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -150,7 +145,8 @@ mod tests {
                 crossings: 2,
             },
         };
-        let fig = run(&campaign);
+        let runs = run_ratio_classes(&campaign, &configs(campaign.tasks));
+        let fig = build(&runs[0], &runs[1], campaign.tasks);
         assert_eq!(fig.cells.len(), 8);
         for pair in fig.cells.chunks(2) {
             let nonic = &pair[0];

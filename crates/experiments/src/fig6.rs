@@ -7,8 +7,7 @@
 //! — typically >50 nodes and depth ≈18 — and non-IC occasionally uses a
 //! slightly larger/deeper subtree than IC/FB=3.
 
-use crate::campaign::{run_campaign_prepared, CampaignConfig, TreeRun};
-use bc_engine::SimConfig;
+use crate::campaign::TreeRun;
 use bc_metrics::{ascii_table, Histogram};
 
 /// The three populations of Fig 6.
@@ -28,20 +27,19 @@ fn used_stats(runs: &[TreeRun]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Runs both protocols over the campaign and collects the populations.
-/// The tree population is generated and analyzed once, shared by both.
-pub fn run(campaign: &CampaignConfig) -> Fig6 {
-    let prepared = campaign.prepare_all();
-    let nonic = run_campaign_prepared(&prepared, campaign, |t| SimConfig::non_interruptible(1, t));
-    let ic = run_campaign_prepared(&prepared, campaign, |t| SimConfig::interruptible(3, t));
+/// Fig 6 compares Fig 5's two protocols: non-IC/IB=1, then IC/FB=3.
+pub use crate::fig5::configs;
+
+/// Builds Fig 6 from the two protocols' runs over one population.
+pub fn build(nonic: &[TreeRun], ic: &[TreeRun]) -> Fig6 {
     let all = nonic
         .iter()
         .map(|r| (r.nodes as u64, r.depth as u64))
         .collect();
     Fig6 {
         all,
-        nonic_used: used_stats(&nonic),
-        ic_used: used_stats(&ic),
+        nonic_used: used_stats(nonic),
+        ic_used: used_stats(ic),
     }
 }
 
@@ -123,6 +121,7 @@ pub fn means(data: &[(u64, u64)]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_variants, CampaignConfig};
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -141,7 +140,8 @@ mod tests {
             },
             onset: OnsetConfig::default(),
         };
-        let fig = run(&campaign);
+        let runs = run_variants(&campaign, &configs(campaign.tasks));
+        let fig = build(&runs[0], &runs[1]);
         assert_eq!(fig.all.len(), 12);
         let (all_size, _) = means(&fig.all);
         let (ic_size, _) = means(&fig.ic_used);

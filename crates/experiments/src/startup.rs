@@ -7,8 +7,7 @@
 //! artifact: the distribution of onset windows per ratio class per
 //! protocol.
 
-use crate::campaign::{run_campaign, CampaignConfig, TreeRun};
-use bc_engine::SimConfig;
+use crate::campaign::{TreeRun, RATIO_CLASSES};
 use bc_metrics::{ascii_table, median, percentile};
 
 /// One (class, protocol) cell's startup distribution.
@@ -43,29 +42,18 @@ pub struct Startup {
     pub cells: Vec<StartupCell>,
 }
 
-fn onsets(runs: &[TreeRun]) -> Vec<u64> {
-    runs.iter().filter_map(|r| r.onset).collect()
-}
-
-/// Runs the experiment over the Fig 5 ratio classes.
-pub fn run(campaign: &CampaignConfig) -> Startup {
+/// Builds the experiment from Fig 5's two protocols' runs per ratio
+/// class (indexed like `RATIO_CLASSES`). Each class's runs may be a
+/// prefix of a larger campaign: tree `i` depends only on the seed and `i`.
+pub fn build<R: AsRef<[TreeRun]>>(ic: &[R], nonic: &[R]) -> Startup {
     let mut cells = Vec::new();
-    for &x in &crate::fig5::CLASSES {
-        let mut class_campaign = campaign.clone();
-        class_campaign.tree_config = campaign.tree_config.with_compute_scale(x);
-        class_campaign.seed = campaign.seed.wrapping_add(x);
-        for (protocol, cfg) in [
-            ("IC, FB=3", SimConfig::interruptible(3, campaign.tasks)),
-            (
-                "non-IC, IB=1",
-                SimConfig::non_interruptible(1, campaign.tasks),
-            ),
-        ] {
-            let runs = run_campaign(&class_campaign, |_| cfg.clone());
+    for (c, &x) in RATIO_CLASSES.iter().enumerate() {
+        for (protocol, runs) in [("IC, FB=3", &ic[c]), ("non-IC, IB=1", &nonic[c])] {
+            let runs = runs.as_ref();
             cells.push(StartupCell {
                 compute_scale: x,
                 protocol: protocol.to_string(),
-                onsets: onsets(&runs),
+                onsets: runs.iter().filter_map(|r| r.onset).collect(),
                 total_runs: runs.len(),
             });
         }
@@ -100,6 +88,8 @@ pub fn render(s: &Startup) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_ratio_classes, CampaignConfig};
+    use crate::fig5;
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -121,7 +111,8 @@ mod tests {
                 crossings: 2,
             },
         };
-        let s = run(&campaign);
+        let runs = run_ratio_classes(&campaign, &fig5::configs(campaign.tasks));
+        let s = build(&runs[1], &runs[0]);
         assert_eq!(s.cells.len(), 8);
         // Compare IC cells at the lowest and highest ratio classes: the
         // median onset should not shrink as x rises (the paper's claim).

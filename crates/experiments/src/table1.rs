@@ -14,8 +14,7 @@
 //! fraction of trees that both reached the optimal rate *and* whose
 //! largest grown pool stayed ≤ n.
 
-use crate::campaign::{run_campaign_prepared, CampaignConfig, TreeRun};
-use bc_engine::SimConfig;
+use crate::campaign::TreeRun;
 use bc_metrics::ascii_table;
 
 /// The paper's buffer thresholds.
@@ -30,15 +29,15 @@ pub struct Table1 {
     pub ic: Vec<Vec<TreeRun>>,
 }
 
-/// Runs both protocols over the campaign. The tree population is
-/// generated and analyzed once and shared by all four protocol runs.
-pub fn run(campaign: &CampaignConfig) -> Table1 {
-    let prepared = campaign.prepare_all();
-    let nonic = run_campaign_prepared(&prepared, campaign, |t| SimConfig::non_interruptible(1, t));
-    let ic = (1..=3)
-        .map(|fb| run_campaign_prepared(&prepared, campaign, |t| SimConfig::interruptible(fb, t)))
-        .collect();
-    Table1 { nonic, ic }
+/// Builds Table 1 from the non-IC/IB=1 runs and the IC runs for
+/// FB = 1, 2, 3 over one population: Fig 4's four variants under the
+/// default gate, so `build(&runs[0], &runs[1..])` over
+/// `fig4::configs(tasks, GrowthGate::default())`.
+pub fn build(nonic: &[TreeRun], ic: &[Vec<TreeRun>]) -> Table1 {
+    Table1 {
+        nonic: nonic.to_vec(),
+        ic: ic.to_vec(),
+    }
 }
 
 impl Table1 {
@@ -92,6 +91,9 @@ pub fn render(t: &Table1) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_variants, CampaignConfig};
+    use crate::fig4;
+    use bc_core::GrowthGate;
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -113,7 +115,11 @@ mod tests {
                 crossings: 2,
             },
         };
-        let t = run(&campaign);
+        let runs = run_variants(
+            &campaign,
+            &fig4::configs(campaign.tasks, GrowthGate::default()),
+        );
+        let t = build(&runs[0], &runs[1..]);
         // non-IC cells are nondecreasing in n (CDF over buffer usage).
         let cells: Vec<f64> = THRESHOLDS.iter().map(|&n| t.nonic_cell(n)).collect();
         assert!(cells.windows(2).all(|w| w[0] <= w[1] + 1e-12));

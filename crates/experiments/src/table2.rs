@@ -15,7 +15,7 @@
 //! The shape to reproduce: medians rise steeply with `x`, plateau after
 //! startup, and the maxima dwarf the 3 buffers IC needs.
 
-use crate::campaign::{run_campaign, CampaignConfig, TreeRun};
+use crate::campaign::{TreeRun, RATIO_CLASSES};
 use bc_core::GrowthGate;
 use bc_engine::SimConfig;
 use bc_metrics::{ascii_table, median};
@@ -44,32 +44,31 @@ pub struct Table2 {
     pub classes: Vec<ClassBuffers>,
 }
 
-/// Runs non-IC/IB=1 over each class with buffer checkpoints, under the
-/// default growth gate.
-pub fn run(campaign: &CampaignConfig) -> Table2 {
-    run_gated(campaign, GrowthGate::default())
+/// Non-IC/IB=1 under `gate`, recording the global max buffer pool at
+/// each of [`CHECKPOINTS`] up to `tasks` (recording schedules nothing, so
+/// the run is otherwise Fig 5's non-IC run).
+pub fn config(gate: GrowthGate, tasks: u64) -> SimConfig {
+    SimConfig::non_interruptible_gated(1, gate, tasks).with_checkpoints(checkpoints(tasks))
 }
 
-/// Runs with an explicit growth gate (DESIGN.md §6 calibration).
-pub fn run_gated(campaign: &CampaignConfig, gate: GrowthGate) -> Table2 {
-    let checkpoints: Vec<u64> = CHECKPOINTS
+fn checkpoints(tasks: u64) -> Vec<u64> {
+    CHECKPOINTS
         .iter()
         .copied()
-        .filter(|&c| c <= campaign.tasks)
-        .collect();
-    let classes = crate::fig5::CLASSES
+        .filter(|&c| c <= tasks)
+        .collect()
+}
+
+/// Builds Table 2 from the runs of [`config`] per ratio class (indexed
+/// like `RATIO_CLASSES`; see `campaign::run_ratio_classes`).
+pub fn build(nonic: &[Vec<TreeRun>], tasks: u64) -> Table2 {
+    let classes = RATIO_CLASSES
         .iter()
-        .map(|&x| {
-            let mut class_campaign = campaign.clone();
-            class_campaign.tree_config = campaign.tree_config.with_compute_scale(x);
-            class_campaign.seed = campaign.seed.wrapping_add(x);
-            let cps = checkpoints.clone();
-            let runs = run_campaign(&class_campaign, move |t| {
-                SimConfig::non_interruptible_gated(1, gate, t).with_checkpoints(cps.clone())
-            });
-            let medians = checkpoints
-                .iter()
-                .map(|&cp| {
+        .zip(nonic)
+        .map(|(&x, runs)| {
+            let medians = checkpoints(tasks)
+                .into_iter()
+                .map(|cp| {
                     let at: Vec<u64> = runs
                         .iter()
                         .filter_map(|r| {
@@ -87,7 +86,7 @@ pub fn run_gated(campaign: &CampaignConfig, gate: GrowthGate) -> Table2 {
                 compute_scale: x,
                 medians,
                 max,
-                runs,
+                runs: runs.clone(),
             }
         })
         .collect();
@@ -121,6 +120,7 @@ pub fn render(t: &Table2) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::{run_ratio_classes, CampaignConfig};
     use bc_metrics::OnsetConfig;
     use bc_platform::RandomTreeConfig;
 
@@ -139,7 +139,8 @@ mod tests {
             },
             onset: OnsetConfig::default(),
         };
-        let t = run(&campaign);
+        let cfg = config(GrowthGate::default(), campaign.tasks);
+        let t = build(&run_ratio_classes(&campaign, &[cfg])[0], campaign.tasks);
         assert_eq!(t.classes.len(), 4);
         // Median at the last checkpoint grows with x (the paper's 3 → 551
         // sweep); allow equality for adjacent small classes.

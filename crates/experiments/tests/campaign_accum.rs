@@ -12,8 +12,8 @@
 use bc_engine::RunResult;
 use bc_engine::SimConfig;
 use bc_experiments::campaign::{
-    accumulate_materialized, run_campaign_streaming, run_campaign_with_results,
-    CampaignAccumulator, CampaignConfig, TreeRun,
+    accumulate_materialized, run_campaign_streaming, run_variants_with, CampaignAccumulator,
+    CampaignConfig, TreeRun,
 };
 use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
@@ -44,7 +44,10 @@ fn campaign() -> CampaignConfig {
 /// The materialized campaign, simulated exactly once for all properties.
 fn materialized() -> &'static [(TreeRun, RunResult)] {
     static RUNS: OnceLock<Vec<(TreeRun, RunResult)>> = OnceLock::new();
-    RUNS.get_or_init(|| run_campaign_with_results(&campaign(), |t| SimConfig::interruptible(3, t)))
+    RUNS.get_or_init(|| {
+        let ic3 = [SimConfig::interruptible(3, campaign().tasks)];
+        run_variants_with(&campaign(), &ic3, |run, result| (run, result)).remove(0)
+    })
 }
 
 fn fold_all(pairs: &[(TreeRun, RunResult)]) -> CampaignAccumulator {

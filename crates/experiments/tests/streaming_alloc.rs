@@ -11,8 +11,8 @@
 
 use bc_engine::SimConfig;
 use bc_experiments::campaign::{
-    accumulate_materialized, run_campaign_streaming, run_campaign_with_results,
-    CampaignAccumulator, CampaignConfig,
+    accumulate_materialized, run_campaign_streaming, run_variants_with, CampaignAccumulator,
+    CampaignConfig,
 };
 use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
@@ -86,7 +86,8 @@ fn campaign(tasks: u64) -> CampaignConfig {
 /// cost showing up per event.
 #[test]
 fn fold_is_constant_and_merge_is_allocation_free() {
-    let runs = run_campaign_with_results(&campaign(500), |t| SimConfig::interruptible(3, t));
+    let ic3 = [SimConfig::interruptible(3, 500)];
+    let runs = run_variants_with(&campaign(500), &ic3, |run, result| (run, result)).remove(0);
     let (a, b) = runs.split_at(runs.len() / 2);
 
     COUNTING.with(|c| c.set(true));

@@ -6,9 +6,9 @@
 //! bit-identical to folding the materialized campaign, again at every
 //! thread count.
 
-use bc_engine::{AdmissionPolicy, ArrivalPlan, ArrivalProcess, SimConfig, TaskClass};
+use bc_engine::{AdmissionPolicy, ArrivalPlan, ArrivalProcess, RunResult, SimConfig, TaskClass};
 use bc_experiments::campaign::{
-    accumulate_materialized, run_campaign, run_campaign_streaming, run_campaign_with_results,
+    accumulate_materialized, run_campaign_streaming, run_variants, run_variants_with,
     CampaignConfig, TreeRun,
 };
 use bc_metrics::OnsetConfig;
@@ -92,6 +92,12 @@ fn arrival_config(seed: u64) -> SimConfig {
     SimConfig::interruptible(3, 1).with_arrivals(plan)
 }
 
+/// The materialized campaign of one variant: every summary with its raw
+/// result.
+fn materialized(c: &CampaignConfig, config: SimConfig) -> Vec<(TreeRun, RunResult)> {
+    run_variants_with(c, &[config], |run, result| (run, result)).remove(0)
+}
+
 #[test]
 fn campaign_summaries_are_bit_identical_across_thread_counts() {
     let _pool = POOL.lock().unwrap();
@@ -100,12 +106,15 @@ fn campaign_summaries_are_bit_identical_across_thread_counts() {
     for threads in [1usize, 2, 4, 7] {
         set_threads(threads);
         assert_eq!(rayon::current_num_threads(), threads);
-        let ic = run_campaign(&c, |t| SimConfig::interruptible(3, t));
-        let nonic = run_campaign(&c, |t| SimConfig::non_interruptible(1, t));
-        let arrivals = run_campaign(&c, |_| arrival_config(c.seed));
-        baselines.push(fingerprint(&ic));
-        baselines.push(fingerprint(&nonic));
-        baselines.push(fingerprint(&arrivals));
+        let runs = run_variants(
+            &c,
+            &[
+                SimConfig::interruptible(3, c.tasks),
+                SimConfig::non_interruptible(1, c.tasks),
+                arrival_config(c.seed),
+            ],
+        );
+        baselines.extend(runs.iter().map(|runs| fingerprint(runs)));
     }
     // Restore automatic sizing; the global override outlives the test.
     set_threads(0);
@@ -134,9 +143,8 @@ fn streamed_campaign_is_bit_identical_to_materialized_across_thread_counts() {
     let _pool = POOL.lock().unwrap();
     let c = campaign();
     set_threads(1);
-    let reference = accumulate_materialized(&run_campaign_with_results(&c, |t| {
-        SimConfig::interruptible(3, t)
-    }));
+    let reference =
+        accumulate_materialized(&materialized(&c, SimConfig::interruptible(3, c.tasks)));
     for threads in [1usize, 2, 4, 7] {
         set_threads(threads);
         assert_eq!(rayon::current_num_threads(), threads);
@@ -160,8 +168,7 @@ fn arrival_campaign_is_bit_identical_across_entry_points_and_threads() {
     let _pool = POOL.lock().unwrap();
     let c = campaign();
     set_threads(1);
-    let reference =
-        accumulate_materialized(&run_campaign_with_results(&c, |_| arrival_config(c.seed)));
+    let reference = accumulate_materialized(&materialized(&c, arrival_config(c.seed)));
     for threads in [1usize, 2, 4] {
         set_threads(threads);
         assert_eq!(rayon::current_num_threads(), threads);

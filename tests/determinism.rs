@@ -2,7 +2,7 @@
 //! campaign — is a pure function of its seeds.
 
 use bandwidth_centric::engine::VecSink;
-use bandwidth_centric::experiments::campaign::{run_campaign, CampaignConfig};
+use bandwidth_centric::experiments::campaign::{run_variants, CampaignConfig};
 use bandwidth_centric::metrics::OnsetConfig;
 use bandwidth_centric::prelude::*;
 use bandwidth_centric::simcore::trace;
@@ -39,7 +39,7 @@ fn simulation_traces_are_bit_identical() {
 
 #[test]
 fn campaigns_are_deterministic_under_parallelism() {
-    // run_campaign uses rayon; per-index seeding must make the output
+    // run_variants uses rayon; per-index seeding must make the output
     // independent of scheduling.
     let campaign = CampaignConfig {
         trees: 12,
@@ -57,8 +57,9 @@ fn campaigns_are_deterministic_under_parallelism() {
             crossings: 2,
         },
     };
-    let a = run_campaign(&campaign, |t| SimConfig::interruptible(2, t));
-    let b = run_campaign(&campaign, |t| SimConfig::interruptible(2, t));
+    let ic2 = [SimConfig::interruptible(2, campaign.tasks)];
+    let a = run_variants(&campaign, &ic2).remove(0);
+    let b = run_variants(&campaign, &ic2).remove(0);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(x.index, y.index);
         assert_eq!(x.onset, y.onset);
@@ -135,8 +136,9 @@ fn different_seeds_produce_different_campaigns() {
         tree_config: RandomTreeConfig::default(),
         onset: OnsetConfig::default(),
     };
-    let a = run_campaign(&mk(1), |t| SimConfig::interruptible(2, t));
-    let b = run_campaign(&mk(2), |t| SimConfig::interruptible(2, t));
+    let ic2 = [SimConfig::interruptible(2, 300)];
+    let a = run_variants(&mk(1), &ic2).remove(0);
+    let b = run_variants(&mk(2), &ic2).remove(0);
     assert!(
         a.iter()
             .zip(&b)

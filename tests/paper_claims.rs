@@ -2,7 +2,7 @@
 //! verified against this implementation at reduced (but shape-preserving)
 //! scale. Quotes are verbatim from Kreaseck et al., IPDPS 2003.
 
-use bandwidth_centric::experiments::campaign::{fraction_reached, run_campaign, CampaignConfig};
+use bandwidth_centric::experiments::campaign::{fraction_reached, run_variants, CampaignConfig};
 use bandwidth_centric::platform::examples::{fig1_p1, fig1_tree};
 use bandwidth_centric::prelude::*;
 use bandwidth_centric::steady::period_bound;
@@ -16,9 +16,8 @@ fn paper_campaign(trees: usize, tasks: u64) -> CampaignConfig {
 /// performance in over 99.5% of our simulations."
 #[test]
 fn claim_ic3_reaches_optimal_almost_always() {
-    let runs = run_campaign(&paper_campaign(50, 10_000), |t| {
-        SimConfig::interruptible(3, t)
-    });
+    let ic3 = [SimConfig::interruptible(3, 10_000)];
+    let runs = run_variants(&paper_campaign(50, 10_000), &ic3).remove(0);
     let frac = fraction_reached(&runs);
     // 50 paper-parameter trees: at paper scale we measure 99.6–100 %.
     assert!(frac >= 0.96, "IC/FB=3 reached only {frac}");
@@ -30,12 +29,14 @@ fn claim_ic3_reaches_optimal_almost_always() {
 /// trees" — i.e. FB=1 clearly trails FB=3 but still covers most trees.
 #[test]
 fn claim_fb1_trails_but_covers_most_trees() {
-    let fb1 = fraction_reached(&run_campaign(&paper_campaign(50, 10_000), |t| {
-        SimConfig::interruptible(1, t)
-    }));
-    let fb3 = fraction_reached(&run_campaign(&paper_campaign(50, 10_000), |t| {
-        SimConfig::interruptible(3, t)
-    }));
+    let runs = run_variants(
+        &paper_campaign(50, 10_000),
+        &[
+            SimConfig::interruptible(1, 10_000),
+            SimConfig::interruptible(3, 10_000),
+        ],
+    );
+    let (fb1, fb3) = (fraction_reached(&runs[0]), fraction_reached(&runs[1]));
     assert!(fb1 >= 0.6, "FB=1 reached only {fb1}");
     assert!(fb1 < fb3, "FB=1 ({fb1}) should trail FB=3 ({fb3})");
 }
@@ -46,10 +47,14 @@ fn claim_fb1_trails_but_covers_most_trees() {
 #[test]
 fn claim_nonic_is_the_clear_loser() {
     let campaign = paper_campaign(50, 10_000);
-    let nonic = fraction_reached(&run_campaign(&campaign, |t| {
-        SimConfig::non_interruptible(1, t)
-    }));
-    let ic1 = fraction_reached(&run_campaign(&campaign, |t| SimConfig::interruptible(1, t)));
+    let runs = run_variants(
+        &campaign,
+        &[
+            SimConfig::non_interruptible(1, campaign.tasks),
+            SimConfig::interruptible(1, campaign.tasks),
+        ],
+    );
+    let (nonic, ic1) = (fraction_reached(&runs[0]), fraction_reached(&runs[1]));
     assert!(
         nonic < ic1,
         "non-IC ({nonic}) must trail even IC/FB=1 ({ic1})"
