@@ -15,11 +15,16 @@ use bc_experiments::campaign::{
 use bc_experiments::{fig4, fig5, table2};
 use bc_metrics::OnsetConfig;
 use bc_platform::RandomTreeConfig;
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// The thread test changes the process-wide worker-pool override; the
 /// other tests take the lock too so their counts stay what they set.
 static POOL: Mutex<()> = Mutex::new(());
+
+/// Takes [`POOL`], also after another test failed while holding it.
+fn pool() -> MutexGuard<'static, ()> {
+    POOL.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn campaign(trees: usize) -> CampaignConfig {
     CampaignConfig {
@@ -73,7 +78,7 @@ fn class_configs(tasks: u64) -> Vec<SimConfig> {
 
 #[test]
 fn driver_matches_the_sequential_reference() {
-    let _pool = POOL.lock().unwrap();
+    let _pool = pool();
     let c = campaign(6);
     let configs = main_configs(c.tasks);
     let runs = run_variants(&c, &configs);
@@ -110,7 +115,7 @@ fn driver_matches_the_sequential_reference() {
 
 #[test]
 fn runs_over_a_prefix_are_a_prefix_of_the_runs() {
-    let _pool = POOL.lock().unwrap();
+    let _pool = pool();
     let (short, long) = (campaign(3), campaign(7));
     let configs = main_configs(short.tasks);
     for (s, l) in run_variants(&short, &configs)
@@ -132,7 +137,7 @@ fn runs_over_a_prefix_are_a_prefix_of_the_runs() {
 
 #[test]
 fn driver_is_bit_identical_at_1_2_4_threads() {
-    let _pool = POOL.lock().unwrap();
+    let _pool = pool();
     let c = campaign(9);
     let configs = main_configs(c.tasks);
     let mut baseline = None;
