@@ -43,7 +43,7 @@ fn bench_fig6(c: &mut Criterion) {
     let campaign = bench_campaign(4, 800);
     c.bench_function("fig6_used_subtrees", |b| {
         b.iter(|| {
-            let runs = run_variants(black_box(&campaign), &fig6::configs(campaign.tasks));
+            let runs = run_variants(black_box(&campaign), &fig5::configs(campaign.tasks));
             black_box(fig6::build(&runs[0], &runs[1]))
         })
     });

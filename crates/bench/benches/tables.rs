@@ -13,8 +13,11 @@ fn bench_table1(c: &mut Criterion) {
     c.bench_function("table1_buffer_thresholds", |b| {
         b.iter(|| {
             let configs = fig4::configs(campaign.tasks, GrowthGate::default());
-            let runs = run_variants(black_box(&campaign), &configs);
-            black_box(table1::build(&runs[0], &runs[1..]))
+            let mut ic = run_variants(black_box(&campaign), &configs);
+            black_box(table1::Table1 {
+                nonic: ic.remove(0),
+                ic,
+            })
         })
     });
 }

@@ -2,7 +2,7 @@
 
 use bc_experiments::campaign::{run_variants, CampaignConfig};
 use bc_experiments::cli::{parse, write_artifact, Defaults};
-use bc_experiments::fig6;
+use bc_experiments::{fig5, fig6};
 
 fn main() {
     let cli = parse(
@@ -14,7 +14,7 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let runs = run_variants(&campaign, &fig6::configs(cli.tasks));
+    let runs = run_variants(&campaign, &fig5::configs(cli.tasks));
     let fig = fig6::build(&runs[0], &runs[1]);
     let text = fig6::render(&fig, 25, 4);
     println!("{text}");

@@ -61,7 +61,11 @@ fn main() {
 
     section("fig7", "Figure 7", fig7::render(&fig7::run(1_000, 200)));
 
-    let text = table1::render(&table1::build(&main[0], &main[1..]));
+    let mut ic = main;
+    let text = table1::render(&table1::Table1 {
+        nonic: ic.remove(0),
+        ic,
+    });
     section("table1", "Table 1", text);
 
     let text = table2::render(&table2::build(&classes[0], ct));

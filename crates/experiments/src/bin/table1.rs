@@ -15,8 +15,11 @@ fn main() {
         },
     );
     let campaign = CampaignConfig::paper(cli.trees, cli.tasks, cli.seed);
-    let runs = run_variants(&campaign, &fig4::configs(cli.tasks, GrowthGate::default()));
-    let t = table1::build(&runs[0], &runs[1..]);
+    let mut ic = run_variants(&campaign, &fig4::configs(cli.tasks, GrowthGate::default()));
+    let t = table1::Table1 {
+        nonic: ic.remove(0),
+        ic,
+    };
     let text = table1::render(&t);
     println!("{text}");
     write_artifact(&cli, "table1.txt", &text);

@@ -155,7 +155,9 @@ pub fn run_variants(campaign: &CampaignConfig, configs: &[SimConfig]) -> Vec<Vec
 }
 
 /// The one materialized campaign driver: [`run_variants`], keeping
-/// `keep(summary, raw result)` of each run.
+/// `keep(summary, raw result)` of each run. `keep` runs on the worker, so
+/// a caller that needs no raw `RunResult` (whose completion times alone
+/// are 8 bytes per task) drops each one as soon as it is summarized.
 ///
 /// One parallel pass over the tree indices: a worker prepares tree `i`
 /// once ([`CampaignConfig::prepare`]), runs every variant on it in the

@@ -44,7 +44,7 @@ pub struct Fig5 {
     pub probes: Vec<u64>,
 }
 
-/// The two protocols of Fig 5: non-IC/IB=1, then IC/FB=3.
+/// The two protocols of Fig 5 (and Fig 6): non-IC/IB=1, then IC/FB=3.
 pub fn configs(tasks: u64) -> Vec<SimConfig> {
     vec![
         SimConfig::non_interruptible(1, tasks),

@@ -27,10 +27,8 @@ fn used_stats(runs: &[TreeRun]) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// Fig 6 compares Fig 5's two protocols: non-IC/IB=1, then IC/FB=3.
-pub use crate::fig5::configs;
-
-/// Builds Fig 6 from the two protocols' runs over one population.
+/// Builds Fig 6 from the runs of Fig 5's two protocols (`fig5::configs`:
+/// non-IC/IB=1, then IC/FB=3) over one population.
 pub fn build(nonic: &[TreeRun], ic: &[TreeRun]) -> Fig6 {
     let all = nonic
         .iter()
@@ -140,7 +138,7 @@ mod tests {
             },
             onset: OnsetConfig::default(),
         };
-        let runs = run_variants(&campaign, &configs(campaign.tasks));
+        let runs = run_variants(&campaign, &crate::fig5::configs(campaign.tasks));
         let fig = build(&runs[0], &runs[1]);
         assert_eq!(fig.all.len(), 12);
         let (all_size, _) = means(&fig.all);

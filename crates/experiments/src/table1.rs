@@ -20,24 +20,14 @@ use bc_metrics::ascii_table;
 /// The paper's buffer thresholds.
 pub const THRESHOLDS: [u32; 6] = [1, 2, 3, 10, 20, 100];
 
-/// Table 1 data.
+/// Table 1 data: the runs of Fig 4's four variants under the default
+/// gate (`fig4::configs`), whose first is non-IC/IB=1 and the rest IC.
 #[derive(Clone, Debug)]
 pub struct Table1 {
     /// non-IC/IB=1 per-tree outcomes.
     pub nonic: Vec<TreeRun>,
     /// IC runs for FB = 1, 2, 3 (in order).
     pub ic: Vec<Vec<TreeRun>>,
-}
-
-/// Builds Table 1 from the non-IC/IB=1 runs and the IC runs for
-/// FB = 1, 2, 3 over one population: Fig 4's four variants under the
-/// default gate, so `build(&runs[0], &runs[1..])` over
-/// `fig4::configs(tasks, GrowthGate::default())`.
-pub fn build(nonic: &[TreeRun], ic: &[Vec<TreeRun>]) -> Table1 {
-    Table1 {
-        nonic: nonic.to_vec(),
-        ic: ic.to_vec(),
-    }
 }
 
 impl Table1 {
@@ -119,7 +109,8 @@ mod tests {
             &campaign,
             &fig4::configs(campaign.tasks, GrowthGate::default()),
         );
-        let t = build(&runs[0], &runs[1..]);
+        let (nonic, ic) = (runs[0].clone(), runs[1..].to_vec());
+        let t = Table1 { nonic, ic };
         // non-IC cells are nondecreasing in n (CDF over buffer usage).
         let cells: Vec<f64> = THRESHOLDS.iter().map(|&n| t.nonic_cell(n)).collect();
         assert!(cells.windows(2).all(|w| w[0] <= w[1] + 1e-12));
