@@ -1,10 +1,9 @@
 //! Microbenchmarks for the two-tier `Rational` representation.
 //!
-//! Each group pits the inline small-word fast path against a baseline that
-//! forces every intermediate through the `BigInt`/`BigUint` machinery via
-//! the public constructors — the arithmetic the pre-fast-path code
-//! performed on every operation. The `bench_report` binary consumes these
-//! numbers to document the measured speedup in `BENCH_rational.json`.
+//! Each group pits the inline small-word fast path against the
+//! forced-bignum baseline of `bc_experiments::rational_baseline`, which
+//! `bench_report` also times to document the measured speedup in
+//! `BENCH_rational.json`.
 //!
 //! `onset_scan` times the comparison the paper campaign makes most: the
 //! §4.1 onset scan of a 10,000-task paper-default completion vector
@@ -14,55 +13,13 @@
 
 use bandwidth_centric::engine::{SimConfig, SimWorkspace};
 use bandwidth_centric::experiments::campaign::CampaignConfig;
+use bandwidth_centric::experiments::rational_baseline::{
+    big_add, big_mul, big_sub_mul, small_operands,
+};
 use bandwidth_centric::metrics::{detect_onset, OnsetConfig};
-use bandwidth_centric::rational::{BigInt, BigUint, Rational};
+use bandwidth_centric::rational::Rational;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
-
-/// Deterministic stream of word-sized rationals (LCG; no RNG dependency).
-fn small_operands(n: usize) -> Vec<Rational> {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let num = (state >> 16) as i64 % 10_000 - 5_000;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let den = (state >> 16) % 10_000 + 1;
-            Rational::new(num as i128, den as i128)
-        })
-        .collect()
-}
-
-fn bigint_of(r: &Rational) -> (BigInt, BigUint) {
-    (r.numer(), r.denom())
-}
-
-/// `a + b` computed the way the old always-bignum path did: cross
-/// products, limb addition, full gcd reduction, all through heap limbs.
-fn big_add(a: &Rational, b: &Rational) -> Rational {
-    let (an, ad) = bigint_of(a);
-    let (bn, bd) = bigint_of(b);
-    let num = an
-        .mul(&BigInt::from_sign_mag(
-            bandwidth_centric::rational::Sign::Positive,
-            bd.clone(),
-        ))
-        .add(&bn.mul(&BigInt::from_sign_mag(
-            bandwidth_centric::rational::Sign::Positive,
-            ad.clone(),
-        )));
-    Rational::from_parts(num, ad.mul(&bd))
-}
-
-fn big_mul(a: &Rational, b: &Rational) -> Rational {
-    let (an, ad) = bigint_of(a);
-    let (bn, bd) = bigint_of(b);
-    Rational::from_parts(an.mul(&bn), ad.mul(&bd))
-}
 
 fn bench_add(c: &mut Criterion) {
     // Pairwise ops: every input and result is word-sized, the regime the
@@ -125,19 +82,7 @@ fn bench_fused(c: &mut Criterion) {
         b.iter(|| {
             let mut row = xs.clone();
             for (cell, pv) in row.iter_mut().zip(xs.iter().rev()) {
-                let prod = big_mul(&factor, pv);
-                let (cn, cd) = bigint_of(cell);
-                let (pn, pd) = bigint_of(&prod);
-                let num = cn
-                    .mul(&BigInt::from_sign_mag(
-                        bandwidth_centric::rational::Sign::Positive,
-                        pd.clone(),
-                    ))
-                    .sub(&pn.mul(&BigInt::from_sign_mag(
-                        bandwidth_centric::rational::Sign::Positive,
-                        cd.clone(),
-                    )));
-                *cell = Rational::from_parts(num, cd.mul(&pd));
+                *cell = big_sub_mul(cell, &factor, pv);
             }
             black_box(row)
         })

@@ -227,14 +227,6 @@ impl RunStatsAccumulator {
         }
         self.events as f64 / self.runs as f64
     }
-
-    /// Mean of the per-run global max buffer-pool sizes (0 when empty).
-    pub fn mean_max_buffers(&self) -> f64 {
-        if self.runs == 0 {
-            return 0.0;
-        }
-        self.max_buffers_sum as f64 / self.runs as f64
-    }
 }
 
 #[cfg(test)]

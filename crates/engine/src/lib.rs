@@ -18,7 +18,6 @@ pub mod arrivals;
 pub mod config;
 pub mod durability;
 pub mod invariants;
-pub mod profile;
 pub mod result;
 pub mod sim;
 pub mod snapshot;

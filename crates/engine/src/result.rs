@@ -125,22 +125,6 @@ impl RunResult {
         self.max_buffers_per_node.iter().copied().max().unwrap_or(0)
     }
 
-    /// Per-node processor utilization over the whole run, in [0, 1].
-    pub fn compute_utilization(&self, node: usize) -> f64 {
-        if self.end_time == 0 {
-            return 0.0;
-        }
-        self.busy_compute_per_node[node] as f64 / self.end_time as f64
-    }
-
-    /// Per-node outbound-link utilization over the whole run, in [0, 1].
-    pub fn link_utilization(&self, node: usize) -> f64 {
-        if self.end_time == 0 {
-            return 0.0;
-        }
-        self.busy_link_per_node[node] as f64 / self.end_time as f64
-    }
-
     /// Per-node measured compute rate over the whole run (tasks per
     /// timestep) — comparable to the theory's optimal allocation.
     pub fn node_rate(&self, node: usize) -> f64 {
@@ -197,9 +181,6 @@ mod tests {
     #[test]
     fn utilization_accessors() {
         let r = sample();
-        assert!((r.compute_utilization(0) - 0.5).abs() < 1e-12);
-        assert!((r.link_utilization(0) - 0.75).abs() < 1e-12);
-        assert_eq!(r.compute_utilization(2), 0.0);
         assert!((r.node_rate(1) - 0.25).abs() < 1e-12);
     }
 

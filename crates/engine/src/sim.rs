@@ -121,23 +121,6 @@ pub(crate) enum Event {
     Arrival,
 }
 
-impl Event {
-    /// Profiler kind index (must match `profile::KIND_NAMES` order).
-    #[cfg(feature = "profile")]
-    fn kind(&self) -> usize {
-        match self {
-            Event::ComputeDone { .. } => 0,
-            Event::SendDone { .. } => 1,
-            Event::TransferDone { .. } => 2,
-            Event::Fault { .. } => 3,
-            Event::OutageEnd { .. } => 4,
-            Event::RequestTimeout { .. } => 5,
-            Event::Reissue { .. } => 6,
-            Event::Arrival => 7,
-        }
-    }
-}
-
 /// Non-IC: the single in-flight outbound transfer.
 #[derive(Clone)]
 pub(crate) struct Sending {
@@ -916,12 +899,8 @@ impl<S: TraceSink> Simulation<S> {
             "event budget exceeded ({}); runaway simulation",
             self.cfg.max_events
         );
-        #[cfg(feature = "profile")]
-        let (pk, pt) = (ev.kind(), crate::profile::start());
         self.handle::<FA, AR>(ev);
         self.drain::<FA, IC, AR>();
-        #[cfg(feature = "profile")]
-        crate::profile::record(pk, pt);
         if self.cfg.checked {
             self.checked_tick();
         }

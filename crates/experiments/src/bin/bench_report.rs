@@ -6,10 +6,11 @@
 //!   performed before the two-tier representation).
 //! * `BENCH_campaign.json` — campaign-scale end-to-end numbers: the
 //!   Theorem 1 fold over a tree population, the LP oracle, a full
-//!   simulation campaign with its thread-scaling curve, and the
-//!   paper-scale campaign (`campaign_paper_scale`: 25 000 random trees,
-//!   per-protocol wall-clock / events-per-second / fraction reaching the
-//!   optimal steady state).
+//!   simulation campaign with its thread-scaling curve and its exact
+//!   event counts by kind (`event_counts`), and the paper-scale campaign
+//!   (`campaign_paper_scale`: 25 000 random trees, per-protocol
+//!   wall-clock / events-per-second / fraction reaching the optimal
+//!   steady state).
 //!
 //! Flags: `--samples N` (timing samples per workload, default 15),
 //! `--campaign-trees N` (paper-scale tree count, default 25 000),
@@ -28,17 +29,19 @@
 //! the CI scaling step), `--assert-threads-speedup X` (with
 //! `--scaling-smoke`: fail unless max-threads wall time beats 1-thread
 //! by the ratio; skipped with a warning on hosts with < 2 CPUs),
-//! `--scaling-trees N` (smoke campaign size, default 256),
+//! `--assert-events-per-sec X` (with `--scaling-smoke`: fail unless the
+//! 1-thread point handles at least `X` events/s; `--threads` must
+//! include 1), `--scaling-trees N` (smoke campaign size, default 256),
 //! `--out DIR` (default `.`).
 
 use bc_engine::SimConfig;
 use bc_experiments::campaign::{
-    accumulate_materialized, fraction_reached, run_campaign_streaming, run_grid_streaming,
-    run_variants, run_variants_with, CampaignConfig, CampaignGrid, TreeRun,
+    accumulate_materialized, event_counts, fraction_reached, run_campaign_streaming,
+    run_grid_streaming, run_variants, run_variants_with, CampaignConfig, CampaignGrid, TreeRun,
 };
-use bc_metrics::OnsetConfig;
+use bc_experiments::rational_baseline::{big_add, big_mul, big_sub_mul, small_operands};
 use bc_platform::RandomTreeConfig;
-use bc_rational::{BigInt, BigUint, Rational, Sign};
+use bc_rational::Rational;
 use bc_steady::{lp_optimal_rate, SteadyState};
 use rayon::prelude::*;
 use serde::{object, Value};
@@ -164,52 +167,6 @@ fn time_ns(samples: usize, mut f: impl FnMut()) -> f64 {
         .collect();
     times.sort_unstable();
     times[times.len() / 2] as f64
-}
-
-fn small_operands(n: usize) -> Vec<Rational> {
-    let mut state = 0x9e37_79b9_7f4a_7c15u64;
-    (0..n)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let num = (state >> 16) as i64 % 10_000 - 5_000;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let den = (state >> 16) % 10_000 + 1;
-            Rational::new(num as i128, den as i128)
-        })
-        .collect()
-}
-
-fn big_of(mag: BigUint) -> BigInt {
-    BigInt::from_sign_mag(Sign::Positive, mag)
-}
-
-/// `a + b` the way the pre-fast-path code computed it: heap-limb cross
-/// products plus a full bignum gcd reduction.
-fn big_add(a: &Rational, b: &Rational) -> Rational {
-    let (an, ad) = (a.numer(), a.denom());
-    let (bn, bd) = (b.numer(), b.denom());
-    let num = an
-        .mul(&big_of(bd.clone()))
-        .add(&bn.mul(&big_of(ad.clone())));
-    Rational::from_parts(num, ad.mul(&bd))
-}
-
-fn big_mul(a: &Rational, b: &Rational) -> Rational {
-    Rational::from_parts(a.numer().mul(&b.numer()), a.denom().mul(&b.denom()))
-}
-
-fn big_sub_mul(cell: &Rational, factor: &Rational, pv: &Rational) -> Rational {
-    let prod = big_mul(factor, pv);
-    let (cn, cd) = (cell.numer(), cell.denom());
-    let (pn, pd) = (prod.numer(), prod.denom());
-    let num = cn
-        .mul(&big_of(pd.clone()))
-        .sub(&pn.mul(&big_of(cd.clone())));
-    Rational::from_parts(num, cd.mul(&pd))
 }
 
 struct Workload {
@@ -613,73 +570,42 @@ fn paper_scale_report(scale: &CampaignScale) -> Value {
     ])
 }
 
-/// The `kernel_profile` section: per-event-kind counts and cycle
-/// histograms from one instrumented IC/FB=3 pass over `campaign`, separate
-/// from every timed run (which keep collection disabled, so the headline
-/// numbers never include profiling overhead).
-#[cfg(feature = "profile")]
-fn kernel_profile(campaign: &CampaignConfig) -> Value {
-    bc_engine::profile::reset();
-    bc_engine::profile::enable(true);
-    let _ = ic3_runs(campaign);
-    bc_engine::profile::enable(false);
-    let p = bc_engine::profile::snapshot();
-    let kinds: Vec<Value> = p
-        .counts
+/// The `event_counts` section: per protocol, the agenda events handled
+/// and the trace records per kind over `campaign` (exact counts from
+/// [`event_counts`], taken in a traced pass apart from every timed run).
+fn event_counts_report(campaign: &CampaignConfig) -> Value {
+    let protocols = [
+        ("ic_fb3", SimConfig::interruptible(3, campaign.tasks)),
+        ("nonic_ib1", SimConfig::non_interruptible(1, campaign.tasks)),
+    ];
+    let mut fields: Vec<(&str, Value)> = protocols
         .iter()
-        .zip(&p.histograms)
-        .map(|(&(name, n), &(_, hist))| {
-            let first = hist.iter().position(|&c| c > 0).unwrap_or(0);
-            let last = hist.iter().rposition(|&c| c > 0).unwrap_or(0);
-            let hist = hist[first..=last].iter().map(|&c| Value::Int(c as i128));
-            object(vec![
-                ("kind", Value::Str(name.to_string())),
-                ("events", Value::Int(n as i128)),
-                ("log2_cycles_first_bucket", Value::Int(first as i128)),
-                ("log2_cycles_histogram", Value::Array(hist.collect())),
-            ])
+        .map(|(name, config)| {
+            let counts = event_counts(campaign, config);
+            let kinds = counts
+                .by_kind
+                .iter()
+                .map(|(&kind, &n)| (kind, Value::Int(n as i128)))
+                .collect();
+            let entry = object(vec![
+                ("events_total", Value::Int(counts.events_total as i128)),
+                ("trace_records_by_kind", object(kinds)),
+            ]);
+            (*name, entry)
         })
         .collect();
-    let note = "per-event cost in cycles (rdtsc), service cascade included; histogram \
-                bucket b counts events costing [2^(first+b), 2^(first+b+1)) cycles";
-    object(vec![
-        ("enabled", Value::Bool(true)),
-        ("note", Value::Str(note.to_string())),
-        ("kinds", Value::Array(kinds)),
-    ])
-}
-
-/// The `kernel_profile` section of a build without the `profile` feature.
-#[cfg(not(feature = "profile"))]
-fn kernel_profile(_: &CampaignConfig) -> Value {
-    let note = "build with `--features profile` to collect per-event-kind cycle histograms";
-    object(vec![
-        ("enabled", Value::Bool(false)),
-        ("note", Value::Str(note.to_string())),
-    ])
+    let note = "events_total counts agenda events; trace_records_by_kind counts trace records \
+                per TraceEvent::kind. In these fault-free runs every event is a compute-finish \
+                or a transfer completion, so events_total minus compute-finish is the number of \
+                transfer events";
+    fields.push(("note", Value::Str(note.to_string())));
+    object(fields)
 }
 
 /// The IC/FB=3 runs of `campaign`, the protocol every curve and
 /// comparison here times.
 fn ic3_runs(campaign: &CampaignConfig) -> Vec<TreeRun> {
     run_variants(campaign, &[SimConfig::interruptible(3, campaign.tasks)]).remove(0)
-}
-
-/// The 64-tree benchmark campaign every curve and comparison runs over.
-fn bench_campaign() -> CampaignConfig {
-    CampaignConfig {
-        trees: 64,
-        tasks: 2_000,
-        seed: 2003,
-        tree_config: RandomTreeConfig {
-            min_nodes: 10,
-            max_nodes: 60,
-            comm_min: 1,
-            comm_max: 20,
-            compute_scale: 500,
-        },
-        onset: OnsetConfig::default(),
-    }
 }
 
 /// `--scaling-smoke`: the CI thread-scaling gate. Runs the campaign at 1
@@ -696,7 +622,7 @@ fn scaling_smoke(
 ) {
     let campaign = CampaignConfig {
         trees,
-        ..bench_campaign()
+        ..CampaignConfig::reference()
     };
     let curve = threads_curve(&campaign, counts, rounds);
     let mut report = object(vec![
@@ -707,7 +633,6 @@ fn scaling_smoke(
         ("trees", Value::Int(trees as i128)),
         ("host_cpus", Value::Int(host_cpus() as i128)),
         ("threads_curve", curve.clone()),
-        ("kernel_profile", kernel_profile(&campaign)),
     ]);
     sort_keys(&mut report);
     std::fs::create_dir_all(out).expect("create --out directory");
@@ -808,14 +733,14 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
     // Median of `samples` runs: a single shot can land on a cold-cache
     // or thermally-throttled window and misreport the budget number the
     // ≤2% regression check compares against.
-    let campaign = bench_campaign();
+    let campaign = CampaignConfig::reference();
     let mut runs = Vec::new();
     let campaign_ns = time_ns(samples, || {
         runs = ic3_runs(&campaign);
     });
     let events: u64 = runs.iter().map(|r| r.events).sum();
     let reached = runs.iter().filter(|r| r.reached()).count();
-    let profile = kernel_profile(&campaign);
+    let counts = event_counts_report(&campaign);
 
     let curve = threads_curve(&campaign, &scale.curve_threads, samples);
     let streaming = streaming_report(&campaign, &scale.grid, scale.shard_size);
@@ -882,7 +807,7 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
                 ),
             ]),
         ),
-        ("kernel_profile", profile),
+        ("event_counts", counts),
         ("threads_curve", curve),
         ("streaming_campaign", streaming),
         ("campaign_paper_scale", paper_scale),

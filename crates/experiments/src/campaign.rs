@@ -11,13 +11,16 @@ use bc_engine::durability::{
     fnv1a64, take_u128_le as u128le, take_u64_le as u64le, CheckpointError, CheckpointKind,
     CheckpointStore,
 };
-use bc_engine::{RunResult, RunStatsAccumulator, SimConfig, SimWorkspace};
+use bc_engine::{
+    RunResult, RunStatsAccumulator, SimConfig, SimWorkspace, Simulation, TraceEvent, TraceSink,
+};
 use bc_metrics::{detect_onset, OnsetConfig};
 use bc_platform::{RandomTreeConfig, Tree, UsedStats};
 use bc_rational::Rational;
-use bc_simcore::split_seed;
+use bc_simcore::{split_seed, Time};
 use bc_steady::SteadyState;
 use rayon::prelude::*;
+use std::collections::BTreeMap;
 
 /// Log-2 bucket count of the streaming histograms (onset times up to
 /// 2^15 and buffer pools up to 2^15 resolve to distinct buckets; larger
@@ -64,6 +67,25 @@ impl CampaignConfig {
             seed: self.seed.wrapping_add(x),
             tree_config: self.tree_config.with_compute_scale(x),
             ..self.clone()
+        }
+    }
+
+    /// The 64-tree reference campaign that `bench_report` times and
+    /// counts: 2,000 tasks on trees of 10–60 nodes with communication
+    /// times in `[1, 20]` and compute scale 500, seed 2003.
+    pub fn reference() -> Self {
+        CampaignConfig {
+            trees: 64,
+            tasks: 2_000,
+            seed: 2003,
+            tree_config: RandomTreeConfig {
+                min_nodes: 10,
+                max_nodes: 60,
+                comm_min: 1,
+                comm_max: 20,
+                compute_scale: 500,
+            },
+            onset: OnsetConfig::default(),
         }
     }
 
@@ -210,6 +232,64 @@ pub fn run_ratio_classes(
         runs.iter_mut().zip(class_runs).for_each(|(v, r)| v.push(r));
     }
     runs
+}
+
+/// What a campaign's simulator did, counted by kind.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct EventCounts {
+    /// Trace records per [`TraceEvent::kind`]; kinds never recorded are
+    /// absent. These count records, not agenda events: one handled event
+    /// emits any number of records, and an interruptible transfer
+    /// preempted at the instant its work runs out completes inside that
+    /// event's service cascade, so its `transfer-complete` record has no
+    /// transfer event of its own.
+    pub by_kind: BTreeMap<&'static str, u64>,
+    /// Agenda events handled, summed over the campaign's runs
+    /// ([`RunResult::events_processed`]). In a fault-free batch run every
+    /// event is a compute completion (one `compute-finish` record each)
+    /// or a transfer completion, so their split is `events_total` and
+    /// `by_kind["compute-finish"]`.
+    pub events_total: u64,
+}
+
+/// The sink behind [`event_counts`]: trace records per kind.
+#[derive(Default)]
+struct KindCounter(BTreeMap<&'static str, u64>);
+
+impl TraceSink for KindCounter {
+    fn record(&mut self, _time: Time, event: TraceEvent) {
+        *self.0.entry(event.kind()).or_insert(0) += 1;
+    }
+}
+
+/// Runs `config` over every tree of `campaign` with a counting trace
+/// sink and returns the records per kind and the events handled. The
+/// counts are exact and independent of thread count and host speed, so
+/// they show a change in work per run without timing anything.
+pub fn event_counts(campaign: &CampaignConfig, config: &SimConfig) -> EventCounts {
+    let per_tree: Vec<(BTreeMap<&'static str, u64>, u64)> = (0..campaign.trees)
+        .into_par_iter()
+        .map_init(SimWorkspace::new, |ws, i| {
+            let ws_in = std::mem::take(ws);
+            let sim = Simulation::traced(
+                campaign.tree(i),
+                config.clone(),
+                ws_in,
+                KindCounter::default(),
+            );
+            let (result, ws_out, KindCounter(kinds)) = sim.run_traced();
+            *ws = ws_out;
+            (kinds, result.events_processed)
+        })
+        .collect();
+    let mut counts = EventCounts::default();
+    for (kinds, events) in per_tree {
+        for (kind, n) in kinds {
+            *counts.by_kind.entry(kind).or_insert(0) += n;
+        }
+        counts.events_total += events;
+    }
+    counts
 }
 
 /// Summarizes one finished run.

@@ -20,6 +20,7 @@ pub mod fuzz;
 pub mod goldens;
 pub mod latency_load;
 pub mod overlay;
+pub mod rational_baseline;
 pub mod resilience;
 pub mod startup;
 pub mod table1;

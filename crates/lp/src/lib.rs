@@ -99,11 +99,6 @@ impl Problem {
         self.num_vars
     }
 
-    /// Number of constraints.
-    pub fn num_constraints(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Sets the maximization objective.
     pub fn set_objective(&mut self, coeffs: Vec<Rational>) {
         assert_eq!(

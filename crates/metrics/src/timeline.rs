@@ -58,18 +58,6 @@ pub struct NodeTimeline {
     pub open_spans: u32,
 }
 
-impl NodeTimeline {
-    /// Processor idle time over a run of length `end_time`.
-    pub fn idle_compute(&self, end_time: Time) -> u64 {
-        end_time.saturating_sub(self.busy_compute)
-    }
-
-    /// Outbound-link idle time over a run of length `end_time`.
-    pub fn idle_link(&self, end_time: Time) -> u64 {
-        end_time.saturating_sub(self.busy_link)
-    }
-}
-
 /// Time of the last record (the makespan, for a complete trace of a
 /// finished run — the final event is the last task's compute-finish).
 pub fn trace_end_time(records: &[TraceRecord]) -> Time {
@@ -275,7 +263,6 @@ mod tests {
         assert_eq!(tl[1].max_capacity, 2);
         assert_eq!(tl[1].final_held, 0);
         assert_eq!(tl[1].open_spans, 0);
-        assert_eq!(tl[1].idle_compute(trace_end_time(&records)), 3);
         assert_eq!(trace_end_time(&records), 8);
     }
 

@@ -181,13 +181,6 @@ impl BigInt {
         )
     }
 
-    /// Exact division; panics (in debug) if not exact.
-    pub fn div_exact(&self, other: &BigInt) -> BigInt {
-        let (q, r) = self.divrem(other);
-        debug_assert!(r.is_zero(), "div_exact with nonzero remainder");
-        q
-    }
-
     /// Comparison.
     pub fn cmp_val(&self, other: &BigInt) -> Ordering {
         match (self.sign, other.sign) {

@@ -47,11 +47,6 @@ impl BigUint {
         self.limbs == [1]
     }
 
-    /// True if the value is even (0 is even).
-    pub fn is_even(&self) -> bool {
-        self.limbs.first().is_none_or(|l| l & 1 == 0)
-    }
-
     /// Builds from a `u64`.
     pub fn from_u64(v: u64) -> Self {
         if v == 0 {

@@ -229,14 +229,6 @@ impl Rational {
         }
     }
 
-    /// True if the value is an integer.
-    pub fn is_integer(&self) -> bool {
-        match &self.repr {
-            Repr::Small { den, .. } => *den == 1,
-            Repr::Big { den, .. } => den.is_one(),
-        }
-    }
-
     /// Multiplicative inverse. Panics on zero.
     pub fn recip(&self) -> Rational {
         assert!(!self.is_zero(), "reciprocal of zero");
@@ -779,8 +771,6 @@ mod tests {
         assert_eq!(r(-2, 4), r(1, -2));
         assert_eq!(r(0, 5), Rational::zero());
         assert_eq!(r(6, 3), Rational::from_integer(2));
-        assert!(r(6, 3).is_integer());
-        assert!(!r(1, 3).is_integer());
     }
 
     #[test]

@@ -342,9 +342,11 @@ fn parse_faults(v: &Value, seed: Option<u64>) -> Result<FaultPlan, String> {
 
 /// Lowercase hex encoding of snapshot bytes.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut out = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        out.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        out.push(DIGITS[usize::from(b >> 4)] as char);
+        out.push(DIGITS[usize::from(b & 0xf)] as char);
     }
     out
 }
@@ -438,7 +440,12 @@ mod tests {
     #[test]
     fn hex_round_trips() {
         let bytes: Vec<u8> = (0..=255).collect();
-        assert_eq!(from_hex(&to_hex(&bytes)).unwrap(), bytes);
+        let hex = to_hex(&bytes);
+        assert_eq!(hex.len(), 2 * bytes.len());
+        for (b, pair) in bytes.iter().zip(hex.as_bytes().chunks(2)) {
+            assert_eq!(pair, format!("{b:02x}").as_bytes(), "byte {b}");
+        }
+        assert_eq!(from_hex(&hex).unwrap(), bytes);
         assert!(from_hex("abc").is_err());
         assert!(from_hex("zz").is_err());
     }

@@ -483,8 +483,6 @@ pub struct RingRecorder {
     capacity: usize,
     /// Index the next record lands at once the ring is full.
     next: usize,
-    /// Total records ever seen (≥ `buf.len()`).
-    total: u64,
 }
 
 impl RingRecorder {
@@ -495,13 +493,7 @@ impl RingRecorder {
             buf: Vec::with_capacity(capacity),
             capacity,
             next: 0,
-            total: 0,
         }
-    }
-
-    /// Total events ever recorded (including overwritten ones).
-    pub fn total_recorded(&self) -> u64 {
-        self.total
     }
 
     /// The retained tail in chronological order.
@@ -521,7 +513,6 @@ impl TraceSink for RingRecorder {
             self.buf[self.next] = rec;
             self.next = (self.next + 1) % self.capacity;
         }
-        self.total += 1;
     }
 
     fn retained(&self, out: &mut Vec<TraceRecord>) {
@@ -939,7 +930,6 @@ mod tests {
         for i in 0..10u64 {
             ring.record(i, TraceEvent::ComputeStart { node: i as u32 });
         }
-        assert_eq!(ring.total_recorded(), 10);
         let tail = ring.tail();
         assert_eq!(tail.len(), 4);
         assert_eq!(
@@ -953,7 +943,6 @@ mod tests {
             small.record(i, TraceEvent::ComputeFinish { node: 0 });
         }
         assert_eq!(small.tail().len(), 3);
-        assert_eq!(small.total_recorded(), 3);
     }
 
     #[test]
