@@ -8,53 +8,67 @@
 //!   analyze --random SEED [--simulate N] [--dot] [--criticality]
 
 use bc_engine::{SimConfig, Simulation};
+use bc_experiments::cli::{or_exit, CliError, Flags};
 use bc_metrics::ascii_table;
 use bc_platform::{io, RandomTreeConfig, Tree};
 use bc_steady::{node_criticality, period_bound, SteadyState};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut tree: Option<Tree> = None;
-    let mut simulate: Option<u64> = None;
-    let mut dot = false;
-    let mut criticality = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+const USAGE: &str =
+    "analyze --json FILE | --random SEED [--simulate TASKS] [--dot] [--criticality]";
+
+struct Args {
+    tree: Tree,
+    simulate: Option<u64>,
+    dot: bool,
+    criticality: bool,
+}
+
+/// Parses the command line and loads the platform it names (the last
+/// `--json`/`--random` wins).
+fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
+    let mut tree = None;
+    let mut simulate = None;
+    let (mut dot, mut criticality) = (false, false);
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--json" => {
-                let path = it.next().expect("--json requires a path");
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-                tree = Some(io::from_json(&text).expect("invalid platform JSON"));
+                let path = flags.value("--json")?;
+                let text = std::fs::read_to_string(&path)
+                    .map_err(|e| CliError::Usage(format!("cannot read {path}: {e}")))?;
+                let parsed = io::from_json(&text).map_err(|e| {
+                    CliError::Usage(format!("invalid platform JSON in {path}: {e}"))
+                })?;
+                tree = Some(parsed);
             }
             "--random" => {
-                let seed: u64 = it
-                    .next()
-                    .expect("--random requires a seed")
-                    .parse()
-                    .expect("seed must be a number");
-                tree = Some(RandomTreeConfig::default().generate(seed));
+                tree = Some(RandomTreeConfig::default().generate(flags.number("--random")?))
             }
-            "--simulate" => {
-                simulate = Some(
-                    it.next()
-                        .expect("--simulate requires a task count")
-                        .parse()
-                        .expect("task count must be a number"),
-                );
-            }
+            "--simulate" => simulate = Some(flags.number("--simulate")?),
             "--dot" => dot = true,
             "--criticality" => criticality = true,
-            "--help" | "-h" => {
-                println!(
-                    "analyze --json FILE | --random SEED [--simulate TASKS] [--dot] [--criticality]"
-                );
-                return;
-            }
-            other => panic!("unknown flag {other}; try --help"),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
         }
     }
-    let tree = tree.expect("provide --json FILE or --random SEED (see --help)");
+    let tree = tree.ok_or_else(|| {
+        CliError::Usage("provide --json FILE or --random SEED (see --help)".into())
+    })?;
+    Ok(Args {
+        tree,
+        simulate,
+        dot,
+        criticality,
+    })
+}
+
+fn main() {
+    let Args {
+        tree,
+        simulate,
+        dot,
+        criticality,
+    } = or_exit(try_parse(std::env::args().skip(1)), USAGE);
 
     println!("platform: {} nodes, depth {}", tree.len(), tree.depth());
     if tree.len() <= 30 {

@@ -39,6 +39,7 @@ use bc_experiments::campaign::{
     accumulate_materialized, event_counts, fraction_reached, run_campaign_streaming,
     run_grid_streaming, run_variants, run_variants_with, CampaignConfig, CampaignGrid, TreeRun,
 };
+use bc_experiments::cli::{create_out_dir, number, or_exit, CliError, Flags};
 use bc_experiments::rational_baseline::{big_add, big_mul, big_sub_mul, small_operands};
 use bc_platform::RandomTreeConfig;
 use bc_rational::Rational;
@@ -293,49 +294,89 @@ struct CampaignScale {
 
 /// Parses `--campaign-grid` axis specs: `m=30,120;n=500;b=2,3;d=10,30;x=100,500`
 /// (axes may be omitted; omitted axes keep the default grid's values).
-fn parse_grid_spec(spec: &str, grid: &mut CampaignGrid) {
+fn parse_grid_spec(spec: &str, grid: &mut CampaignGrid) -> Result<(), CliError> {
+    let usage = |msg: String| Err(CliError::Usage(msg));
     for part in spec.split(';').filter(|p| !p.is_empty()) {
-        let (axis, values) = part
-            .split_once('=')
-            .unwrap_or_else(|| panic!("grid axis {part:?} must look like m=30,120"));
-        let nums: Vec<u64> = values
-            .split(',')
-            .map(|v| {
-                v.trim()
-                    .parse()
-                    .unwrap_or_else(|_| panic!("grid axis value {v:?} must be a number"))
-            })
-            .collect();
-        assert!(
-            !nums.is_empty(),
-            "grid axis {axis:?} needs at least one value"
-        );
+        let Some((axis, values)) = part.split_once('=') else {
+            return usage(format!("grid axis {part:?} must look like m=30,120"));
+        };
+        let mut nums = Vec::new();
+        for v in values.split(',') {
+            match v.trim().parse::<u64>() {
+                Ok(n) => nums.push(n),
+                Err(_) => return usage(format!("grid axis value {v:?} must be a number")),
+            }
+        }
         match axis.trim() {
             "m" => grid.max_nodes = nums.iter().map(|&v| v as usize).collect(),
             "n" => grid.tasks = nums,
             "b" => grid.buffers = nums.iter().map(|&v| v as u32).collect(),
             "d" => grid.comm_max = nums,
             "x" => grid.compute_scale = nums,
-            other => panic!("unknown grid axis {other:?}; axes: m n b d x"),
+            other => return usage(format!("unknown grid axis {other:?}; axes: m n b d x")),
         }
     }
+    Ok(())
 }
 
 /// Parses `--threads` lists: `1,2,4`.
-fn parse_threads_list(spec: &str) -> Vec<usize> {
-    let counts: Vec<usize> = spec
-        .split(',')
-        .map(|v| {
-            let n = v
-                .trim()
-                .parse()
-                .unwrap_or_else(|_| panic!("--threads entry {v:?} must be a number"));
-            assert!(n > 0, "--threads entries must be at least 1");
-            n
+fn parse_threads_list(spec: &str) -> Result<Vec<usize>, CliError> {
+    spec.split(',')
+        .map(|v| match v.trim().parse() {
+            Ok(0) => Err(CliError::Usage(
+                "--threads entries must be at least 1".into(),
+            )),
+            Ok(n) => Ok(n),
+            Err(_) => Err(CliError::Usage(format!(
+                "--threads entry {v:?} must be a number"
+            ))),
         })
-        .collect();
-    assert!(!counts.is_empty(), "--threads needs at least one count");
-    counts
+        .collect()
+}
+
+/// One thread count's point on the scaling curve: the minimum wall time
+/// over the measured rounds, and the events that run handled.
+struct CurvePoint {
+    threads: usize,
+    wall_ns: f64,
+    events: u64,
+}
+
+/// The measured thread-scaling curve, one point per distinct count in
+/// ascending order.
+struct ThreadsCurve {
+    rounds: usize,
+    points: Vec<CurvePoint>,
+}
+
+impl ThreadsCurve {
+    fn to_value(&self) -> Value {
+        let base_ns = self.points[0].wall_ns;
+        let points = self
+            .points
+            .iter()
+            .map(|p| {
+                object(vec![
+                    ("threads", Value::Int(p.threads as i128)),
+                    ("wall_ms", wall_ms(p.wall_ns)),
+                    ("events_per_sec", events_per_sec(p.events as f64, p.wall_ns)),
+                    ("speedup_vs_1_thread", Value::Float(base_ns / p.wall_ns)),
+                ])
+            })
+            .collect();
+        object(vec![
+            (
+                "method",
+                Value::Str(format!(
+                    "interleaved round-robin across thread counts, min of {} samples per \
+                     count (1 warm-up round discarded)",
+                    self.rounds
+                )),
+            ),
+            ("host_cpus", Value::Int(host_cpus() as i128)),
+            ("points", Value::Array(points)),
+        ])
+    }
 }
 
 /// Runs the campaign repeatedly per thread count — **interleaved**
@@ -345,72 +386,48 @@ fn parse_threads_list(spec: &str) -> Vec<usize> {
 /// whichever count happened to run last; the per-count minimum is the
 /// drift-free estimate. Results are bit-identical across thread counts
 /// (each tree's run depends only on its seed), so only wall-clock moves.
-fn threads_curve(campaign: &CampaignConfig, counts: &[usize], rounds: usize) -> Value {
+fn threads_curve(campaign: &CampaignConfig, counts: &[usize], rounds: usize) -> ThreadsCurve {
     let mut counts = counts.to_vec();
     counts.sort_unstable();
     counts.dedup();
     let rounds = rounds.max(2);
-    let mut mins: Vec<f64> = vec![f64::INFINITY; counts.len()];
-    let mut events_of: Vec<u64> = vec![0; counts.len()];
+    let mut points: Vec<CurvePoint> = counts
+        .iter()
+        .map(|&threads| CurvePoint {
+            threads,
+            wall_ns: f64::INFINITY,
+            events: 0,
+        })
+        .collect();
     let mut baseline: Option<Vec<(Option<u64>, u64)>> = None;
     // Round 0 is discarded as warm-up for every count (first touch of
     // each worker count pays page faults and pool spin-up).
     for round in 0..=rounds {
-        for (k, &n) in counts.iter().enumerate() {
+        for p in &mut points {
             rayon::ThreadPoolBuilder::new()
-                .num_threads(n)
+                .num_threads(p.threads)
                 .build_global()
-                .unwrap();
+                .expect("configure worker threads");
             let t0 = Instant::now();
             let runs = ic3_runs(campaign);
             let ns = t0.elapsed().as_nanos() as f64;
             let summary: Vec<_> = runs.iter().map(|r| (r.onset, r.end_time)).collect();
             match &baseline {
                 None => baseline = Some(summary),
-                Some(b) => assert_eq!(b, &summary, "campaign differs at {n} threads"),
+                Some(b) => assert_eq!(b, &summary, "campaign differs at {} threads", p.threads),
             }
             if round > 0 {
-                mins[k] = mins[k].min(ns);
+                p.wall_ns = p.wall_ns.min(ns);
             }
-            events_of[k] = runs.iter().map(|r| r.events).sum();
+            p.events = runs.iter().map(|r| r.events).sum();
         }
     }
     // Back to automatic sizing for the remaining workloads.
     rayon::ThreadPoolBuilder::new()
         .num_threads(0)
         .build_global()
-        .unwrap();
-    let points = counts
-        .iter()
-        .zip(&mins)
-        .zip(&events_of)
-        .map(|((&n, &ns), &events)| {
-            object(vec![
-                ("threads", Value::Int(n as i128)),
-                ("wall_ms", wall_ms(ns)),
-                ("events_per_sec", events_per_sec(events as f64, ns)),
-                (
-                    "speedup_vs_1_thread",
-                    Value::Float(if mins[0].is_finite() {
-                        mins[0] / ns
-                    } else {
-                        1.0
-                    }),
-                ),
-            ])
-        })
-        .collect();
-    object(vec![
-        (
-            "method",
-            Value::Str(format!(
-                "interleaved round-robin across thread counts, min of {rounds} samples per \
-                 count (1 warm-up round discarded)"
-            )),
-        ),
-        ("host_cpus", Value::Int(host_cpus() as i128)),
-        ("points", Value::Array(points)),
-    ])
+        .expect("configure worker threads");
+    ThreadsCurve { rounds, points }
 }
 
 /// The streaming-vs-materialized comparison on the 64-tree campaign plus
@@ -611,20 +628,16 @@ fn ic3_runs(campaign: &CampaignConfig) -> Vec<TreeRun> {
 /// `--scaling-smoke`: the CI thread-scaling gate. Runs the campaign at 1
 /// thread and at the largest requested count, interleaved min-of-N,
 /// writes the curve artifact, and (on multi-core hosts) fails unless the
-/// parallel run actually beats the serial one by `min_speedup`.
-fn scaling_smoke(
-    trees: usize,
-    counts: &[usize],
-    rounds: usize,
-    min_speedup: Option<f64>,
-    min_events_per_sec: Option<f64>,
-    out: &PathBuf,
-) {
+/// parallel run actually beats the serial one by
+/// `--assert-threads-speedup`, and the 1-thread point handles at least
+/// `--assert-events-per-sec`.
+fn scaling_smoke(args: &Args) {
+    let trees = args.scaling_trees;
     let campaign = CampaignConfig {
         trees,
         ..CampaignConfig::reference()
     };
-    let curve = threads_curve(&campaign, counts, rounds);
+    let curve = threads_curve(&campaign, &args.scale.curve_threads, args.samples);
     let mut report = object(vec![
         (
             "generated_by",
@@ -632,47 +645,34 @@ fn scaling_smoke(
         ),
         ("trees", Value::Int(trees as i128)),
         ("host_cpus", Value::Int(host_cpus() as i128)),
-        ("threads_curve", curve.clone()),
+        ("threads_curve", curve.to_value()),
     ]);
     sort_keys(&mut report);
-    std::fs::create_dir_all(out).expect("create --out directory");
-    let path = out.join("SCALING_smoke.json");
+    let path = args.out.join("SCALING_smoke.json");
     std::fs::write(&path, serde_json::to_string_pretty(&report).unwrap() + "\n")
         .expect("write SCALING_smoke.json");
     println!("wrote {}", path.display());
 
-    let points = match curve.get("points") {
-        Some(Value::Array(p)) => p,
-        _ => unreachable!("threads_curve always emits points"),
-    };
-    let wall_of = |idx: usize| match points[idx].get("wall_ms") {
-        Some(Value::Float(ms)) => *ms,
-        _ => unreachable!("points carry wall_ms"),
-    };
-    if let Some(min) = min_events_per_sec {
-        let idx = (0..points.len())
-            .find(|&i| matches!(points[i].get("threads"), Some(Value::Int(1))))
-            .expect("--assert-events-per-sec needs a 1-thread point (--threads 1,...)");
-        let eps = match points[idx].get("events_per_sec") {
-            Some(Value::Float(v)) => *v,
-            _ => unreachable!("points carry events_per_sec"),
-        };
+    // Parsing checked that `--threads` includes 1 when this floor is set.
+    let one_thread = curve.points.iter().find(|p| p.threads == 1);
+    if let (Some(min), Some(p)) = (args.assert_events_per_sec, one_thread) {
+        let eps = p.events as f64 / (p.wall_ns / 1e9);
         println!("single-thread kernel throughput: {eps:.0} events/s (floor {min:.0})");
         assert!(
             eps >= min,
             "single-thread kernel regressed: {eps:.0} events/s is below the floor {min:.0}"
         );
     }
-    let first = wall_of(0);
-    let last = wall_of(points.len() - 1);
-    let speedup = first / last;
+    let (first, last) = (&curve.points[0], &curve.points[curve.points.len() - 1]);
+    let speedup = first.wall_ns / last.wall_ns;
     println!(
-        "scaling smoke: {first:.2} ms @ {} thread(s) -> {last:.2} ms @ {} thread(s) \
-         ({speedup:.2}x)",
-        counts.iter().min().unwrap(),
-        counts.iter().max().unwrap(),
+        "scaling smoke: {:.2} ms @ {} thread(s) -> {:.2} ms @ {} thread(s) ({speedup:.2}x)",
+        first.wall_ns / 1e6,
+        first.threads,
+        last.wall_ns / 1e6,
+        last.threads,
     );
-    if let Some(min) = min_speedup {
+    if let Some(min) = args.assert_speedup {
         if host_cpus() < 2 {
             println!(
                 "WARNING: host exposes {} CPU(s); parallel speedup is not observable here, \
@@ -685,7 +685,7 @@ fn scaling_smoke(
             speedup >= min,
             "thread scaling regressed: {}-thread wall time is only {speedup:.2}x faster than \
              1 thread (required {min:.2}x)",
-            counts.iter().max().unwrap()
+            last.threads
         );
     }
 }
@@ -808,127 +808,102 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
             ]),
         ),
         ("event_counts", counts),
-        ("threads_curve", curve),
+        ("threads_curve", curve.to_value()),
         ("streaming_campaign", streaming),
         ("campaign_paper_scale", paper_scale),
     ])
 }
 
-fn main() {
-    let mut samples = 15usize;
-    let mut out = PathBuf::from(".");
+const USAGE: &str = "flags: --samples N --campaign-trees N --campaign-tasks N \
+                     --assert-optimal-fraction X --threads A,B,.. --campaign-grid SPEC \
+                     --grid-trees-per-cell N --shard-size N --scaling-smoke --scaling-trees N \
+                     --assert-threads-speedup X --assert-events-per-sec X --out DIR";
+
+struct Args {
+    samples: usize,
+    out: PathBuf,
+    scale: CampaignScale,
+    scaling_smoke: bool,
+    scaling_trees: usize,
+    assert_speedup: Option<f64>,
+    assert_events_per_sec: Option<f64>,
+}
+
+fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     let all = host_cpus();
-    let mut scale = CampaignScale {
-        trees: 25_000,
-        tasks: 10_000,
-        assert_fraction: None,
-        curve_threads: {
-            let mut c = vec![1usize, 2, 4, all];
-            c.sort_unstable();
-            c.dedup();
-            c
+    let mut a = Args {
+        samples: 15,
+        out: PathBuf::from("."),
+        scale: CampaignScale {
+            trees: 25_000,
+            tasks: 10_000,
+            assert_fraction: None,
+            curve_threads: vec![1, 2, 4, all],
+            grid: CampaignGrid::default_grid(6_400, 2003),
+            shard_size: 512,
         },
-        grid: CampaignGrid::default_grid(6_400, 2003),
-        shard_size: 512,
+        scaling_smoke: false,
+        scaling_trees: 256,
+        assert_speedup: None,
+        assert_events_per_sec: None,
     };
-    let mut scaling_smoke_requested = false;
-    let mut scaling_trees = 256usize;
-    let mut assert_speedup: Option<f64> = None;
-    let mut assert_events_per_sec: Option<f64> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("{name} requires a value"))
-        };
+    let positive = |flag: &str, raw: String| match number::<f64>(flag, &raw)? {
+        f if f > 0.0 => Ok(f),
+        _ => Err(CliError::Usage(format!("{flag} must be positive"))),
+    };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--samples" => {
-                samples = value("--samples")
-                    .parse()
-                    .expect("--samples must be a number");
-                assert!(samples > 0, "--samples must be at least 1");
-            }
-            "--campaign-trees" => {
-                scale.trees = value("--campaign-trees")
-                    .parse()
-                    .expect("--campaign-trees must be a number");
-                assert!(scale.trees > 0, "--campaign-trees must be at least 1");
-            }
-            "--campaign-tasks" => {
-                scale.tasks = value("--campaign-tasks")
-                    .parse()
-                    .expect("--campaign-tasks must be a number");
-                assert!(scale.tasks > 0, "--campaign-tasks must be at least 1");
-            }
+            "--samples" => a.samples = flags.at_least_one("--samples")?,
+            "--campaign-trees" => a.scale.trees = flags.at_least_one("--campaign-trees")?,
+            "--campaign-tasks" => a.scale.tasks = flags.at_least_one("--campaign-tasks")?,
             "--assert-optimal-fraction" => {
-                let f: f64 = value("--assert-optimal-fraction")
-                    .parse()
-                    .expect("--assert-optimal-fraction must be a number");
-                assert!((0.0..=1.0).contains(&f), "fraction must be in [0, 1]");
-                scale.assert_fraction = Some(f);
+                let f: f64 = flags.number("--assert-optimal-fraction")?;
+                if !(0.0..=1.0).contains(&f) {
+                    return Err(CliError::Usage("fraction must be in [0, 1]".into()));
+                }
+                a.scale.assert_fraction = Some(f);
             }
-            "--threads" => scale.curve_threads = parse_threads_list(&value("--threads")),
-            "--campaign-grid" => parse_grid_spec(&value("--campaign-grid"), &mut scale.grid),
+            "--threads" => a.scale.curve_threads = parse_threads_list(&flags.value("--threads")?)?,
+            "--campaign-grid" => {
+                parse_grid_spec(&flags.value("--campaign-grid")?, &mut a.scale.grid)?
+            }
             "--grid-trees-per-cell" => {
-                scale.grid.trees_per_cell = value("--grid-trees-per-cell")
-                    .parse()
-                    .expect("--grid-trees-per-cell must be a number");
-                assert!(
-                    scale.grid.trees_per_cell > 0,
-                    "--grid-trees-per-cell must be at least 1"
-                );
+                a.scale.grid.trees_per_cell = flags.at_least_one("--grid-trees-per-cell")?
             }
-            "--shard-size" => {
-                scale.shard_size = value("--shard-size")
-                    .parse()
-                    .expect("--shard-size must be a number");
-                assert!(scale.shard_size > 0, "--shard-size must be at least 1");
-            }
-            "--scaling-smoke" => scaling_smoke_requested = true,
-            "--scaling-trees" => {
-                scaling_trees = value("--scaling-trees")
-                    .parse()
-                    .expect("--scaling-trees must be a number");
-                assert!(scaling_trees > 0, "--scaling-trees must be at least 1");
-            }
+            "--shard-size" => a.scale.shard_size = flags.at_least_one("--shard-size")?,
+            "--scaling-smoke" => a.scaling_smoke = true,
+            "--scaling-trees" => a.scaling_trees = flags.at_least_one("--scaling-trees")?,
             "--assert-threads-speedup" => {
-                let f: f64 = value("--assert-threads-speedup")
-                    .parse()
-                    .expect("--assert-threads-speedup must be a number");
-                assert!(f > 0.0, "--assert-threads-speedup must be positive");
-                assert_speedup = Some(f);
+                let raw = flags.value("--assert-threads-speedup")?;
+                a.assert_speedup = Some(positive("--assert-threads-speedup", raw)?);
             }
             "--assert-events-per-sec" => {
-                let f: f64 = value("--assert-events-per-sec")
-                    .parse()
-                    .expect("--assert-events-per-sec must be a number");
-                assert!(f > 0.0, "--assert-events-per-sec must be positive");
-                assert_events_per_sec = Some(f);
+                let raw = flags.value("--assert-events-per-sec")?;
+                a.assert_events_per_sec = Some(positive("--assert-events-per-sec", raw)?);
             }
-            "--out" => out = PathBuf::from(value("--out")),
-            other => panic!(
-                "unknown flag {other}; flags: --samples N --campaign-trees N \
-                 --campaign-tasks N --assert-optimal-fraction X --threads A,B,.. \
-                 --campaign-grid SPEC --grid-trees-per-cell N --shard-size N \
-                 --scaling-smoke --scaling-trees N --assert-threads-speedup X \
-                 --assert-events-per-sec X --out DIR"
-            ),
+            "--out" => a.out = PathBuf::from(flags.value("--out")?),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
         }
     }
+    if a.scaling_smoke && a.assert_events_per_sec.is_some() && !a.scale.curve_threads.contains(&1) {
+        return Err(CliError::Usage(
+            "--assert-events-per-sec needs a 1-thread point (--threads 1,...)".into(),
+        ));
+    }
+    Ok(a)
+}
 
-    if scaling_smoke_requested {
-        scaling_smoke(
-            scaling_trees,
-            &scale.curve_threads,
-            samples,
-            assert_speedup,
-            assert_events_per_sec,
-            &out,
-        );
+fn main() {
+    let args = or_exit(try_parse(std::env::args().skip(1)), USAGE);
+    or_exit(create_out_dir(&args.out), USAGE);
+    if args.scaling_smoke {
+        scaling_smoke(&args);
         return;
     }
+    let (samples, out) = (args.samples, &args.out);
 
-    std::fs::create_dir_all(&out).expect("create --out directory");
     let (mut rational, geomean) = rational_report(samples);
     sort_keys(&mut rational);
     let path = out.join("BENCH_rational.json");
@@ -943,7 +918,7 @@ fn main() {
         geomean
     );
 
-    let mut campaign = campaign_report(samples, &scale);
+    let mut campaign = campaign_report(samples, &args.scale);
     sort_keys(&mut campaign);
     let path = out.join("BENCH_campaign.json");
     std::fs::write(

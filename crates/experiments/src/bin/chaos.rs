@@ -33,6 +33,7 @@ use bc_experiments::campaign::{
     run_grid_streaming, run_grid_streaming_checkpointed, CampaignAccumulator, CampaignGrid,
     CheckpointPolicy, GridCell, ResumeError,
 };
+use bc_experiments::cli::{number, or_exit, CliError, Flags};
 use bc_metrics::OnsetConfig;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Write};
@@ -380,63 +381,80 @@ fn serve_kill_leg(dir: &Path, seed: u64) {
 // Entry
 // ---------------------------------------------------------------------------
 
+const USAGE: &str =
+    "usage: chaos [--seed S] [--trees N] [--dir DIR] [--max-kills K] [--skip-serve]";
+
+/// Parses the hidden `--worker-sweep DIR SEED TREES` mode: the
+/// checkpointed sweep the campaign leg spawns and kills.
+fn parse_worker(args: &[String]) -> Result<(PathBuf, u64, usize), CliError> {
+    let [_, dir, seed, trees] = args else {
+        return Err(CliError::Usage(
+            "--worker-sweep takes DIR SEED TREES".into(),
+        ));
+    };
+    let seed = number("--worker-sweep SEED", seed)?;
+    Ok((
+        PathBuf::from(dir),
+        seed,
+        number("--worker-sweep TREES", trees)?,
+    ))
+}
+
+struct Legs {
+    seed: u64,
+    trees: usize,
+    max_kills: u32,
+    dir: Option<PathBuf>,
+    skip_serve: bool,
+}
+
+fn try_parse(args: Vec<String>) -> Result<Legs, CliError> {
+    let mut legs = Legs {
+        seed: 42,
+        trees: 64,
+        max_kills: 25,
+        dir: None,
+        skip_serve: false,
+    };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        match arg.as_str() {
+            "--seed" => legs.seed = flags.number("--seed")?,
+            "--trees" => legs.trees = flags.number("--trees")?,
+            "--max-kills" => legs.max_kills = flags.number("--max-kills")?,
+            "--dir" => legs.dir = Some(PathBuf::from(flags.value("--dir")?)),
+            "--skip-serve" => legs.skip_serve = true,
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
+        }
+    }
+    Ok(legs)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.first().is_some_and(|a| a == "--worker-sweep") {
-        if args.len() != 4 {
-            eprintln!("usage: chaos --worker-sweep DIR SEED TREES");
-            std::process::exit(2);
-        }
-        let dir = PathBuf::from(&args[1]);
-        let seed: u64 = args[2].parse().expect("worker seed");
-        let trees: usize = args[3].parse().expect("worker trees");
+        let (dir, seed, trees) = or_exit(parse_worker(&args), USAGE);
         worker_sweep(&dir, seed, trees);
     }
-
-    let mut seed = 42u64;
-    let mut trees = 64usize;
-    let mut max_kills = 25u32;
-    let mut dir: Option<PathBuf> = None;
-    let mut skip_serve = false;
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut val = |flag: &str| {
-            it.next().unwrap_or_else(|| {
-                eprintln!("{flag} needs a value");
-                std::process::exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--seed" => seed = val("--seed").parse().expect("--seed"),
-            "--trees" => trees = val("--trees").parse().expect("--trees"),
-            "--max-kills" => max_kills = val("--max-kills").parse().expect("--max-kills"),
-            "--dir" => dir = Some(PathBuf::from(val("--dir"))),
-            "--skip-serve" => skip_serve = true,
-            "--help" | "-h" => {
-                println!(
-                    "usage: chaos [--seed S] [--trees N] [--dir DIR] \
-                     [--max-kills K] [--skip-serve]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument {other:?} (try --help)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let scratch = dir
+    let legs = or_exit(try_parse(args), USAGE);
+    let (seed, trees) = (legs.seed, legs.trees);
+    let scratch = legs
+        .dir
         .unwrap_or_else(|| std::env::temp_dir().join(format!("bc-chaos-{}", std::process::id())));
-    std::fs::create_dir_all(&scratch).expect("create scratch dir");
+    if let Err(e) = std::fs::create_dir_all(&scratch) {
+        eprintln!("error: cannot create {}: {e}", scratch.display());
+        std::process::exit(2);
+    }
     println!(
         "chaos: seed {seed}, {} trees, scratch {}",
         trees * 4,
         scratch.display()
     );
 
-    campaign_kill_leg(&scratch, seed, trees, max_kills);
+    campaign_kill_leg(&scratch, seed, trees, legs.max_kills);
     disk_fault_leg(&scratch, seed, trees);
-    if skip_serve {
+    if legs.skip_serve {
         println!("chaos: serve leg skipped (--skip-serve)");
     } else {
         serve_kill_leg(&scratch, seed);

@@ -32,6 +32,7 @@
 //! See EXPERIMENTS.md ("Fuzzing the protocols") for the workflow.
 
 use bc_engine::FaultInjection;
+use bc_experiments::cli::{or_exit, CliError, Flags};
 use bc_experiments::fuzz::{
     arrival_smoke, case_config, fork_smoke, fuzz, fuzz_arrival_plan, parse_fault, run_case, shrink,
     trace_tail, variant_by_name, variants, with_quiet_panics, CaseSpec, Failure, ARRIVAL_VARIANTS,
@@ -48,8 +49,8 @@ struct Args {
     self_test: bool,
     fork_smoke: bool,
     arrival_smoke: bool,
-    repro: Option<String>,
-    variant: Option<String>,
+    /// `--repro SPEC` and its `--variant NAME`.
+    repro: Option<(String, String)>,
     arrivals: Option<u64>,
     fault: Option<FaultInjection>,
     threads: Option<usize>,
@@ -61,7 +62,7 @@ const USAGE: &str = "usage: fuzz_protocols [--cases N] [--tasks N] [--seed N] [-
                      \x20                      [--fault fb|leak:N|leakq:N|swallow]]\n\
                      defaults: cases=1000, tasks=250, seed=2003";
 
-fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, Option<String>> {
+fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     let mut out = Args {
         cases: 1000,
         tasks: 250,
@@ -71,49 +72,41 @@ fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, Option<Stri
         fork_smoke: false,
         arrival_smoke: false,
         repro: None,
-        variant: None,
         arrivals: None,
         fault: None,
         threads: None,
     };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| Some(format!("{name} requires a value")))
-        };
-        let number = |name: &str, raw: String| {
-            raw.parse::<u64>()
-                .map_err(|_| Some(format!("{name} must be a number, got {raw:?}")))
-        };
+    let (mut repro, mut variant) = (None, None);
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--cases" => out.cases = number("--cases", value("--cases")?)? as usize,
-            "--tasks" => out.tasks = number("--tasks", value("--tasks")?)?.max(1),
-            "--seed" => out.seed = number("--seed", value("--seed")?)?,
-            "--threads" => {
-                let n = number("--threads", value("--threads")?)? as usize;
-                if n == 0 {
-                    return Err(Some("--threads must be at least 1".into()));
-                }
-                out.threads = Some(n);
-            }
+            "--cases" => out.cases = flags.number("--cases")?,
+            "--tasks" => out.tasks = flags.number::<u64>("--tasks")?.max(1),
+            "--seed" => out.seed = flags.number("--seed")?,
+            "--threads" => out.threads = Some(flags.at_least_one("--threads")?),
             "--smoke" => out.smoke = true,
             "--self-test" => out.self_test = true,
             "--fork-smoke" => out.fork_smoke = true,
             "--arrival-smoke" => out.arrival_smoke = true,
-            "--repro" => out.repro = Some(value("--repro")?),
-            "--variant" => out.variant = Some(value("--variant")?),
-            "--arrivals" => out.arrivals = Some(number("--arrivals", value("--arrivals")?)?),
-            "--fault" => out.fault = Some(parse_fault(&value("--fault")?).map_err(Some)?),
-            "--help" | "-h" => return Err(None),
-            other => return Err(Some(format!("unknown flag {other}"))),
+            "--repro" => repro = Some(flags.value("--repro")?),
+            "--variant" => variant = Some(flags.value("--variant")?),
+            "--arrivals" => out.arrivals = Some(flags.number("--arrivals")?),
+            "--fault" => {
+                out.fault = Some(parse_fault(&flags.value("--fault")?).map_err(CliError::Usage)?)
+            }
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
         }
     }
-    if out.repro.is_some() && out.variant.is_none() {
-        return Err(Some("--repro requires --variant".into()));
-    }
+    out.repro = match (repro, variant) {
+        (Some(spec), Some(name)) => Some((spec, name)),
+        (Some(_), None) => return Err(CliError::Usage("--repro requires --variant".into())),
+        (None, _) => None,
+    };
     if out.arrivals.is_some() && out.repro.is_none() {
-        return Err(Some("--arrivals only makes sense with --repro".into()));
+        return Err(CliError::Usage(
+            "--arrivals only makes sense with --repro".into(),
+        ));
     }
     Ok(out)
 }
@@ -228,18 +221,7 @@ fn self_test(seed: u64, tasks: u64) -> Result<String, String> {
 }
 
 fn main() -> ExitCode {
-    let args = match try_parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(Some(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
+    let args = or_exit(try_parse(std::env::args().skip(1)), USAGE);
     if let Some(n) = args.threads {
         rayon::ThreadPoolBuilder::new()
             .num_threads(n)
@@ -248,7 +230,7 @@ fn main() -> ExitCode {
     }
 
     // Reproducer mode: one spec, one variant, one verdict.
-    if let Some(spec) = &args.repro {
+    if let Some((spec, name)) = &args.repro {
         let spec = match CaseSpec::decode(spec) {
             Ok(s) => s,
             Err(e) => {
@@ -256,7 +238,6 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        let name = args.variant.as_deref().expect("checked in try_parse");
         let Some(cfg) = variant_by_name(name, args.tasks) else {
             eprintln!(
                 "error: unknown variant {name}; known: {}",
@@ -311,56 +292,26 @@ fn main() -> ExitCode {
 
     let started = Instant::now();
     let mut ok = true;
-
-    if args.self_test || args.smoke {
-        match self_test(args.seed, args.tasks.min(200)) {
-            Ok(msg) => println!("{msg}"),
-            Err(msg) => {
-                eprintln!("SELF-TEST FAILED: {msg}");
-                ok = false;
+    type Check = fn(u64, u64) -> Result<String, String>;
+    let checks: [(bool, &str, Check); 3] = [
+        (args.self_test, "SELF-TEST FAILED", self_test),
+        (args.fork_smoke, "FORK SMOKE FAILED", fork_smoke),
+        (args.arrival_smoke, "ARRIVAL SMOKE FAILED", arrival_smoke),
+    ];
+    for (requested, failed, check) in checks {
+        if requested || args.smoke {
+            match check(args.seed, args.tasks.min(200)) {
+                Ok(msg) => println!("{msg}"),
+                Err(msg) => {
+                    eprintln!("{failed}: {msg}");
+                    ok = false;
+                }
             }
-        }
-        if args.self_test && !args.smoke && !args.fork_smoke && !args.arrival_smoke {
-            return if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
         }
     }
-
-    if args.fork_smoke || args.smoke {
-        match fork_smoke(args.seed, args.tasks.min(200)) {
-            Ok(msg) => println!("{msg}"),
-            Err(msg) => {
-                eprintln!("FORK SMOKE FAILED: {msg}");
-                ok = false;
-            }
-        }
-        if args.fork_smoke && !args.smoke && !args.arrival_smoke {
-            return if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
-    }
-
-    if args.arrival_smoke || args.smoke {
-        match arrival_smoke(args.seed, args.tasks.min(200)) {
-            Ok(msg) => println!("{msg}"),
-            Err(msg) => {
-                eprintln!("ARRIVAL SMOKE FAILED: {msg}");
-                ok = false;
-            }
-        }
-        if args.arrival_smoke && !args.smoke {
-            return if ok {
-                ExitCode::SUCCESS
-            } else {
-                ExitCode::FAILURE
-            };
-        }
+    // The check flags on their own run only the checks they name.
+    if !args.smoke && (args.self_test || args.fork_smoke || args.arrival_smoke) {
+        return ExitCode::from(u8::from(!ok));
     }
 
     let cases = if args.smoke {
@@ -382,9 +333,5 @@ fn main() -> ExitCode {
         print_failures(&failures);
         ok = false;
     }
-    if ok {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
+    ExitCode::from(u8::from(!ok))
 }

@@ -25,6 +25,13 @@ fn main() {
             tasks: 10_000,
         },
     );
+    // Read `--doc` before the run, so a bad path fails before any work.
+    let doc = cli.doc.as_ref().map(|path| {
+        std::fs::read_to_string(path).unwrap_or_else(|e| {
+            eprintln!("error: cannot read --doc {}: {e}", path.display());
+            std::process::exit(2);
+        })
+    });
     let t0 = Instant::now();
     let mut sections: Vec<(&str, String)> = Vec::new();
     let mut all = String::new();
@@ -108,8 +115,7 @@ fn main() {
 
     println!("\ntotal: {:.1?}", t0.elapsed());
     write_artifact(&cli, "repro_all.txt", &all);
-    if let Some(path) = &cli.doc {
-        let doc = std::fs::read_to_string(path).expect("read --doc file");
+    if let (Some(path), Some(doc)) = (&cli.doc, doc) {
         match doc_blocks::fill(&doc, &sections) {
             Ok(filled) => {
                 std::fs::write(path, filled).expect("write --doc file");

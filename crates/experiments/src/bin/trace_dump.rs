@@ -14,24 +14,30 @@
 //!
 //! See EXPERIMENTS.md ("Dumping and diffing traces") for the workflow.
 
-use bc_engine::SimConfig;
-use bc_experiments::fuzz::{variant_by_name, variants, CaseSpec};
-use bc_experiments::goldens::{golden_trees, golden_variants, record_trace, GOLDEN_TASKS};
+use bc_experiments::cli::{or_exit, CliError, Flags};
+use bc_experiments::fuzz::variants;
+use bc_experiments::goldens::{
+    golden_trees, golden_variants, record_trace, resolve_tree, resolve_variant, TreeSource,
+    GOLDEN_TASKS,
+};
 use bc_metrics::{fold_timelines, trace_end_time};
-use bc_platform::Tree;
 use bc_simcore::trace::{self, TraceRecord};
 use std::io::Write;
 use std::process::ExitCode;
 
-struct Args {
-    tree: Option<String>,
-    spec: Option<String>,
-    variant: Option<String>,
+enum Mode {
+    List,
+    Diff(String, String),
+    Record(Record),
+}
+
+/// The record mode's scenario and output.
+struct Record {
+    tree: TreeSource,
+    variant: String,
     tasks: u64,
     format: Format,
     out: Option<String>,
-    list: bool,
-    diff: Option<(String, String)>,
 }
 
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -48,63 +54,52 @@ const USAGE: &str = "usage: trace_dump --tree NAME|--spec SPEC --variant NAME [-
                      \x20      trace_dump --diff A.jsonl B.jsonl\n\
                      defaults: tasks=40, format=pretty";
 
-fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, Option<String>> {
-    let mut out = Args {
-        tree: None,
-        spec: None,
-        variant: None,
-        tasks: GOLDEN_TASKS,
-        format: Format::Pretty,
-        out: None,
-        list: false,
-        diff: None,
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| Some(format!("{name} requires a value")))
-        };
+fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Mode, CliError> {
+    let (mut tree, mut spec, mut variant, mut out) = (None, None, None, None);
+    let mut tasks = GOLDEN_TASKS;
+    let mut format = Format::Pretty;
+    let mut list = false;
+    let mut diff = None;
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
-            "--tree" => out.tree = Some(value("--tree")?),
-            "--spec" => out.spec = Some(value("--spec")?),
-            "--variant" => out.variant = Some(value("--variant")?),
-            "--tasks" => {
-                let raw = value("--tasks")?;
-                out.tasks = raw
-                    .parse::<u64>()
-                    .map_err(|_| Some(format!("--tasks must be a number, got {raw:?}")))?
-                    .max(1);
-            }
+            "--tree" => tree = Some(flags.value("--tree")?),
+            "--spec" => spec = Some(flags.value("--spec")?),
+            "--variant" => variant = Some(flags.value("--variant")?),
+            "--tasks" => tasks = flags.number::<u64>("--tasks")?.max(1),
             "--format" => {
-                out.format = match value("--format")?.as_str() {
+                format = match flags.value("--format")?.as_str() {
                     "jsonl" => Format::Jsonl,
                     "binary" => Format::Binary,
                     "pretty" => Format::Pretty,
                     "summary" => Format::Summary,
                     other => {
-                        return Err(Some(format!(
+                        return Err(CliError::Usage(format!(
                             "unknown format {other:?}; use jsonl, binary, pretty, or summary"
                         )))
                     }
                 }
             }
-            "--out" => out.out = Some(value("--out")?),
-            "--list" => out.list = true,
-            "--diff" => out.diff = Some((value("--diff")?, value("--diff")?)),
-            "--help" | "-h" => return Err(None),
-            other => return Err(Some(format!("unknown flag {other}"))),
+            "--out" => out = Some(flags.value("--out")?),
+            "--list" => list = true,
+            "--diff" => diff = Some((flags.value("--diff")?, flags.value("--diff")?)),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
         }
     }
-    if !out.list && out.diff.is_none() {
-        if out.tree.is_some() == out.spec.is_some() {
-            return Err(Some("exactly one of --tree or --spec is required".into()));
-        }
-        if out.variant.is_none() {
-            return Err(Some("--variant is required".into()));
-        }
+    if list {
+        return Ok(Mode::List);
     }
-    Ok(out)
+    if let Some((a, b)) = diff {
+        return Ok(Mode::Diff(a, b));
+    }
+    Ok(Mode::Record(Record {
+        tree: TreeSource::from_flags(tree, spec).map_err(CliError::Usage)?,
+        variant: variant.ok_or_else(|| CliError::Usage("--variant is required".into()))?,
+        tasks,
+        format,
+        out,
+    }))
 }
 
 fn list() {
@@ -122,39 +117,6 @@ fn list() {
             println!("  {name}");
         }
     }
-}
-
-fn resolve_tree(args: &Args) -> Result<Tree, String> {
-    if let Some(name) = &args.tree {
-        return golden_trees()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| {
-                let known: Vec<String> = golden_trees().into_iter().map(|(n, _)| n).collect();
-                format!("unknown tree {name}; known: {}", known.join(", "))
-            });
-    }
-    let spec = args.spec.as_deref().expect("checked in try_parse");
-    Ok(CaseSpec::decode(spec)?.to_tree())
-}
-
-fn resolve_variant(name: &str, tasks: u64) -> Result<SimConfig, String> {
-    golden_variants(tasks)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, c)| c)
-        .or_else(|| variant_by_name(name, tasks))
-        .ok_or_else(|| {
-            let mut known: Vec<&str> = golden_variants(1).iter().map(|(n, _)| *n).collect();
-            let extra: Vec<&str> = variants(1)
-                .iter()
-                .map(|(n, _)| *n)
-                .filter(|n| !known.contains(n))
-                .collect();
-            known.extend(extra);
-            format!("unknown variant {name}; known: {}", known.join(", "))
-        })
 }
 
 fn render(records: &[TraceRecord], format: Format) -> Vec<u8> {
@@ -228,51 +190,22 @@ fn diff(a_path: &str, b_path: &str) -> Result<bool, String> {
     Ok(false)
 }
 
-fn main() -> ExitCode {
-    let args = match try_parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(None) => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        Err(Some(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{USAGE}");
-            return ExitCode::from(2);
-        }
-    };
-    if args.list {
-        list();
-        return ExitCode::SUCCESS;
-    }
-    if let Some((a, b)) = &args.diff {
-        return match diff(a, b) {
-            Ok(true) => ExitCode::SUCCESS,
-            Ok(false) => ExitCode::FAILURE,
-            Err(msg) => {
-                eprintln!("error: {msg}");
-                ExitCode::from(2)
-            }
-        };
-    }
-    let tree = match resolve_tree(&args) {
-        Ok(t) => t,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
-    };
-    let name = args.variant.as_deref().expect("checked in try_parse");
-    let cfg = match resolve_variant(name, args.tasks) {
-        Ok(c) => c,
-        Err(msg) => {
-            eprintln!("error: {msg}");
-            return ExitCode::from(2);
-        }
+/// Prints `error: <msg>` and returns the usage-error status.
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("error: {msg}");
+    ExitCode::from(2)
+}
+
+fn record(r: &Record) -> ExitCode {
+    let scenario =
+        resolve_tree(&r.tree).and_then(|t| Ok((t, resolve_variant(&r.variant, r.tasks)?)));
+    let (tree, cfg) = match scenario {
+        Ok(s) => s,
+        Err(msg) => return usage_error(&msg),
     };
     let records = record_trace(&tree, &cfg);
-    let bytes = render(&records, args.format);
-    match &args.out {
+    let bytes = render(&records, r.format);
+    match &r.out {
         Some(path) => {
             if let Err(e) = std::fs::write(path, &bytes) {
                 eprintln!("error: {path}: {e}");
@@ -287,4 +220,19 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+fn main() -> ExitCode {
+    match or_exit(try_parse(std::env::args().skip(1)), USAGE) {
+        Mode::List => {
+            list();
+            ExitCode::SUCCESS
+        }
+        Mode::Diff(a, b) => match diff(&a, &b) {
+            Ok(true) => ExitCode::SUCCESS,
+            Ok(false) => ExitCode::FAILURE,
+            Err(msg) => usage_error(&msg),
+        },
+        Mode::Record(r) => record(&r),
+    }
 }

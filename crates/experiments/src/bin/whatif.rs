@@ -22,18 +22,17 @@
 //!
 //! See EXPERIMENTS.md ("What-if branching") for the workflow.
 
-use bc_engine::{FaultEvent, FaultKind, RunResult, SimConfig, SimWorkspace, Simulation, WhatIf};
-use bc_experiments::fuzz::{variant_by_name, variants, CaseSpec};
-use bc_experiments::goldens::{golden_trees, golden_variants};
+use bc_engine::{FaultEvent, FaultKind, RunResult, SimWorkspace, Simulation, WhatIf};
+use bc_experiments::cli::{or_exit, CliError, Flags};
+use bc_experiments::goldens::{resolve_tree, resolve_variant, TreeSource};
 use bc_metrics::fold_timelines;
-use bc_platform::{NodeId, Tree};
+use bc_platform::NodeId;
 use bc_simcore::{TraceRecord, VecSink};
 use std::process::ExitCode;
 
 struct Args {
-    tree: Option<String>,
-    spec: Option<String>,
-    variant: Option<String>,
+    tree: TreeSource,
+    variant: String,
     tasks: u64,
     at: Option<u64>,
     branches: Vec<BranchSpec>,
@@ -118,118 +117,72 @@ fn parse_fields(name: &str, raw: &str, want: usize, defaults: &[u64]) -> Result<
     Ok(out)
 }
 
-fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, Option<String>> {
-    let mut out = Args {
-        tree: None,
-        spec: None,
-        variant: None,
-        tasks: 120,
-        at: None,
-        branches: Vec::new(),
-    };
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| Some(format!("{name} requires a value")))
+fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
+    let (mut tree, mut spec, mut variant, mut at) = (None, None, None, None);
+    let mut tasks = 120;
+    let mut branches = Vec::new();
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next() {
+        let mut fields = |name: &str, want: usize, defaults: &[u64]| {
+            parse_fields(name, &flags.value(name)?, want, defaults).map_err(CliError::Usage)
         };
         match arg.as_str() {
-            "--tree" => out.tree = Some(value("--tree")?),
-            "--spec" => out.spec = Some(value("--spec")?),
-            "--variant" => out.variant = Some(value("--variant")?),
-            "--tasks" => {
-                let raw = value("--tasks")?;
-                out.tasks = raw
-                    .parse::<u64>()
-                    .map_err(|_| Some(format!("--tasks must be a number, got {raw:?}")))?
-                    .max(1);
-            }
+            "--tree" => tree = Some(flags.value("--tree")?),
+            "--spec" => spec = Some(flags.value("--spec")?),
+            "--variant" => variant = Some(flags.value("--variant")?),
+            "--tasks" => tasks = flags.number::<u64>("--tasks")?.max(1),
             "--at" => {
-                let raw = value("--at")?;
-                out.at = Some(
-                    raw.parse::<u64>()
-                        .map_err(|_| Some(format!("--at must be a time, got {raw:?}")))?,
-                );
+                let raw = flags.value("--at")?;
+                let bad = || CliError::Usage(format!("--at must be a time, got {raw:?}"));
+                at = Some(raw.parse::<u64>().map_err(|_| bad())?);
             }
             "--degrade" => {
-                let f = parse_fields("--degrade", &value("--degrade")?, 2, &[]).map_err(Some)?;
-                out.branches.push(BranchSpec::Degrade {
+                let f = fields("--degrade", 2, &[])?;
+                branches.push(BranchSpec::Degrade {
                     node: f[0] as u32,
                     factor: f[1].max(1),
                 });
             }
             "--comm" => {
-                let f = parse_fields("--comm", &value("--comm")?, 2, &[]).map_err(Some)?;
-                out.branches.push(BranchSpec::Comm {
+                let f = fields("--comm", 2, &[])?;
+                branches.push(BranchSpec::Comm {
                     node: f[0] as u32,
                     c: f[1].max(1),
                 });
             }
             "--compute" => {
-                let f = parse_fields("--compute", &value("--compute")?, 2, &[]).map_err(Some)?;
-                out.branches.push(BranchSpec::Compute {
+                let f = fields("--compute", 2, &[])?;
+                branches.push(BranchSpec::Compute {
                     node: f[0] as u32,
                     w: f[1].max(1),
                 });
             }
             "--crash" => {
-                let f = parse_fields("--crash", &value("--crash")?, 2, &[10]).map_err(Some)?;
-                out.branches.push(BranchSpec::Crash {
+                let f = fields("--crash", 2, &[10])?;
+                branches.push(BranchSpec::Crash {
                     node: f[0] as u32,
                     dt: f[1],
                 });
             }
             "--outage" => {
-                let f = parse_fields("--outage", &value("--outage")?, 3, &[10]).map_err(Some)?;
-                out.branches.push(BranchSpec::Outage {
+                let f = fields("--outage", 3, &[10])?;
+                branches.push(BranchSpec::Outage {
                     node: f[0] as u32,
                     duration: f[1].max(1),
                     dt: f[2],
                 });
             }
-            "--help" | "-h" => return Err(None),
-            other => return Err(Some(format!("unknown flag {other}"))),
+            "--help" | "-h" => return Err(CliError::Help),
+            other => return Err(CliError::unknown(other)),
         }
     }
-    if out.tree.is_some() == out.spec.is_some() {
-        return Err(Some("exactly one of --tree or --spec is required".into()));
-    }
-    if out.variant.is_none() {
-        return Err(Some("--variant is required".into()));
-    }
-    Ok(out)
-}
-
-fn resolve_tree(args: &Args) -> Result<Tree, String> {
-    if let Some(name) = &args.tree {
-        return golden_trees()
-            .into_iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, t)| t)
-            .ok_or_else(|| {
-                let known: Vec<String> = golden_trees().into_iter().map(|(n, _)| n).collect();
-                format!("unknown tree {name}; known: {}", known.join(", "))
-            });
-    }
-    let spec = args.spec.as_deref().expect("checked in try_parse");
-    Ok(CaseSpec::decode(spec)?.to_tree())
-}
-
-fn resolve_variant(name: &str, tasks: u64) -> Result<SimConfig, String> {
-    golden_variants(tasks)
-        .into_iter()
-        .find(|(n, _)| *n == name)
-        .map(|(_, c)| c)
-        .or_else(|| variant_by_name(name, tasks))
-        .ok_or_else(|| {
-            let mut known: Vec<&str> = golden_variants(1).iter().map(|(n, _)| *n).collect();
-            for (n, _) in variants(1) {
-                if !known.contains(&n) {
-                    known.push(n);
-                }
-            }
-            format!("unknown variant {name}; known: {}", known.join(", "))
-        })
+    Ok(Args {
+        tree: TreeSource::from_flags(tree, spec).map_err(CliError::Usage)?,
+        variant: variant.ok_or_else(|| CliError::Usage("--variant is required".into()))?,
+        tasks,
+        at,
+        branches,
+    })
 }
 
 /// One completed branch, ready to diff.
@@ -239,18 +192,9 @@ struct Branch {
     suffix: Vec<TraceRecord>,
 }
 
-fn run() -> Result<(), String> {
-    let args = match try_parse(std::env::args().skip(1)) {
-        Ok(a) => a,
-        Err(None) => {
-            println!("{USAGE}");
-            return Ok(());
-        }
-        Err(Some(msg)) => return Err(format!("{msg}\n{USAGE}")),
-    };
-    let tree = resolve_tree(&args)?;
-    let name = args.variant.as_deref().expect("checked in try_parse");
-    let cfg = resolve_variant(name, args.tasks)?.with_checked(false);
+fn run(args: Args) -> Result<(), String> {
+    let tree = resolve_tree(&args.tree)?;
+    let cfg = resolve_variant(&args.variant, args.tasks)?.with_checked(false);
     for b in &args.branches {
         let n = b.node() as usize;
         if n == 0 || n >= tree.len() {
@@ -398,7 +342,7 @@ fn run() -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    match run() {
+    match run(or_exit(try_parse(std::env::args().skip(1)), USAGE)) {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {
             eprintln!("error: {msg}");

@@ -1,4 +1,4 @@
-//! Minimal flag parsing shared by the experiment binaries.
+//! Flag parsing shared by the experiment binaries.
 //!
 //! Flags: `--trees N`, `--tasks N`, `--seed N`, `--full` (paper-scale
 //! campaign), `--threads N` (campaign worker threads), `--shard-size N`
@@ -6,16 +6,17 @@
 //! there), `--doc PATH` (`repro_all`: rewrite the document's generated
 //! blocks).
 //!
-//! Binaries call [`parse`], which on a bad command line prints a
-//! one-line error plus usage to **stderr** and exits with code 2 (the
-//! conventional usage-error status), and honors `--help` on stdout with
-//! exit 0. The fallible core is [`try_parse`], which the tests (and any
-//! embedding) use directly.
+//! Every experiment binary keeps one command-line contract: `--help`
+//! prints usage to **stdout** and exits 0; a bad command line prints
+//! `error: <what>` plus usage to **stderr** and exits 2 (the
+//! conventional usage-error status), never a panic. [`Flags`] takes a
+//! flag's value and parses numbers, and [`or_exit`] makes the exit.
+//! Campaign binaries call [`parse`], whose fallible core [`try_parse`]
+//! the tests (and any embedding) use directly.
 
 use bc_core::GrowthGate;
-#[cfg(test)]
-use std::path::Path;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::str::FromStr;
 
 /// Parsed command line for an experiment binary.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -60,13 +61,92 @@ pub struct Defaults {
     pub tasks: u64,
 }
 
-/// Why [`try_parse`] did not produce a [`Cli`].
+/// Why a command-line parse did not produce its flags.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CliError {
     /// `--help`/`-h` was given; the caller should print usage and exit 0.
     Help,
     /// The command line is malformed; the message names the offense.
     Usage(String),
+}
+
+impl CliError {
+    /// The error for a flag the parser does not know.
+    pub fn unknown(flag: &str) -> CliError {
+        CliError::Usage(format!("unknown flag {flag}"))
+    }
+}
+
+/// A command line being parsed: yields each flag in turn, and takes the
+/// value that follows one.
+pub struct Flags<I> {
+    args: I,
+}
+
+impl<I: Iterator<Item = String>> Flags<I> {
+    /// Wraps `args` (without the program name).
+    pub fn new(args: impl IntoIterator<Item = String, IntoIter = I>) -> Self {
+        Flags {
+            args: args.into_iter(),
+        }
+    }
+
+    /// The value following `flag`.
+    pub fn value(&mut self, flag: &str) -> Result<String, CliError> {
+        self.args
+            .next()
+            .ok_or_else(|| CliError::Usage(format!("{flag} requires a value")))
+    }
+
+    /// The value following `flag`, parsed as a number.
+    pub fn number<T: FromStr>(&mut self, flag: &str) -> Result<T, CliError> {
+        number(flag, &self.value(flag)?)
+    }
+
+    /// The value following `flag`, parsed as a count of at least 1.
+    pub fn at_least_one<T: FromStr + PartialOrd + From<u8>>(
+        &mut self,
+        flag: &str,
+    ) -> Result<T, CliError> {
+        let n: T = self.number(flag)?;
+        if n < T::from(1) {
+            return Err(CliError::Usage(format!("{flag} must be at least 1")));
+        }
+        Ok(n)
+    }
+}
+
+impl<I: Iterator<Item = String>> Iterator for Flags<I> {
+    type Item = String;
+
+    fn next(&mut self) -> Option<String> {
+        self.args.next()
+    }
+}
+
+/// `raw` parsed as `flag`'s number.
+pub fn number<T: FromStr>(flag: &str, raw: &str) -> Result<T, CliError> {
+    raw.parse()
+        .map_err(|_| CliError::Usage(format!("{flag} must be a number, got {raw:?}")))
+}
+
+/// Finishes a parse for a binary: passes the parsed value through; on
+/// [`CliError::Help`] prints `usage` to stdout and exits 0; on
+/// [`CliError::Usage`] prints `error: <message>` and `usage` to stderr
+/// and exits 2.
+pub fn or_exit<T>(parsed: Result<T, CliError>, usage: &str) -> T {
+    match parsed {
+        Ok(value) => value,
+        Err(CliError::Help) => {
+            println!("{usage}");
+            std::process::exit(0);
+        }
+        Err(CliError::Usage(msg)) => {
+            eprintln!("error: {msg}");
+            eprintln!("{usage}");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn usage_line(defaults: Defaults) -> String {
@@ -102,27 +182,19 @@ pub fn try_parse(
         checkpoint_every: 8,
         resume: false,
     };
-    let mut it = args.into_iter();
+    let mut flags = Flags::new(args);
     let mut explicit_trees = false;
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
-        let number = |name: &str, raw: String| {
-            raw.parse::<u64>()
-                .map_err(|_| CliError::Usage(format!("{name} must be a number, got {raw:?}")))
-        };
+    while let Some(arg) = flags.next() {
         match arg.as_str() {
             "--trees" => {
-                cli.trees = number("--trees", value("--trees")?)? as usize;
+                cli.trees = flags.number("--trees")?;
                 explicit_trees = true;
             }
-            "--tasks" => cli.tasks = number("--tasks", value("--tasks")?)?,
-            "--seed" => cli.seed = number("--seed", value("--seed")?)?,
+            "--tasks" => cli.tasks = flags.number("--tasks")?,
+            "--seed" => cli.seed = flags.number("--seed")?,
             "--full" => cli.full = true,
             "--gate" => {
-                cli.gate = match value("--gate")?.as_str() {
+                cli.gate = match flags.value("--gate")?.as_str() {
                     "every" => GrowthGate::EveryEvent,
                     "arrival" => GrowthGate::OncePerArrival,
                     "filled" => GrowthGate::AfterPoolFilled,
@@ -133,37 +205,19 @@ pub fn try_parse(
                     }
                 };
             }
-            "--threads" => {
-                let n = number("--threads", value("--threads")?)? as usize;
-                if n == 0 {
-                    return Err(CliError::Usage("--threads must be at least 1".into()));
-                }
-                cli.threads = Some(n);
-            }
-            "--shard-size" => {
-                let n = number("--shard-size", value("--shard-size")?)? as usize;
-                if n == 0 {
-                    return Err(CliError::Usage("--shard-size must be at least 1".into()));
-                }
-                cli.shard_size = n;
-            }
-            "--out" => cli.out = Some(PathBuf::from(value("--out")?)),
-            "--doc" => cli.doc = Some(PathBuf::from(value("--doc")?)),
+            "--threads" => cli.threads = Some(flags.at_least_one("--threads")?),
+            "--shard-size" => cli.shard_size = flags.at_least_one("--shard-size")?,
+            "--out" => cli.out = Some(PathBuf::from(flags.value("--out")?)),
+            "--doc" => cli.doc = Some(PathBuf::from(flags.value("--doc")?)),
             "--checkpoint-dir" => {
-                cli.checkpoint_dir = Some(PathBuf::from(value("--checkpoint-dir")?))
+                cli.checkpoint_dir = Some(PathBuf::from(flags.value("--checkpoint-dir")?))
             }
             "--checkpoint-every" => {
-                let n = number("--checkpoint-every", value("--checkpoint-every")?)? as usize;
-                if n == 0 {
-                    return Err(CliError::Usage(
-                        "--checkpoint-every must be at least 1".into(),
-                    ));
-                }
-                cli.checkpoint_every = n;
+                cli.checkpoint_every = flags.at_least_one("--checkpoint-every")?
             }
             "--resume" => cli.resume = true,
             "--help" | "-h" => return Err(CliError::Help),
-            other => return Err(CliError::Usage(format!("unknown flag {other}"))),
+            other => return Err(CliError::unknown(other)),
         }
     }
     if cli.full && !explicit_trees {
@@ -172,23 +226,17 @@ pub fn try_parse(
     Ok(cli)
 }
 
-/// Parses `args` for a binary: on success configures the worker pool (if
-/// `--threads` was given) and returns the [`Cli`]; on `--help` prints
-/// usage to stdout and exits 0; on a usage error prints the error and
-/// usage to stderr and exits 2.
+/// Parses `args` for a binary: on success creates the `--out` directory
+/// (if given), configures the worker pool (if `--threads` was given)
+/// and returns the [`Cli`]; on `--help` prints usage to stdout and exits
+/// 0; on a usage error, or an `--out` directory that cannot be created,
+/// prints the error and usage to stderr and exits 2.
 pub fn parse(args: impl IntoIterator<Item = String>, defaults: Defaults) -> Cli {
-    let cli = match try_parse(args, defaults) {
-        Ok(cli) => cli,
-        Err(CliError::Help) => {
-            println!("{}", usage_line(defaults));
-            std::process::exit(0);
-        }
-        Err(CliError::Usage(msg)) => {
-            eprintln!("error: {msg}");
-            eprintln!("{}", usage_line(defaults));
-            std::process::exit(2);
-        }
-    };
+    let usage = usage_line(defaults);
+    let cli = or_exit(try_parse(args, defaults), &usage);
+    if let Some(dir) = &cli.out {
+        or_exit(create_out_dir(dir), &usage);
+    }
     if let Some(n) = cli.threads {
         rayon::ThreadPoolBuilder::new()
             .num_threads(n)
@@ -198,10 +246,16 @@ pub fn parse(args: impl IntoIterator<Item = String>, defaults: Defaults) -> Cli 
     cli
 }
 
-/// Writes `content` as `<out>/<name>` when `--out` was given.
+/// Creates the `--out` directory `dir`, before any work starts.
+pub fn create_out_dir(dir: &Path) -> Result<(), CliError> {
+    std::fs::create_dir_all(dir)
+        .map_err(|e| CliError::Usage(format!("cannot create --out {}: {e}", dir.display())))
+}
+
+/// Writes `content` as `<out>/<name>` when `--out` was given (the
+/// directory [`parse`] created).
 pub fn write_artifact(cli: &Cli, name: &str, content: &str) {
     if let Some(dir) = &cli.out {
-        std::fs::create_dir_all(dir).expect("create --out directory");
         let path = dir.join(name);
         std::fs::write(&path, content).expect("write artifact");
         eprintln!("wrote {}", path.display());

@@ -7,7 +7,10 @@
 //! [`Simulation::verify_terminal`]) after every step, so a violation
 //! surfaces as an `Err` the shrinker can iterate on rather than a panic.
 //! Engine panics (deadlock, internal assertions, event-budget blowups)
-//! are caught and reported as failures too.
+//! are caught and reported as failures too. Every entry point —
+//! [`run_case`], [`trace_tail`], [`run_case_snapshotting`] and
+//! [`replay_suffix`] — runs through one private checked loop, the one
+//! place a further per-event oracle would be consulted.
 //!
 //! Reproducers are self-contained: a failing case is shrunk and printed
 //! as a `fuzz_protocols --repro <spec> --variant <name>` command whose
@@ -20,13 +23,12 @@ use bc_engine::{
     RecoveryTuning, SelectorKind, SimConfig, SimSnapshot, SimWorkspace, Simulation, TaskClass,
 };
 use bc_platform::{NodeId, Tree};
-use bc_simcore::trace::{RingRecorder, TraceEvent, TraceRecord, TraceSink};
-use bc_simcore::{split_seed, Time};
+use bc_simcore::split_seed;
+use bc_simcore::trace::{RingRecorder, TraceRecord, TraceSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::IntoParallelIterator;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
 
 /// Cap on events per fuzz run — far above any legitimate small-tree run,
 /// so hitting it is itself a caught failure (runaway simulation).
@@ -561,20 +563,27 @@ pub fn fault_flag(f: FaultInjection) -> String {
 // Checked execution
 // ---------------------------------------------------------------------
 
-/// Runs one tree under one configuration with the invariant checker
-/// consulted after *every* event (stricter than checked mode's amortized
-/// sweep), plus the terminal differential oracle. Returns the first
-/// violation, or the failure text of any engine panic (deadlock,
-/// internal assertion, event budget).
-pub fn run_case(tree: &Tree, cfg: &SimConfig) -> Result<(), String> {
-    let mut cfg = cfg.clone().with_checked(false);
-    cfg.max_events = FUZZ_MAX_EVENTS;
-    let tree = tree.clone();
-    let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-        let mut sim = Simulation::with_workspace(tree, cfg, SimWorkspace::new());
+/// The one per-event checked loop behind every fuzz entry point. Builds
+/// the simulation with `build`, starts it, and consults the invariant
+/// checker after start-up and after *every* event, then the terminal
+/// differential oracle. `before_step` sees the verified state before
+/// each event (fork mode captures its snapshots there). Building and
+/// running sit inside one panic fence, so an engine panic (deadlock,
+/// internal assertion, event budget, invalid config) becomes an
+/// `engine panic: …` verdict. The simulation is returned alongside the
+/// verdict, even after a panic, for whatever the caller reads off it
+/// (`None` only when building it panicked).
+fn checked_run<S: TraceSink>(
+    build: impl FnOnce() -> Simulation<S>,
+    mut before_step: impl FnMut(&Simulation<S>),
+) -> (Result<(), String>, Option<Simulation<S>>) {
+    let mut slot = None;
+    let outcome = catch_unwind(AssertUnwindSafe(|| -> Result<(), String> {
+        let sim = slot.insert(build());
         sim.start();
         sim.verify_invariants().map_err(|v| v.to_string())?;
         loop {
+            before_step(sim);
             let more = sim.step();
             sim.verify_invariants()
                 .map_err(|v| format!("{v} (at t={}, {} completed)", sim.now(), sim.completed()))?;
@@ -584,25 +593,27 @@ pub fn run_case(tree: &Tree, cfg: &SimConfig) -> Result<(), String> {
         }
         sim.verify_terminal().map_err(|v| v.to_string())
     }));
-    match outcome {
-        Ok(run) => run,
-        Err(payload) => Err(format!("engine panic: {}", panic_text(&payload))),
-    }
+    let verdict = outcome
+        .unwrap_or_else(|payload| Err(format!("engine panic: {}", panic_text(payload.as_ref()))));
+    (verdict, slot)
 }
 
-/// A ring recorder behind shared ownership, so the retained tail
-/// survives an engine panic (the simulation — sink included — is
-/// consumed by `catch_unwind`).
-struct SharedRing(Arc<Mutex<RingRecorder>>);
+/// `cfg` as every fuzz run uses it: checked mode off (the loop checks
+/// every event itself) and the fuzz event budget.
+fn fuzz_config(cfg: &SimConfig) -> SimConfig {
+    let mut cfg = cfg.clone().with_checked(false);
+    cfg.max_events = FUZZ_MAX_EVENTS;
+    cfg
+}
 
-impl TraceSink for SharedRing {
-    fn record(&mut self, time: Time, event: TraceEvent) {
-        self.0.lock().expect("ring poisoned").record(time, event);
-    }
-
-    fn retained(&self, out: &mut Vec<TraceRecord>) {
-        self.0.lock().expect("ring poisoned").retained(out);
-    }
+/// Runs one tree under one configuration with the invariant checker
+/// consulted after *every* event (stricter than checked mode's amortized
+/// sweep), plus the terminal differential oracle. Returns the first
+/// violation, or the failure text of any engine panic (deadlock,
+/// internal assertion, event budget).
+pub fn run_case(tree: &Tree, cfg: &SimConfig) -> Result<(), String> {
+    let build = || Simulation::with_workspace(tree.clone(), fuzz_config(cfg), SimWorkspace::new());
+    checked_run(build, |_| {}).0
 }
 
 /// Re-runs one case exactly like [`run_case`], but with a bounded flight
@@ -615,30 +626,10 @@ pub fn trace_tail(
     cfg: &SimConfig,
     keep: usize,
 ) -> (Result<(), String>, Vec<TraceRecord>) {
-    let mut cfg = cfg.clone().with_checked(false);
-    cfg.max_events = FUZZ_MAX_EVENTS;
-    let tree = tree.clone();
-    let ring = Arc::new(Mutex::new(RingRecorder::new(keep.max(1))));
-    let sink = SharedRing(Arc::clone(&ring));
-    let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-        let mut sim = Simulation::traced(tree, cfg, SimWorkspace::new(), sink);
-        sim.start();
-        sim.verify_invariants().map_err(|v| v.to_string())?;
-        loop {
-            let more = sim.step();
-            sim.verify_invariants()
-                .map_err(|v| format!("{v} (at t={}, {} completed)", sim.now(), sim.completed()))?;
-            if !more {
-                break;
-            }
-        }
-        sim.verify_terminal().map_err(|v| v.to_string())
-    }));
-    let verdict = match outcome {
-        Ok(run) => run,
-        Err(payload) => Err(format!("engine panic: {}", panic_text(&payload))),
-    };
-    let tail = ring.lock().expect("ring poisoned").tail();
+    let ring = RingRecorder::new(keep.max(1));
+    let build = || Simulation::traced(tree.clone(), fuzz_config(cfg), SimWorkspace::new(), ring);
+    let (verdict, sim) = checked_run(build, |_| {});
+    let tail = sim.map_or_else(Vec::new, |mut sim| sim.sink_mut().tail());
     (verdict, tail)
 }
 
@@ -683,7 +674,8 @@ pub struct ForkRun {
     pub snapshot: Option<Box<SimSnapshot>>,
     /// Events processed when [`ForkRun::snapshot`] was captured.
     pub snapshot_events: u64,
-    /// Events processed by the whole run (up to the failure, if any).
+    /// Events processed by the whole run (up to and including the
+    /// failing event, if any).
     pub total_events: u64,
 }
 
@@ -692,48 +684,21 @@ pub struct ForkRun {
 /// passed, so every capture is a verified-good state. The returned
 /// snapshot is the fork point for [`replay_suffix`].
 pub fn run_case_snapshotting(tree: &Tree, cfg: &SimConfig, period: u64) -> ForkRun {
-    let mut cfg = cfg.clone().with_checked(false);
-    cfg.max_events = FUZZ_MAX_EVENTS;
-    let tree = tree.clone();
     let period = period.max(1);
-    // The snapshot and counters live behind shared ownership so they
-    // survive an engine panic (catch_unwind consumes the simulation).
-    type Kept = (Option<Box<SimSnapshot>>, u64, u64);
-    let kept: Arc<Mutex<Kept>> = Arc::new(Mutex::new((None, 0, 0)));
-    let keeper = Arc::clone(&kept);
-    let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-        let mut sim = Simulation::with_workspace(tree, cfg, SimWorkspace::new());
-        sim.start();
-        sim.verify_invariants().map_err(|v| v.to_string())?;
-        let mut next_capture = period;
-        loop {
-            if sim.events_processed() >= next_capture {
-                let mut k = keeper.lock().expect("fork slot poisoned");
-                k.0 = Some(Box::new(sim.snapshot()));
-                k.1 = sim.events_processed();
-                next_capture = sim.events_processed() + period;
-            }
-            let more = sim.step();
-            keeper.lock().expect("fork slot poisoned").2 = sim.events_processed();
-            sim.verify_invariants()
-                .map_err(|v| format!("{v} (at t={}, {} completed)", sim.now(), sim.completed()))?;
-            if !more {
-                break;
-            }
+    let mut snapshot = None;
+    let mut snapshot_events = 0;
+    let build = || Simulation::with_workspace(tree.clone(), fuzz_config(cfg), SimWorkspace::new());
+    let (verdict, sim) = checked_run(build, |sim| {
+        if sim.events_processed() >= snapshot_events + period {
+            snapshot = Some(Box::new(sim.snapshot()));
+            snapshot_events = sim.events_processed();
         }
-        sim.verify_terminal().map_err(|v| v.to_string())
-    }));
-    let verdict = match outcome {
-        Ok(run) => run,
-        Err(payload) => Err(format!("engine panic: {}", panic_text(&payload))),
-    };
-    let (snapshot, snapshot_events, total_events) =
-        std::mem::take(&mut *kept.lock().expect("fork slot poisoned"));
+    });
     ForkRun {
         verdict,
         snapshot,
         snapshot_events,
-        total_events,
+        total_events: sim.map_or(0, |sim| sim.events_processed()),
     }
 }
 
@@ -744,30 +709,32 @@ pub fn run_case_snapshotting(tree: &Tree, cfg: &SimConfig, period: u64) -> ForkR
 /// reproduce here with an identical message in
 /// `total_events - snapshot_events` events.
 pub fn replay_suffix(snap: &SimSnapshot) -> (Result<(), String>, u64) {
-    let replayed = Arc::new(Mutex::new(0u64));
-    let counter = Arc::clone(&replayed);
-    let snap = snap.clone();
-    let base = snap.events_processed();
-    let outcome = catch_unwind(AssertUnwindSafe(move || -> Result<(), String> {
-        let mut sim = Simulation::from_snapshot(&snap);
-        sim.verify_invariants().map_err(|v| v.to_string())?;
-        loop {
-            let more = sim.step();
-            *counter.lock().expect("replay counter poisoned") = sim.events_processed() - base;
-            sim.verify_invariants()
-                .map_err(|v| format!("{v} (at t={}, {} completed)", sim.now(), sim.completed()))?;
-            if !more {
-                break;
-            }
-        }
-        sim.verify_terminal().map_err(|v| v.to_string())
-    }));
-    let verdict = match outcome {
-        Ok(run) => run,
-        Err(payload) => Err(format!("engine panic: {}", panic_text(&payload))),
-    };
-    let n = *replayed.lock().expect("replay counter poisoned");
-    (verdict, n)
+    let (verdict, sim) = checked_run(|| Simulation::from_snapshot(snap), |_| {});
+    let replayed = sim.map_or(0, |sim| sim.events_processed() - snap.events_processed());
+    (verdict, replayed)
+}
+
+/// Runs a case that must pass in fork mode and replays its last
+/// snapshot's suffix, which must reach the same clean end in exactly the
+/// events it skipped. `what` names the run in the error.
+fn clean_fork(tree: &Tree, cfg: &SimConfig, period: u64, what: &str) -> Result<ForkRun, String> {
+    let run = run_case_snapshotting(tree, cfg, period);
+    run.verdict
+        .as_ref()
+        .map_err(|e| format!("{what} fork-mode run flagged: {e}"))?;
+    let snap = run
+        .snapshot
+        .as_ref()
+        .ok_or_else(|| format!("{what} run ended before the first capture"))?;
+    let (verdict, replayed) = replay_suffix(snap);
+    verdict.map_err(|e| format!("{what} suffix replay flagged: {e}"))?;
+    let skipped = run.total_events - run.snapshot_events;
+    if replayed != skipped {
+        return Err(format!(
+            "{what} suffix replayed {replayed} events, expected {skipped}"
+        ));
+    }
+    Ok(run)
 }
 
 /// Fork-mode self-test: a known-bad run's violation must reproduce from
@@ -781,22 +748,7 @@ pub fn fork_smoke(seed: u64, tasks: u64) -> Result<String, String> {
 
     // Leg 1: a faithful run — the suffix replays to the same clean end.
     let good_cfg = variant_by_name("ic-fb2", tasks).expect("known variant");
-    let good = run_case_snapshotting(&tree, &good_cfg, period);
-    good.verdict
-        .as_ref()
-        .map_err(|e| format!("faithful fork-mode run flagged: {e}"))?;
-    let snap = good
-        .snapshot
-        .as_ref()
-        .ok_or("faithful run ended before the first capture")?;
-    let (verdict, replayed) = replay_suffix(snap);
-    verdict.map_err(|e| format!("faithful suffix replay flagged: {e}"))?;
-    if replayed != good.total_events - good.snapshot_events {
-        return Err(format!(
-            "faithful suffix replayed {replayed} events, expected {}",
-            good.total_events - good.snapshot_events
-        ));
-    }
+    let good = clean_fork(&tree, &good_cfg, period, "faithful")?;
 
     // Leg 2: an injected slow task leak — it breaks conservation well
     // after the first captures, and the violation must reproduce from
@@ -866,22 +818,7 @@ pub fn arrival_smoke(seed: u64, tasks: u64) -> Result<String, String> {
     // inside the stream (pending arrivals and, under backpressure, a
     // non-empty admission queue), and the suffix must replay to the
     // same clean end in exactly the events it skipped to.
-    let fork = run_case_snapshotting(&tree, &cfg, 32);
-    fork.verdict
-        .as_ref()
-        .map_err(|e| format!("streamed fork-mode run flagged: {e}"))?;
-    let snap = fork
-        .snapshot
-        .as_ref()
-        .ok_or("streamed run ended before the first capture")?;
-    let (verdict, replayed) = replay_suffix(snap);
-    verdict.map_err(|e| format!("streamed suffix replay flagged: {e}"))?;
-    if replayed != fork.total_events - fork.snapshot_events {
-        return Err(format!(
-            "streamed suffix replayed {replayed} events, expected {}",
-            fork.total_events - fork.snapshot_events
-        ));
-    }
+    let fork = clean_fork(&tree, &cfg, 32, "streamed")?;
 
     // Leg 3: the checker must catch a leaked queued task immediately.
     let leaky = cfg.with_fault(FaultInjection::LeakQueuedTask { every: 1 });
@@ -898,6 +835,7 @@ pub fn arrival_smoke(seed: u64, tasks: u64) -> Result<String, String> {
         "arrival smoke: streamed run checked per-event; suffix of {replayed} \
          event(s) (fork at event {at} of {total}) replayed exactly; injected \
          queued-task leak caught as arrival-conservation (arrival seed {arr_seed})",
+        replayed = fork.total_events - fork.snapshot_events,
         at = fork.snapshot_events,
         total = fork.total_events,
     ))

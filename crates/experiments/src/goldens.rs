@@ -19,8 +19,14 @@
 //! ```
 //!
 //! (see CONTRIBUTING.md — bless only with a review of the diff).
+//!
+//! The scenario tools (`trace_dump`, `whatif`) resolve their `--tree` /
+//! `--spec` and `--variant` flags here too ([`resolve_tree`],
+//! [`resolve_variant`]), so a golden name means the same scenario in
+//! every tool.
 
 use crate::campaign::campaign_tree;
+use crate::fuzz::{variant_by_name, variants, CaseSpec};
 use bc_engine::{SimConfig, SimWorkspace, Simulation, VecSink};
 use bc_platform::examples::fig1_tree;
 use bc_platform::generator::RandomTreeConfig;
@@ -59,6 +65,63 @@ pub fn golden_variants(tasks: u64) -> Vec<(&'static str, SimConfig)> {
         ("ic-fb2", SimConfig::interruptible(2, tasks)),
         ("ic-fb3", SimConfig::interruptible(3, tasks)),
     ]
+}
+
+/// A scenario tool's platform: `--tree NAME` or `--spec SPEC`.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TreeSource {
+    /// A golden tree by name (see [`golden_trees`]).
+    Golden(String),
+    /// An explicit case spec in [`CaseSpec::encode`]'s format.
+    Spec(String),
+}
+
+impl TreeSource {
+    /// The source from the `--tree` and `--spec` flag values; exactly
+    /// one of them must be given.
+    pub fn from_flags(tree: Option<String>, spec: Option<String>) -> Result<TreeSource, String> {
+        match (tree, spec) {
+            (Some(name), None) => Ok(TreeSource::Golden(name)),
+            (None, Some(spec)) => Ok(TreeSource::Spec(spec)),
+            _ => Err("exactly one of --tree or --spec is required".into()),
+        }
+    }
+}
+
+/// Builds the tree `source` names; an unknown golden name lists the
+/// known ones.
+pub fn resolve_tree(source: &TreeSource) -> Result<Tree, String> {
+    match source {
+        TreeSource::Golden(name) => golden_trees()
+            .into_iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, t)| t)
+            .ok_or_else(|| {
+                let known: Vec<String> = golden_trees().into_iter().map(|(n, _)| n).collect();
+                format!("unknown tree {name}; known: {}", known.join(", "))
+            }),
+        TreeSource::Spec(spec) => Ok(CaseSpec::decode(spec)?.to_tree()),
+    }
+}
+
+/// The configuration of variant `name` at `tasks` tasks: a golden
+/// variant first, then the fuzzer's set (see [`crate::fuzz::variants`]).
+/// An unknown name lists every known one.
+pub fn resolve_variant(name: &str, tasks: u64) -> Result<SimConfig, String> {
+    golden_variants(tasks)
+        .into_iter()
+        .find(|(n, _)| *n == name)
+        .map(|(_, c)| c)
+        .or_else(|| variant_by_name(name, tasks))
+        .ok_or_else(|| {
+            let mut known: Vec<&str> = golden_variants(1).iter().map(|(n, _)| *n).collect();
+            for (n, _) in variants(1) {
+                if !known.contains(&n) {
+                    known.push(n);
+                }
+            }
+            format!("unknown variant {name}; known: {}", known.join(", "))
+        })
 }
 
 /// All `(scenario_name, tree, config)` combinations of the golden set;
