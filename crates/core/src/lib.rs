@@ -9,13 +9,15 @@
 //! every decision consumes only locally measurable state.
 //!
 //! ```
-//! use bc_core::{ChildInfo, ChildSelector};
+//! use bc_core::ChildSelector;
 //!
-//! let mut policy = ChildSelector::BandwidthCentric;
-//! let fast_link_slow_cpu = ChildInfo { index: 0, comm_estimate: 1, compute_estimate: 900 };
-//! let slow_link_fast_cpu = ChildInfo { index: 1, comm_estimate: 8, compute_estimate: 2 };
+//! let policy = ChildSelector::BandwidthCentric;
+//! // (index, comm estimate, compute estimate) per child.
+//! let fast_link_slow_cpu = policy.priority(0, 1, 900);
+//! let slow_link_fast_cpu = policy.priority(1, 8, 2);
 //! // Bandwidth-centric: the link decides, not the CPU.
-//! assert_eq!(policy.select(&[fast_link_slow_cpu, slow_link_fast_cpu]), Some(0));
+//! assert!(fast_link_slow_cpu < slow_link_fast_cpu);
+//! assert!(policy.outranks(fast_link_slow_cpu, slow_link_fast_cpu));
 //! ```
 
 pub mod buffers;
@@ -24,4 +26,4 @@ pub mod priority;
 
 pub use buffers::{BufferLedger, BufferPolicy, GrowthEvent, GrowthGate, LedgerState};
 pub use observer::{LatencyObserver, ObserverKind, ObserverState};
-pub use priority::{ChildInfo, ChildSelector};
+pub use priority::{ChildSelector, Priority};

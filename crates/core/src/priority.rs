@@ -9,20 +9,18 @@
 //! variants are baselines used by the ablation benchmarks: prioritizing by
 //! *compute* speed (the intuitive-but-wrong heuristic the bandwidth-centric
 //! principle corrects) and round-robin (priority-free fair service).
+//!
+//! Each policy's order is written once, in [`ChildSelector::priority`].
+//! Selection ([`ChildSelector::selection_key`]), the interruptible link's
+//! choice of slot and its preemption test ([`ChildSelector::outranks`])
+//! all read that key; the caller scans its children once and keeps the
+//! smallest.
 
-/// What a parent knows about one child when making a scheduling decision —
-/// all locally measurable quantities (§3).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ChildInfo {
-    /// Stable index of the child in the parent's child list.
-    pub index: usize,
-    /// Estimated time to communicate one task to this child.
-    pub comm_estimate: u64,
-    /// Estimated time for the child to compute one task (used only by the
-    /// compute-centric baseline; the bandwidth-centric policy deliberately
-    /// ignores it).
-    pub compute_estimate: u64,
-}
+/// A child's place in its parent's priority order: smaller ranks first.
+/// The second component is the child's stable index in the parent's
+/// child list, so ties break toward the lowest index and decisions are
+/// deterministic.
+pub type Priority = (u64, usize);
 
 /// A child-selection policy. Selection is the single decision point of the
 /// autonomous protocols: "which requesting child gets the next task".
@@ -45,175 +43,169 @@ impl ChildSelector {
         ChildSelector::RoundRobin { cursor: usize::MAX }
     }
 
-    /// Picks the next child to serve among `candidates` (children that
-    /// have an outstanding request and room to receive). Returns the
-    /// chosen child's `index`. Candidates may arrive in any order; ties
-    /// break toward the lowest index so decisions are deterministic.
-    pub fn select(&mut self, candidates: &[ChildInfo]) -> Option<usize> {
-        if candidates.is_empty() {
-            return None;
-        }
+    /// The static priority of the child at `index`, from what the parent
+    /// measures locally (§3): `comm`, the estimated time to communicate
+    /// one task to it, and `compute`, its estimated time per task (read
+    /// only by the compute-centric baseline; the bandwidth-centric policy
+    /// deliberately ignores it).
+    #[inline(always)]
+    pub fn priority(&self, index: usize, comm: u64, compute: u64) -> Priority {
         match self {
-            ChildSelector::BandwidthCentric => candidates
-                .iter()
-                .min_by_key(|c| (c.comm_estimate, c.index))
-                .map(|c| c.index),
-            ChildSelector::ComputeCentric => candidates
-                .iter()
-                .min_by_key(|c| (c.compute_estimate, c.index))
-                .map(|c| c.index),
-            ChildSelector::RoundRobin { cursor } => {
-                // Smallest index strictly greater than the cursor, else
-                // wrap to the smallest overall.
-                let after = candidates
-                    .iter()
-                    .filter(|c| c.index > *cursor)
-                    .min_by_key(|c| c.index);
-                let chosen = after
-                    .or_else(|| candidates.iter().min_by_key(|c| c.index))
-                    .map(|c| c.index);
-                if let Some(ix) = chosen {
-                    *cursor = ix;
-                }
-                chosen
-            }
+            ChildSelector::BandwidthCentric => (comm, index),
+            ChildSelector::ComputeCentric => (compute, index),
+            ChildSelector::RoundRobin { .. } => (0, index),
         }
     }
 
-    /// True if `a` strictly outranks `b` — the preemption test for
-    /// interruptible communication (§3.2: "a request from a higher
+    /// The selection order over children that have an outstanding request
+    /// and room to receive: the one with the smallest key gets the next
+    /// task. It is [`Self::priority`], except that round-robin ranks the
+    /// children after its cursor first. Report the choice to
+    /// [`Self::picked`].
+    #[inline(always)]
+    pub fn selection_key(&self, index: usize, comm: u64, compute: u64) -> (bool, Priority) {
+        let wrapped = matches!(*self, ChildSelector::RoundRobin { cursor } if index <= cursor);
+        (wrapped, self.priority(index, comm, compute))
+    }
+
+    /// Records that the child at `index` was selected: round-robin
+    /// resumes after it.
+    #[inline(always)]
+    pub fn picked(&mut self, index: usize) {
+        if let ChildSelector::RoundRobin { cursor } = self {
+            *cursor = index;
+        }
+    }
+
+    /// True if priority `a` strictly outranks `b` — the preemption test
+    /// for interruptible communication (§3.2: "a request from a higher
     /// priority child may interrupt a communication to a lower priority
     /// child"). Round-robin defines no static priority, so it never
     /// preempts.
-    pub fn outranks(&self, a: &ChildInfo, b: &ChildInfo) -> bool {
-        match self {
-            ChildSelector::BandwidthCentric => {
-                (a.comm_estimate, a.index) < (b.comm_estimate, b.index)
-            }
-            ChildSelector::ComputeCentric => {
-                (a.compute_estimate, a.index) < (b.compute_estimate, b.index)
-            }
-            ChildSelector::RoundRobin { .. } => false,
-        }
-    }
-
-    /// The highest-priority candidate — `rank(..).first()` without the
-    /// allocation. This is the hot-path query of interruptible
-    /// communication (every link reconciliation asks it), so it must not
-    /// touch the heap.
-    pub fn best(&self, candidates: &[ChildInfo]) -> Option<usize> {
-        match self {
-            ChildSelector::BandwidthCentric => candidates
-                .iter()
-                .min_by_key(|c| (c.comm_estimate, c.index))
-                .map(|c| c.index),
-            ChildSelector::ComputeCentric => candidates
-                .iter()
-                .min_by_key(|c| (c.compute_estimate, c.index))
-                .map(|c| c.index),
-            ChildSelector::RoundRobin { .. } => candidates.iter().map(|c| c.index).min(),
-        }
-    }
-
-    /// Full priority ranking of `candidates`, best first. The engine
-    /// never calls it: the interruptible link re-asks [`Self::best`]
-    /// over the occupied slots instead. It is the sort-based reference
-    /// that `best` is tested against.
-    pub fn rank(&self, candidates: &[ChildInfo]) -> Vec<usize> {
-        let mut v: Vec<&ChildInfo> = candidates.iter().collect();
-        match self {
-            ChildSelector::BandwidthCentric => {
-                v.sort_by_key(|c| (c.comm_estimate, c.index));
-            }
-            ChildSelector::ComputeCentric => {
-                v.sort_by_key(|c| (c.compute_estimate, c.index));
-            }
-            ChildSelector::RoundRobin { .. } => {
-                v.sort_by_key(|c| c.index);
-            }
-        }
-        v.into_iter().map(|c| c.index).collect()
+    #[inline(always)]
+    pub fn outranks(&self, a: Priority, b: Priority) -> bool {
+        !matches!(self, ChildSelector::RoundRobin { .. }) && a < b
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
-    fn ci(index: usize, comm: u64, compute: u64) -> ChildInfo {
-        ChildInfo {
-            index,
-            comm_estimate: comm,
-            compute_estimate: compute,
+    /// One child as a parent sees it: `(index, comm, compute)`.
+    type Child = (usize, u64, u64);
+
+    fn ci(index: usize, comm: u64, compute: u64) -> Child {
+        (index, comm, compute)
+    }
+
+    /// Selection as the engine makes it: one pass keeping the smallest
+    /// selection key, then the cursor advance.
+    fn select(s: &mut ChildSelector, candidates: &[Child]) -> Option<usize> {
+        let chosen = candidates
+            .iter()
+            .min_by_key(|&&(i, c, w)| s.selection_key(i, c, w))
+            .map(|c| c.0);
+        if let Some(ix) = chosen {
+            s.picked(ix);
         }
+        chosen
+    }
+
+    /// The highest-priority child: the interruptible link's slot choice.
+    fn best(s: &ChildSelector, candidates: &[Child]) -> Option<usize> {
+        candidates
+            .iter()
+            .min_by_key(|&&(i, c, w)| s.priority(i, c, w))
+            .map(|c| c.0)
+    }
+
+    /// Sort-based reference: the full priority ranking of `candidates`,
+    /// best first, written from each policy's rule rather than from
+    /// [`ChildSelector::priority`].
+    fn rank(s: &ChildSelector, candidates: &[Child]) -> Vec<usize> {
+        let mut v = candidates.to_vec();
+        match s {
+            ChildSelector::BandwidthCentric => v.sort_by_key(|&(i, c, _)| (c, i)),
+            ChildSelector::ComputeCentric => v.sort_by_key(|&(i, _, w)| (w, i)),
+            ChildSelector::RoundRobin { .. } => v.sort_by_key(|&(i, _, _)| i),
+        }
+        v.into_iter().map(|c| c.0).collect()
+    }
+
+    fn prio(s: &ChildSelector, c: Child) -> Priority {
+        s.priority(c.0, c.1, c.2)
     }
 
     #[test]
     fn bandwidth_centric_ignores_compute_speed() {
         let mut s = ChildSelector::BandwidthCentric;
         // Child 1 computes 100× faster but has the slower link.
-        let picked = s.select(&[ci(0, 2, 1000), ci(1, 7, 10)]);
+        let picked = select(&mut s, &[ci(0, 2, 1000), ci(1, 7, 10)]);
         assert_eq!(picked, Some(0));
     }
 
     #[test]
     fn compute_centric_is_the_opposite() {
         let mut s = ChildSelector::ComputeCentric;
-        let picked = s.select(&[ci(0, 2, 1000), ci(1, 7, 10)]);
+        let picked = select(&mut s, &[ci(0, 2, 1000), ci(1, 7, 10)]);
         assert_eq!(picked, Some(1));
     }
 
     #[test]
     fn empty_candidates_yield_none() {
-        assert_eq!(ChildSelector::BandwidthCentric.select(&[]), None);
-        assert_eq!(ChildSelector::round_robin().select(&[]), None);
+        assert_eq!(select(&mut ChildSelector::BandwidthCentric, &[]), None);
+        let mut rr = ChildSelector::round_robin();
+        assert_eq!(select(&mut rr, &[]), None);
+        assert_eq!(rr, ChildSelector::round_robin(), "no pick, no cursor move");
     }
 
     #[test]
     fn ties_break_by_index() {
         let mut s = ChildSelector::BandwidthCentric;
-        assert_eq!(s.select(&[ci(3, 5, 1), ci(1, 5, 9)]), Some(1));
+        assert_eq!(select(&mut s, &[ci(3, 5, 1), ci(1, 5, 9)]), Some(1));
     }
 
     #[test]
     fn round_robin_cycles() {
         let mut s = ChildSelector::round_robin();
         let all = [ci(0, 1, 1), ci(1, 1, 1), ci(2, 1, 1)];
-        assert_eq!(s.select(&all), Some(0));
-        assert_eq!(s.select(&all), Some(1));
-        assert_eq!(s.select(&all), Some(2));
-        assert_eq!(s.select(&all), Some(0));
+        assert_eq!(select(&mut s, &all), Some(0));
+        assert_eq!(select(&mut s, &all), Some(1));
+        assert_eq!(select(&mut s, &all), Some(2));
+        assert_eq!(select(&mut s, &all), Some(0));
     }
 
     #[test]
     fn round_robin_skips_missing_candidates() {
         let mut s = ChildSelector::round_robin();
-        assert_eq!(s.select(&[ci(0, 1, 1), ci(2, 1, 1)]), Some(0));
+        assert_eq!(select(&mut s, &[ci(0, 1, 1), ci(2, 1, 1)]), Some(0));
         // Child 1 absent: jumps to 2.
-        assert_eq!(s.select(&[ci(2, 1, 1)]), Some(2));
+        assert_eq!(select(&mut s, &[ci(2, 1, 1)]), Some(2));
         // Wraps.
-        assert_eq!(s.select(&[ci(0, 1, 1), ci(2, 1, 1)]), Some(0));
+        assert_eq!(select(&mut s, &[ci(0, 1, 1), ci(2, 1, 1)]), Some(0));
     }
 
     #[test]
     fn outranks_matches_selection_order() {
         let s = ChildSelector::BandwidthCentric;
-        assert!(s.outranks(&ci(1, 2, 9), &ci(0, 5, 1)));
-        assert!(!s.outranks(&ci(0, 5, 1), &ci(1, 2, 9)));
+        assert!(s.outranks(prio(&s, ci(1, 2, 9)), prio(&s, ci(0, 5, 1))));
+        assert!(!s.outranks(prio(&s, ci(0, 5, 1)), prio(&s, ci(1, 2, 9))));
         // Equal comm: lower index outranks.
-        assert!(s.outranks(&ci(0, 5, 1), &ci(1, 5, 1)));
+        assert!(s.outranks(prio(&s, ci(0, 5, 1)), prio(&s, ci(1, 5, 1))));
     }
 
     #[test]
     fn round_robin_never_preempts() {
         let s = ChildSelector::round_robin();
-        assert!(!s.outranks(&ci(0, 1, 1), &ci(1, 100, 100)));
+        assert!(!s.outranks(prio(&s, ci(0, 1, 1)), prio(&s, ci(1, 100, 100))));
     }
 
     #[test]
     fn rank_orders_best_first() {
         let s = ChildSelector::BandwidthCentric;
-        let order = s.rank(&[ci(0, 9, 1), ci(1, 3, 1), ci(2, 6, 1)]);
+        let order = rank(&s, &[ci(0, 9, 1), ci(1, 3, 1), ci(2, 6, 1)]);
         assert_eq!(order, vec![1, 2, 0]);
     }
 
@@ -225,8 +217,8 @@ mod tests {
             ChildSelector::ComputeCentric,
             ChildSelector::round_robin(),
         ] {
-            assert_eq!(s.best(&cands), s.rank(&cands).first().copied());
-            assert_eq!(s.best(&[]), None);
+            assert_eq!(best(&s, &cands), rank(&s, &cands).first().copied());
+            assert_eq!(best(&s, &[]), None);
         }
     }
 
@@ -235,8 +227,66 @@ mod tests {
         // Adaptation: the same selector re-queried with new measurements
         // flips its choice (the mechanism behind §4.2.3).
         let mut s = ChildSelector::BandwidthCentric;
-        assert_eq!(s.select(&[ci(0, 1, 3), ci(1, 3, 5)]), Some(0));
+        assert_eq!(select(&mut s, &[ci(0, 1, 3), ci(1, 3, 5)]), Some(0));
         // c_0 degrades from 1 to 9.
-        assert_eq!(s.select(&[ci(0, 9, 3), ci(1, 3, 5)]), Some(1));
+        assert_eq!(select(&mut s, &[ci(0, 9, 3), ci(1, 3, 5)]), Some(1));
+    }
+
+    /// A random row: 1–12 children with tie-prone estimates, each with an
+    /// eligibility bit, plus a round-robin cursor (`usize::MAX` included).
+    fn arb_row() -> impl Strategy<Value = (Vec<(u64, u64, bool)>, usize)> {
+        (
+            prop::collection::vec((1u64..4, 1u64..4, any::<bool>()), 1..=12),
+            (any::<bool>(), 0usize..14),
+        )
+            .prop_map(|(row, (fresh, c))| (row, if fresh { usize::MAX } else { c }))
+    }
+
+    proptest! {
+        /// The key-based pick equals the head of the sort-based ranking
+        /// over the eligible children, round-robin follows its cursor, and
+        /// `outranks` agrees with the ranking (never under round-robin).
+        #[test]
+        fn key_agrees_with_sorted_reference(case in arb_row()) {
+            let (row, cursor) = case;
+            let eligible: Vec<Child> = row
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.2)
+                .map(|(i, c)| ci(i, c.0, c.1))
+                .collect();
+            let all: Vec<Child> = row.iter().enumerate().map(|(i, c)| ci(i, c.0, c.1)).collect();
+            for s in [
+                ChildSelector::BandwidthCentric,
+                ChildSelector::ComputeCentric,
+                ChildSelector::RoundRobin { cursor },
+            ] {
+                let reference = rank(&s, &eligible);
+                prop_assert_eq!(best(&s, &eligible), reference.first().copied());
+                let mut picker = s.clone();
+                let picked = select(&mut picker, &eligible);
+                match s {
+                    ChildSelector::RoundRobin { .. } => {
+                        let after = eligible.iter().map(|c| c.0).filter(|&i| i > cursor).min();
+                        prop_assert_eq!(picked, after.or(reference.first().copied()));
+                        let moved = picked.map_or(s.clone(), |ix| ChildSelector::RoundRobin { cursor: ix });
+                        prop_assert_eq!(picker, moved);
+                    }
+                    _ => {
+                        prop_assert_eq!(picked, reference.first().copied());
+                        prop_assert_eq!(picker, s.clone());
+                    }
+                }
+                let order = rank(&s, &all);
+                for &a in &all {
+                    for &b in &all {
+                        let pos = |c: Child| order.iter().position(|&i| i == c.0);
+                        let expected =
+                            !matches!(s, ChildSelector::RoundRobin { .. }) && pos(a) < pos(b);
+                        prop_assert_eq!(s.outranks(prio(&s, a), prio(&s, b)), expected);
+                    }
+                }
+            }
+        }
     }
 }

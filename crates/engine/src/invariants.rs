@@ -32,6 +32,9 @@
 //!   preempt; IC nodes never use the single-send path; an active
 //!   transfer always transmits an occupied slot of a live child and its
 //!   completion event is pending in the agenda.
+//! * **Link priority** (`link-priority`) — under IC, no occupied slot
+//!   strictly outranks the active transfer's slot under the selector's
+//!   key (§3.2: the better request preempts).
 //! * **Row caches** — every cache the hot path reads instead of
 //!   re-deriving (`pending_sum`, `slots_used`, and per child `kid_comm`,
 //!   `kid_compute`, `kid_gone`) equals what it caches.
@@ -580,6 +583,23 @@ impl<S: TraceSink> Simulation<S> {
                         return fail(
                             "protocol-structure",
                             format!("node {i} active transfer has no pending TransferDone event"),
+                        );
+                    }
+                    // §3.2: the link transmits the highest-priority
+                    // occupied slot; a better one must have preempted it.
+                    let selector = &self.ws.st.cold[i].selector;
+                    let active = self.child_priority(i, a.child_pos);
+                    if let Some(pos) = (0..slots.len()).find(|&pos| {
+                        slots[pos].is_some()
+                            && selector.outranks(self.child_priority(i, pos), active)
+                    }) {
+                        return fail(
+                            "link-priority",
+                            format!(
+                                "node {i} transmits slot {} while occupied slot {pos} \
+                                 outranks it",
+                                a.child_pos
+                            ),
                         );
                     }
                 }

@@ -37,8 +37,8 @@
 //! record spanned more than five). Per-*child* protocol state lives in
 //! flat CSR arrays on the workspace (`kid_*`): node `i`'s children
 //! occupy the contiguous index range `kid_start[i]..kid_start[i+1]`, so
-//! the candidate-building loops of child selection and link reconciling
-//! stream over dense parallel arrays instead of chasing per-node `Vec`s
+//! the one row scan behind child selection and link reconciling
+//! streams over dense parallel arrays instead of chasing per-node `Vec`s
 //! and re-deriving estimates through the observer on every pass
 //! (`kid_comm` caches the estimate; it is refreshed at the few sites
 //! where an estimate can change). Everything only rare paths read —
@@ -74,7 +74,7 @@ use crate::config::{
 };
 use crate::result::{ArrivalStats, FaultStats, RunResult};
 use crate::snapshot::{SimSnapshot, TimeTravel};
-use bc_core::{BufferLedger, BufferPolicy, ChildInfo, ChildSelector, GrowthEvent, LatencyObserver};
+use bc_core::{BufferLedger, BufferPolicy, ChildSelector, GrowthEvent, LatencyObserver};
 use bc_platform::{NodeId, Tree};
 use bc_simcore::{Agenda, EventHandle, NullSink, Time, TraceEvent, TraceSink};
 use std::collections::VecDeque;
@@ -376,12 +376,9 @@ pub struct SimWorkspace {
     /// Every other container a snapshot captures (see [`RunState`]).
     pub(crate) st: RunState,
     /// Between-steps scratch, empty at every quiescent point and never
-    /// captured: the service pass's FIFO and its membership flags, and
-    /// the candidate list of child selection / link reconciling (taken
-    /// and restored around each use so the event loop never allocates).
+    /// captured: the service pass's FIFO and its membership flags.
     pub(crate) service_queue: VecDeque<usize>,
     pub(crate) queued: Vec<bool>,
-    pub(crate) candidates: Vec<ChildInfo>,
 }
 
 impl SimWorkspace {
@@ -405,7 +402,6 @@ impl SimWorkspace {
     pub(crate) fn clear_scratch(&mut self, n: usize) {
         self.service_queue.clear();
         refill(&mut self.queued, n, false);
-        self.candidates.clear();
     }
 }
 
@@ -456,11 +452,11 @@ pub(crate) struct RunState {
     /// path answer "any child requesting?" without scanning the row.
     pub(crate) pending_sum: Vec<u32>,
     /// Per-node count of occupied `kid_slot` entries — lets
-    /// `reconcile_link` skip the candidate scan when the active transfer
+    /// `reconcile_link` skip the row scan when the active transfer
     /// is the only occupied slot (the overwhelmingly common case).
     pub(crate) slots_used: Vec<u32>,
     /// Whether that child has departed — mirrors the child's
-    /// `HotNode::departed` so candidate loops never touch the child's
+    /// `HotNode::departed` so the row scan never touches the child's
     /// cache lines.
     pub(crate) kid_gone: Vec<bool>,
     pub(crate) completion_times: Vec<Time>,
@@ -538,8 +534,8 @@ impl RunState {
         refill(&mut self.active, n, None);
         refill(&mut self.faults, n, FaultRt::default());
 
-        // Estimate cache: the exact value `ChildInfo` used to derive on
-        // every candidate build.
+        // Estimate cache: what the observer (or, under the oracle, the
+        // tree) says for each child, read by every row scan.
         self.kid_comm.clear();
         for i in 0..n {
             let observer = &self.cold[i].observer;

@@ -5,7 +5,7 @@
 
 use super::{ActiveTransfer, Event, Sending, Simulation, SlotTransfer};
 use crate::config::Protocol;
-use bc_core::{ChildInfo, GrowthEvent};
+use bc_core::{ChildSelector, GrowthEvent, Priority};
 use bc_platform::NodeId;
 use bc_simcore::{TraceEvent, TraceSink};
 
@@ -106,17 +106,50 @@ impl<S: TraceSink> Simulation<S> {
         self.ws.st.pending_sum[i] > 0
     }
 
-    /// The selection view of `i`'s child at `pos`, read straight from the
-    /// CSR caches (`kid_comm` holds exactly what the observer/tree would
-    /// say; see its field docs).
+    /// The priority of `i`'s child at `pos`, read straight from the CSR
+    /// caches (`kid_comm` holds exactly what the observer/tree would say;
+    /// see its field docs).
     #[inline(always)]
-    fn child_info(&self, i: usize, pos: usize) -> ChildInfo {
+    pub(crate) fn child_priority(&self, i: usize, pos: usize) -> Priority {
         let k = self.ws.st.kid_start[i] as usize + pos;
-        ChildInfo {
-            index: pos,
-            comm_estimate: self.ws.st.kid_comm[k],
-            compute_estimate: self.ws.st.kid_compute[k],
+        self.ws.st.cold[i]
+            .selector
+            .priority(pos, self.ws.st.kid_comm[k], self.ws.st.kid_compute[k])
+    }
+
+    /// The one scan of `i`'s CSR row behind every child decision: the
+    /// position of the child that `eligible` admits (given its row entry)
+    /// with the smallest `key`, or `None`.
+    #[inline(always)]
+    fn best_in_row<K: Ord>(
+        &self,
+        i: usize,
+        key: impl Fn(&ChildSelector, usize, u64, u64) -> K,
+        eligible: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let st = &self.ws.st;
+        let start = st.kid_start[i] as usize;
+        let mut best: Option<(K, usize)> = None;
+        for k in st.krange(i) {
+            if !eligible(k) {
+                continue;
+            }
+            let pos = k - start;
+            let key = key(&st.cold[i].selector, pos, st.kid_comm[k], st.kid_compute[k]);
+            if best.as_ref().is_none_or(|(b, _)| key < *b) {
+                best = Some((key, pos));
+            }
         }
+        best.map(|(_, pos)| pos)
+    }
+
+    /// True if the row entry `k` is a child that may be sent a task:
+    /// requesting, not gone and not presumed dead.
+    #[inline(always)]
+    fn wants_task<const FA: bool>(&self, k: usize) -> bool {
+        self.ws.st.kid_pending[k] > 0
+            && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
+            && !self.ws.st.kid_gone[k]
     }
 
     /// Re-derives the cached comm estimate for `i`'s child at `pos` after
@@ -146,25 +179,13 @@ impl<S: TraceSink> Simulation<S> {
         if self.ws.st.sending[i].is_some() || self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
             return;
         }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        candidates.clear();
-        for (pos, k) in self.ws.st.krange(i).enumerate() {
-            if self.ws.st.kid_pending[k] > 0
-                && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
-                && !self.ws.st.kid_gone[k]
-            {
-                candidates.push(ChildInfo {
-                    index: pos,
-                    comm_estimate: self.ws.st.kid_comm[k],
-                    compute_estimate: self.ws.st.kid_compute[k],
-                });
-            }
-        }
-        let chosen = self.ws.st.cold[i].selector.select(&candidates);
-        self.ws.candidates = candidates;
+        let chosen = self.best_in_row(i, ChildSelector::selection_key, |k| {
+            self.wants_task::<FA>(k)
+        });
         let Some(pos) = chosen else {
             return;
         };
+        self.ws.st.cold[i].selector.picked(pos);
         if !self.take_task::<AR>(i) {
             return;
         }
@@ -191,31 +212,14 @@ impl<S: TraceSink> Simulation<S> {
     /// IC: delegate buffered tasks into empty slots of requesting
     /// children, best-priority first, while tasks last.
     fn fill_slots<const FA: bool, const AR: bool>(&mut self, i: usize) {
-        if self.ws.st.pending_sum[i] == 0 {
-            return; // no requesting child, so no candidate either
-        }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        loop {
-            if self.ws.st.pending_sum[i] == 0 || !self.has_task(i) {
-                break;
-            }
-            candidates.clear();
-            for (pos, k) in self.ws.st.krange(i).enumerate() {
-                if self.ws.st.kid_pending[k] > 0
-                    && self.ws.st.kid_slot[k].is_none()
-                    && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
-                    && !self.ws.st.kid_gone[k]
-                {
-                    candidates.push(ChildInfo {
-                        index: pos,
-                        comm_estimate: self.ws.st.kid_comm[k],
-                        compute_estimate: self.ws.st.kid_compute[k],
-                    });
-                }
-            }
-            let Some(pos) = self.ws.st.cold[i].selector.select(&candidates) else {
+        while self.ws.st.pending_sum[i] > 0 && self.has_task(i) {
+            let chosen = self.best_in_row(i, ChildSelector::selection_key, |k| {
+                self.ws.st.kid_slot[k].is_none() && self.wants_task::<FA>(k)
+            });
+            let Some(pos) = chosen else {
                 break;
             };
+            self.ws.st.cold[i].selector.picked(pos);
             if !self.take_task::<AR>(i) {
                 break;
             }
@@ -232,7 +236,6 @@ impl<S: TraceSink> Simulation<S> {
             });
             self.ws.st.slots_used[i] += 1;
         }
-        self.ws.candidates = candidates;
     }
 
     /// IC: ensure the link transmits the highest-priority occupied slot,
@@ -249,28 +252,18 @@ impl<S: TraceSink> Simulation<S> {
         if used == 1 && self.ws.st.active[i].is_some() {
             return;
         }
-        let mut candidates = std::mem::take(&mut self.ws.candidates);
-        candidates.clear();
-        for (pos, k) in self.ws.st.krange(i).enumerate() {
-            if self.ws.st.kid_slot[k].is_some() {
-                candidates.push(ChildInfo {
-                    index: pos,
-                    comm_estimate: self.ws.st.kid_comm[k],
-                    compute_estimate: self.ws.st.kid_compute[k],
-                });
-            }
-        }
-        let best = self.ws.st.cold[i].selector.best(&candidates);
-        self.ws.candidates = candidates;
+        let best = self.best_in_row(i, ChildSelector::priority, |k| {
+            self.ws.st.kid_slot[k].is_some()
+        });
         match (&self.ws.st.active[i], best) {
             (_, None) => {
                 debug_assert!(self.ws.st.active[i].is_none(), "active without slots");
             }
             (None, Some(b)) => self.activate(i, b),
             (Some(a), Some(b)) if b != a.child_pos => {
-                let a_info = self.child_info(i, a.child_pos);
-                let b_info = self.child_info(i, b);
-                if self.ws.st.cold[i].selector.outranks(&b_info, &a_info) {
+                let active = self.child_priority(i, a.child_pos);
+                let challenger = self.child_priority(i, b);
+                if self.ws.st.cold[i].selector.outranks(challenger, active) {
                     self.preempt::<FA>(i);
                     // The preempted transfer may have completed at this
                     // exact instant; re-rank rather than assuming `b`.

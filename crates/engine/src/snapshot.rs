@@ -62,9 +62,9 @@ use bc_simcore::{AgendaSnapshot, NullSink, SlotSnapshot, Time, TraceSink, VecSin
 // ---------------------------------------------------------------------------
 
 /// Capture of a [`SimWorkspace`]: the agenda's own snapshot and a clone
-/// of the run state. The between-steps scratch (service queue, queued
-/// flags, candidate list) is empty at any quiescent point and is not
-/// captured; restore re-clears it.
+/// of the run state. The between-steps scratch (service queue and queued
+/// flags) is empty at any quiescent point and is not captured; restore
+/// re-clears it.
 #[derive(Clone)]
 pub(crate) struct WorkspaceSnapshot {
     pub(crate) agenda: AgendaSnapshot<Event>,
@@ -249,9 +249,6 @@ impl SimWorkspace {
     /// quiescent point (the between-steps scratch is empty and is not
     /// captured).
     pub(crate) fn snapshot(&self) -> WorkspaceSnapshot {
-        // The candidate scratch is cleared at its next use (not after),
-        // so it may hold stale content here; only the service queue
-        // proves quiescence.
         debug_assert!(
             self.service_queue.is_empty(),
             "workspace snapshot requires quiescence (between steps)"

@@ -350,18 +350,24 @@ struct ThreadsCurve {
 }
 
 impl ThreadsCurve {
+    /// The curve as JSON. Each point's `speedup_vs_1_thread` divides the
+    /// 1-thread wall time by its own; without a measured 1-thread point
+    /// the key is left out.
     fn to_value(&self) -> Value {
-        let base_ns = self.points[0].wall_ns;
+        let one_thread = self.points.iter().find(|p| p.threads == 1);
         let points = self
             .points
             .iter()
             .map(|p| {
-                object(vec![
+                let mut fields = vec![
                     ("threads", Value::Int(p.threads as i128)),
                     ("wall_ms", wall_ms(p.wall_ns)),
                     ("events_per_sec", events_per_sec(p.events as f64, p.wall_ns)),
-                    ("speedup_vs_1_thread", Value::Float(base_ns / p.wall_ns)),
-                ])
+                ];
+                if let Some(one) = one_thread {
+                    fields.push(("speedup_vs_1_thread", Value::Float(one.wall_ns / p.wall_ns)));
+                }
+                object(fields)
             })
             .collect();
         object(vec![
@@ -927,4 +933,45 @@ fn main() {
     )
     .expect("write BENCH_campaign.json");
     println!("wrote {}", path.display());
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn curve(points: &[(usize, f64)]) -> Value {
+        let points = points
+            .iter()
+            .map(|&(threads, wall_ns)| CurvePoint {
+                threads,
+                wall_ns,
+                events: 1_000,
+            })
+            .collect();
+        ThreadsCurve { rounds: 2, points }.to_value()
+    }
+
+    fn speedups(v: &Value) -> Vec<Option<f64>> {
+        let Some(Value::Array(points)) = v.get("points") else {
+            panic!("no points in {v:?}");
+        };
+        points
+            .iter()
+            .map(|p| match p.get("speedup_vs_1_thread") {
+                Some(Value::Float(x)) => Some(*x),
+                None => None,
+                other => panic!("speedup is {other:?}"),
+            })
+            .collect()
+    }
+
+    #[test]
+    fn speedup_is_relative_to_the_one_thread_point() {
+        assert_eq!(speedups(&curve(&[(2, 5e6)])), vec![None]);
+        let (w1, w4) = (8e6, 3e6);
+        assert_eq!(
+            speedups(&curve(&[(1, w1), (4, w4)])),
+            vec![Some(1.0), Some(w1 / w4)]
+        );
+    }
 }

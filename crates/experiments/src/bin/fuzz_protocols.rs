@@ -103,10 +103,15 @@ fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
         (Some(_), None) => return Err(CliError::Usage("--repro requires --variant".into())),
         (None, _) => None,
     };
-    if out.arrivals.is_some() && out.repro.is_none() {
-        return Err(CliError::Usage(
-            "--arrivals only makes sense with --repro".into(),
-        ));
+    for (flag, set) in [
+        ("--arrivals", out.arrivals.is_some()),
+        ("--fault", out.fault.is_some()),
+    ] {
+        if set && out.repro.is_none() {
+            return Err(CliError::Usage(format!(
+                "{flag} only makes sense with --repro"
+            )));
+        }
     }
     Ok(out)
 }

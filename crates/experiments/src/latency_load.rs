@@ -23,6 +23,7 @@ use bc_engine::{
 use bc_metrics::{latency_profile, LatencySummary};
 use bc_platform::RandomTreeConfig;
 use bc_rational::Rational;
+use bc_serve::summary_value;
 use serde::Value;
 
 /// One arrival intensity in the sweep.
@@ -242,21 +243,6 @@ pub fn render(report: &LatencyLoadReport) -> String {
         ));
     }
     out
-}
-
-fn summary_value(s: &LatencySummary) -> Value {
-    let num = |v: Option<u64>| v.map_or(Value::Null, |n| Value::Int(n as i128));
-    serde::object(vec![
-        ("count", Value::Int(s.count() as i128)),
-        (
-            "mean",
-            s.mean().map_or(Value::Null, |m| Value::Str(m.to_string())),
-        ),
-        ("p50", num(s.p50())),
-        ("p99", num(s.p99())),
-        ("min", num(s.min())),
-        ("max", num(s.max())),
-    ])
 }
 
 /// The committed-artifact JSON (`BENCH_latency.json`).

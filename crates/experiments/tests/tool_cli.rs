@@ -34,7 +34,8 @@ fn text(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
 
-fn assert_usage_error(exe: &str, args: &[&str]) {
+/// Asserts the usage-error contract and returns the stderr text.
+fn assert_usage_error(exe: &str, args: &[&str]) -> String {
     let out = run(exe, args);
     let stderr = text(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{exe} {args:?}: {stderr}");
@@ -47,6 +48,7 @@ fn assert_usage_error(exe: &str, args: &[&str]) {
         "{exe} {args:?} stderr: {stderr}"
     );
     assert!(out.stdout.is_empty(), "{exe} {args:?} wrote to stdout");
+    stderr
 }
 
 #[test]
@@ -71,6 +73,20 @@ fn unknown_flags_exit_two() {
 fn malformed_numbers_exit_two() {
     for (exe, flag) in TOOLS {
         assert_usage_error(exe, &[flag, "x"]);
+    }
+}
+
+#[test]
+fn fuzz_repro_flags_need_repro() {
+    let exe = env!("CARGO_BIN_EXE_fuzz_protocols");
+    for (flag, value) in [("--arrivals", "7"), ("--fault", "fb")] {
+        let args = [flag, value, "--cases", "2", "--tasks", "50"];
+        let stderr = assert_usage_error(exe, &args);
+        assert!(
+            stderr.starts_with(&format!("error: {flag} only makes sense with --repro")),
+            "{flag}: {stderr}"
+        );
+        assert!(stderr.contains("usage"), "{flag}: {stderr}");
     }
 }
 

@@ -38,9 +38,7 @@ pub use bc_steady as steady;
 
 /// The names most applications need.
 pub mod prelude {
-    pub use bc_core::{
-        BufferPolicy, ChildInfo, ChildSelector, GrowthGate, LatencyObserver, ObserverKind,
-    };
+    pub use bc_core::{BufferPolicy, ChildSelector, GrowthGate, LatencyObserver, ObserverKind};
     pub use bc_engine::{
         ChangeKind, PlannedChange, Protocol, RunResult, SelectorKind, SimConfig, SimWorkspace,
         Simulation,

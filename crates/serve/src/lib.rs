@@ -20,6 +20,7 @@ pub mod server;
 
 pub use pool::WorkspacePool;
 pub use proto::{
-    from_hex, parse_request, to_hex, OpenSpec, Request, TreeSpec, MAX_LINE_LEN, MAX_SIM_NAME_LEN,
+    from_hex, parse_request, summary_value, to_hex, OpenSpec, Request, TreeSpec, MAX_LINE_LEN,
+    MAX_SIM_NAME_LEN,
 };
 pub use server::{oversized_line_error, RecoverReport, Server, StreamSink, DEFAULT_MAX_SESSIONS};

@@ -15,6 +15,7 @@ use bc_engine::{
     AdmissionPolicy, ArrivalPlan, ArrivalProcess, FaultEvent, FaultKind, FaultPlan, RecoveryTuning,
     SimConfig, TaskClass,
 };
+use bc_metrics::LatencySummary;
 use bc_platform::{NodeId, RandomTreeConfig, Tree};
 use serde::Value;
 
@@ -334,6 +335,25 @@ fn parse_faults(v: &Value, seed: Option<u64>) -> Result<FaultPlan, String> {
         faults,
         recovery: RecoveryTuning::default(),
     })
+}
+
+/// The JSON form of a latency summary, as the `latency` object of an
+/// arrival session's `done` and `metrics` lines and `BENCH_latency.json`
+/// carry it: the count, the exact mean as a rational string, and the
+/// order statistics (`null` when empty).
+pub fn summary_value(s: &LatencySummary) -> Value {
+    let num = |v: Option<u64>| v.map_or(Value::Null, |n| Value::Int(n as i128));
+    serde::object(vec![
+        ("count", Value::Int(s.count() as i128)),
+        (
+            "mean",
+            s.mean().map_or(Value::Null, |m| Value::Str(m.to_string())),
+        ),
+        ("p50", num(s.p50())),
+        ("p99", num(s.p99())),
+        ("min", num(s.min())),
+        ("max", num(s.max())),
+    ])
 }
 
 // ---------------------------------------------------------------------

@@ -11,10 +11,10 @@
 //! session-name order).
 
 use crate::pool::WorkspacePool;
-use crate::proto::{parse_request, to_hex, OpenSpec, Request};
+use crate::proto::{parse_request, summary_value, to_hex, OpenSpec, Request};
 use bc_engine::durability::{take_bytes, take_u64_le};
 use bc_engine::{RunResult, SimSnapshot, SimWorkspace, Simulation, TraceRecord, TraceSink};
-use bc_metrics::{latency_profile, per_class_throughput, LatencyProfile, LatencySummary};
+use bc_metrics::{latency_profile, per_class_throughput, LatencyProfile};
 use bc_simcore::{Time, TraceEvent};
 use rayon::IntoParallelIterator;
 use serde::{object, Value};
@@ -322,27 +322,6 @@ fn err_line_code(sim: Option<&str>, code: &str, msg: &str) -> String {
             ("msg", Value::Str(msg.into())),
         ],
     )
-}
-
-fn summary_value(s: &LatencySummary) -> Value {
-    let num = |v: Option<u64>| match v {
-        Some(n) => Value::Int(n as i128),
-        None => Value::Null,
-    };
-    object(vec![
-        ("count", Value::Int(s.count() as i128)),
-        (
-            "mean",
-            match s.mean() {
-                Some(m) => Value::Str(m.to_string()),
-                None => Value::Null,
-            },
-        ),
-        ("p50", num(s.p50())),
-        ("p99", num(s.p99())),
-        ("min", num(s.min())),
-        ("max", num(s.max())),
-    ])
 }
 
 fn latency_value(p: &LatencyProfile) -> Value {
