@@ -112,7 +112,6 @@ impl<S: TraceSink> Simulation<S> {
         let now = self.ws.agenda.now();
         if now < self.cur.check_last_now {
             self.dump_trace_tail();
-            self.dump_time_travel();
             panic!(
                 "invariant violated [monotone-time]: agenda moved backward ({} -> {})",
                 self.cur.check_last_now, now
@@ -125,20 +124,15 @@ impl<S: TraceSink> Simulation<S> {
             self.cur.events_since_sweep = 0;
             if let Err(v) = self.verify_invariants() {
                 self.dump_trace_tail();
-                self.dump_time_travel();
                 panic!(
                     "checked mode: {v} (at t={now}, event {})",
                     self.cur.events_processed
                 );
             }
-            // The state just passed a full sweep — keep a periodic
-            // snapshot of it for time travel (see `snapshot.rs`).
-            self.time_travel_tick();
         }
         if self.cur.finished {
             if let Err(v) = self.verify_terminal() {
                 self.dump_trace_tail();
-                self.dump_time_travel();
                 panic!("checked mode: {v}");
             }
         }

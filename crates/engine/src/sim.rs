@@ -73,7 +73,7 @@ use crate::config::{
     SimConfig,
 };
 use crate::result::{ArrivalStats, FaultStats, RunResult};
-use crate::snapshot::{SimSnapshot, TimeTravel};
+use crate::snapshot::SimSnapshot;
 use bc_core::{BufferLedger, BufferPolicy, ChildSelector, GrowthEvent, LatencyObserver};
 use bc_platform::{NodeId, Tree};
 use bc_simcore::{Agenda, EventHandle, NullSink, Time, TraceEvent, TraceSink};
@@ -719,11 +719,6 @@ pub struct Simulation<S: TraceSink = NullSink> {
     pub(crate) sink: S,
     /// Progress cursors (see [`Progress`]).
     pub(crate) cur: Progress,
-    /// Checked-mode time travel: periodic snapshots so an invariant
-    /// violation can be replayed from just before it (see
-    /// `snapshot.rs`). `None` whenever checked mode is off, so the
-    /// campaign hot path never touches it.
-    pub(crate) time_travel: Option<Box<TimeTravel>>,
     /// Open-world arrival runtime; `None` in batch mode (always mirrors
     /// `cfg.arrivals.is_some()`, like `fault_active` mirrors the plan).
     pub(crate) arrivals: Option<Box<ArrivalRt>>,
@@ -815,7 +810,6 @@ impl<S: TraceSink> Simulation<S> {
         } else {
             u8::MAX
         };
-        let time_travel = cfg.checked.then(|| Box::new(TimeTravel::from_env()));
         Simulation {
             tree,
             cfg,
@@ -830,7 +824,6 @@ impl<S: TraceSink> Simulation<S> {
                 dead_threshold,
                 ..Progress::default()
             },
-            time_travel,
             arrivals,
         }
     }
@@ -1285,7 +1278,6 @@ impl<S: TraceSink> Simulation<S> {
             ws,
             sink,
             cur: snap.cur.clone(),
-            time_travel: snap.cfg.checked.then(|| Box::new(TimeTravel::from_env())),
             arrivals,
         }
     }

@@ -10,7 +10,7 @@
 //! suffix, same panics (the `snapshot_roundtrip` suite proptests this
 //! across protocols, fault legs, scripted changes, and arrival legs).
 //!
-//! Three consumers:
+//! Two consumers:
 //!
 //! * **What-if forking** ([`SimSnapshot::fork`]): branch K divergent
 //!   continuations off one mid-run state — degrade a link, inject a
@@ -18,11 +18,9 @@
 //!   (`whatif` binary).
 //! * **Fuzzer suffix replay**: `fuzz_protocols` snapshots periodically
 //!   and re-confirms failures from the last snapshot, exercising
-//!   restore exactness adversarially.
-//! * **Checker time travel**: checked mode keeps a periodic snapshot
-//!   and, on an invariant violation, emits it plus the replayed trace
-//!   suffix leading up to the violation (`BC_SNAPSHOT_DIR` or the
-//!   system temp dir).
+//!   restore exactness adversarially. It is also the one place a
+//!   violation's newest verified snapshot and replayed trace suffix
+//!   are written out (`fuzz_protocols --repro … --out DIR`).
 //!
 //! The workspace arenas, the progress cursors and the arrival state are
 //! the simulation's own `RunState`, `Progress` and `ArrivalState`
@@ -55,7 +53,9 @@ use bc_core::{
     ObserverKind, ObserverState,
 };
 use bc_platform::{NodeId, Tree};
-use bc_simcore::{AgendaSnapshot, NullSink, SlotSnapshot, Time, TraceSink, VecSink, NEAR_BUCKETS};
+use bc_simcore::{
+    AgendaSnapshot, NullSink, PackedEvent, SlotSnapshot, Time, TraceSink, NEAR_BUCKETS,
+};
 
 // ---------------------------------------------------------------------------
 // In-memory snapshot types
@@ -265,150 +265,6 @@ impl SimWorkspace {
         self.agenda.restore(&s.agenda);
         self.st = s.st.clone();
         self.clear_scratch(s.st.hot.len());
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Checker time travel
-// ---------------------------------------------------------------------------
-
-/// Checked-mode flight recorder: a periodic full snapshot so an
-/// invariant violation can be replayed from just before it. Lives
-/// behind `cfg.checked`; the unchecked hot path never touches it.
-pub(crate) struct TimeTravel {
-    /// Events between captures (`BC_TIME_TRAVEL_PERIOD`, default 32768 —
-    /// large enough that short checked tests never capture at all).
-    pub(crate) period: u64,
-    /// The newest capture and the event count it was taken at.
-    pub(crate) last: Option<(Box<SimSnapshot>, u64)>,
-}
-
-impl TimeTravel {
-    pub(crate) fn from_env() -> TimeTravel {
-        let period = std::env::var("BC_TIME_TRAVEL_PERIOD")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&p: &u64| p > 0)
-            .unwrap_or(32_768);
-        TimeTravel { period, last: None }
-    }
-}
-
-impl<S: TraceSink> Simulation<S> {
-    /// Turns on (or re-tunes) periodic time-travel snapshots: every
-    /// `period` events the simulation keeps a full [`SimSnapshot`], and
-    /// a checked-mode invariant violation dumps the newest one plus the
-    /// replayed trace suffix leading up to the violation. Checked mode
-    /// arms this automatically with a large period; tests and the
-    /// fuzzer use a small one.
-    pub fn enable_time_travel(&mut self, period: u64) {
-        assert!(period > 0, "time-travel period must be positive");
-        match &mut self.time_travel {
-            Some(tt) => tt.period = period,
-            None => {
-                self.time_travel = Some(Box::new(TimeTravel { period, last: None }));
-            }
-        }
-    }
-
-    /// The newest periodic snapshot and the event count it was taken at,
-    /// if time travel is armed and a capture has happened.
-    pub fn last_time_travel_snapshot(&self) -> Option<(&SimSnapshot, u64)> {
-        self.time_travel
-            .as_deref()
-            .and_then(|tt| tt.last.as_ref().map(|(s, at)| (s.as_ref(), *at)))
-    }
-
-    /// Checked-tick hook: captures a periodic snapshot when one is due.
-    /// Called *after* the invariant sweep, so only verified-good states
-    /// are kept.
-    pub(crate) fn time_travel_tick(&mut self) {
-        let due = match self.time_travel.as_deref() {
-            Some(tt) => {
-                let since = match &tt.last {
-                    Some((_, at)) => self.cur.events_processed.saturating_sub(*at),
-                    None => self.cur.events_processed,
-                };
-                since >= tt.period && !self.cur.finished
-            }
-            None => false,
-        };
-        if due {
-            let snap = Box::new(self.snapshot());
-            let at = self.cur.events_processed;
-            if let Some(tt) = self.time_travel.as_deref_mut() {
-                tt.last = Some((snap, at));
-            }
-        }
-    }
-
-    /// Violation read-out: writes the newest periodic snapshot and the
-    /// trace suffix replayed from it (checker off, stopping just before
-    /// the violating event) to `BC_SNAPSHOT_DIR` or the system temp
-    /// dir. Prints the paths to stderr; best-effort — IO errors only
-    /// warn.
-    pub(crate) fn dump_time_travel(&self) {
-        let Some(tt) = self.time_travel.as_deref() else {
-            return;
-        };
-        let Some((snap, at)) = &tt.last else {
-            eprintln!(
-                "time travel: no snapshot captured yet (period {}, violation at event {})",
-                tt.period, self.cur.events_processed
-            );
-            return;
-        };
-        let dir = std::env::var_os("BC_SNAPSHOT_DIR")
-            .map(std::path::PathBuf::from)
-            .unwrap_or_else(std::env::temp_dir);
-        let stem = format!(
-            "bc-violation-{}-{}",
-            std::process::id(),
-            self.cur.events_processed
-        );
-        let snap_path = dir.join(format!("{stem}.snap"));
-        match std::fs::write(&snap_path, snap.to_bytes()) {
-            Ok(()) => eprintln!(
-                "time travel: snapshot at event {at} (t={}) written to {}",
-                snap.now(),
-                snap_path.display()
-            ),
-            Err(e) => eprintln!("time travel: could not write {}: {e}", snap_path.display()),
-        }
-        // Replay the suffix up to just before the violating event, with
-        // the checker off so the replay itself cannot re-panic; shield
-        // against the underlying bug blowing up earlier than the check
-        // did.
-        let target = self.cur.events_processed.saturating_sub(1);
-        let replay = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut branch = (**snap).clone();
-            branch.cfg.checked = false;
-            let mut sim =
-                Simulation::from_snapshot_traced(&branch, SimWorkspace::new(), VecSink::new());
-            while sim.cur.events_processed < target && sim.step() {}
-            sim.sink.records
-        }));
-        match replay {
-            Ok(records) => {
-                let trace_path = dir.join(format!("{stem}.trace"));
-                let mut text = String::new();
-                for r in &records {
-                    text.push_str(&r.to_string());
-                    text.push('\n');
-                }
-                match std::fs::write(&trace_path, text) {
-                    Ok(()) => eprintln!(
-                        "time travel: {} replayed suffix event(s) written to {}",
-                        records.len(),
-                        trace_path.display()
-                    ),
-                    Err(e) => {
-                        eprintln!("time travel: could not write {}: {e}", trace_path.display())
-                    }
-                }
-            }
-            Err(_) => eprintln!("time travel: suffix replay itself panicked before event {target}"),
-        }
     }
 }
 
@@ -760,7 +616,8 @@ impl Wire for ParentLink {
 
 // Both agenda tiers verbatim: tombstones, bucket drain heads, slot
 // generations and the free-list order all decide future handle
-// assignment and pop order.
+// assignment and pop order. The four counters are derived from the
+// tiers at capture and recounted on decode.
 wire_struct!(AgendaSnapshot<Event> {
     heap,
     buckets,
@@ -775,13 +632,34 @@ wire_struct!(AgendaSnapshot<Event> {
 } check agenda_consistent);
 
 fn agenda_consistent(a: &AgendaSnapshot<Event>) -> Result<(), SnapshotError> {
+    let holds_payload = |e: &PackedEvent| match a.slots.get(e.slot() as usize) {
+        Some(slot) => Ok(slot.payload.is_some()),
+        None => Err(SnapshotError::Corrupt("agenda entry slot out of range")),
+    };
+    let (mut near_entries, mut near_live) = (0u64, 0u64);
     for (index, head, entries) in &a.buckets {
         if *index as usize >= NEAR_BUCKETS {
             return Err(SnapshotError::Corrupt("bucket index out of range"));
         }
-        if *head as usize > entries.len() {
+        let Some(pending) = entries.get(*head as usize..) else {
             return Err(SnapshotError::Corrupt("bucket head past entries"));
+        };
+        near_entries += pending.len() as u64;
+        for e in pending {
+            near_live += u64::from(holds_payload(e)?);
         }
+    }
+    let mut far_dead = 0u64;
+    for e in &a.heap {
+        far_dead += u64::from(!holds_payload(e)?);
+    }
+    let far_live = a.heap.len() as u64 - far_dead;
+    if (a.near_entries, a.near_live, a.far_dead, a.live)
+        != (near_entries, near_live, far_dead, near_live + far_live)
+    {
+        return Err(SnapshotError::Corrupt(
+            "agenda counters disagree with the tiers",
+        ));
     }
     if a.free.iter().any(|&f| f as usize >= a.slots.len()) {
         return Err(SnapshotError::Corrupt("free slot out of range"));
@@ -963,4 +841,59 @@ fn admit_logs_aligned(a: &ArrivalState) -> Result<(), SnapshotError> {
         return Err(SnapshotError::Corrupt("admit class/time length mismatch"));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A committed golden capture, decoded. Its near tier holds live
+    /// entries and tombstones; its far heap is empty.
+    fn golden() -> SimSnapshot {
+        let hex = include_str!("../tests/fixtures/bcss_golden_ic_faults_mid_recovery.hex").trim();
+        let bytes: Vec<u8> = (0..hex.len())
+            .step_by(2)
+            .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
+            .collect();
+        let snap = SimSnapshot::from_bytes(&bytes).expect("golden decodes");
+        assert_eq!(snap.to_bytes(), bytes, "golden re-encodes verbatim");
+        let agenda = &snap.ws.agenda;
+        assert!(agenda.near_live > 0 && agenda.near_entries > agenda.near_live);
+        snap
+    }
+
+    fn corrupt_after(edit: impl FnOnce(&mut AgendaSnapshot<Event>)) -> SnapshotError {
+        let mut snap = golden();
+        edit(&mut snap.ws.agenda);
+        SimSnapshot::from_bytes(&snap.to_bytes()).expect_err("edited agenda must not decode")
+    }
+
+    #[test]
+    fn decode_recounts_agenda_counters() {
+        let counters = SnapshotError::Corrupt("agenda counters disagree with the tiers");
+        assert_eq!(corrupt_after(|a| a.far_dead += 1), counters);
+        assert_eq!(corrupt_after(|a| a.near_entries -= 1), counters);
+        assert_eq!(corrupt_after(|a| a.near_live += 1), counters);
+        assert_eq!(corrupt_after(|a| a.live -= 1), counters);
+    }
+
+    #[test]
+    fn decode_rejects_entries_past_the_slot_table() {
+        let out_of_range = SnapshotError::Corrupt("agenda entry slot out of range");
+        assert_eq!(
+            corrupt_after(|a| a
+                .heap
+                .push(PackedEvent::pack(1 << 40, 1, a.slots.len() as u32))),
+            out_of_range
+        );
+        assert_eq!(
+            corrupt_after(|a| {
+                let past = a.slots.len() as u32;
+                let (_, head, entries) = &mut a.buckets[0];
+                let e = &mut entries[*head as usize];
+                *e = PackedEvent::pack(e.time(), e.seq(), past);
+            }),
+            out_of_range
+        );
+    }
 }

@@ -362,24 +362,6 @@ fn whatif_branches_diverge_and_complete() {
     assert!(crashed.end_time >= reference.end_time);
 }
 
-/// Checked-mode time travel keeps a periodic snapshot that resumes to
-/// the same result as the run it was captured from.
-#[test]
-fn time_travel_snapshot_resumes_exactly() {
-    let tree = RandomTreeConfig::default().generate(5);
-    let cfg = SimConfig::interruptible(2, 200).with_checked(true);
-    let mut sim = Simulation::new(tree, cfg);
-    sim.enable_time_travel(64);
-    while sim.step() {}
-    let (snap, at) = sim
-        .last_time_travel_snapshot()
-        .expect("periodic capture must have fired");
-    assert!(at >= 64);
-    let resumed = snap.clone();
-    let reference = sim.run();
-    assert_eq!(finish(resumed.resume()), reference);
-}
-
 /// Malformed input is rejected, never panics.
 #[test]
 fn from_bytes_rejects_garbage() {

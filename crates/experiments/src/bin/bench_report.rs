@@ -631,12 +631,11 @@ fn ic3_runs(campaign: &CampaignConfig) -> Vec<TreeRun> {
     run_variants(campaign, &[SimConfig::interruptible(3, campaign.tasks)]).remove(0)
 }
 
-/// `--scaling-smoke`: the CI thread-scaling gate. Runs the campaign at 1
-/// thread and at the largest requested count, interleaved min-of-N,
-/// writes the curve artifact, and (on multi-core hosts) fails unless the
-/// parallel run actually beats the serial one by
-/// `--assert-threads-speedup`, and the 1-thread point handles at least
-/// `--assert-events-per-sec`.
+/// `--scaling-smoke`: the CI thread-scaling gate. Runs the campaign at
+/// every requested thread count, interleaved min-of-N, writes the curve
+/// artifact, and (on multi-core hosts) fails unless the largest count
+/// beats the smallest one by `--assert-threads-speedup`, and the 1-thread
+/// point handles at least `--assert-events-per-sec`.
 fn scaling_smoke(args: &Args) {
     let trees = args.scaling_trees;
     let campaign = CampaignConfig {
@@ -690,8 +689,9 @@ fn scaling_smoke(args: &Args) {
         assert!(
             speedup >= min,
             "thread scaling regressed: {}-thread wall time is only {speedup:.2}x faster than \
-             1 thread (required {min:.2}x)",
-            last.threads
+             {} thread(s) (required {min:.2}x)",
+            last.threads,
+            first.threads
         );
     }
 }

@@ -23,21 +23,25 @@
 //!   caught as an arrival-conservation violation (also part of
 //!   `--smoke`). Exit 1 if any leg disagrees.
 //! * `--repro SPEC --variant NAME [--arrivals N] [--fault
-//!   fb|leak:N|leakq:N|swallow]` — re-run one shrunk case printed by a
-//!   previous fuzz run (the spec's third `|` segment, when present, is
-//!   its fault schedule; `--arrivals` regenerates the open-world plan
-//!   of an arrival-leg failure from its seed). Exit 1 while the failure
-//!   reproduces, 0 once it is fixed.
+//!   fb|leak:N|leakq:N|swallow] [--out DIR]` — re-run one shrunk case
+//!   printed by a previous fuzz run (the spec's third `|` segment, when
+//!   present, is its fault schedule; `--arrivals` regenerates the
+//!   open-world plan of an arrival-leg failure from its seed). Exit 1
+//!   while the failure reproduces, 0 once it is fixed. With `--out`, a
+//!   failing case also writes `DIR/violation.snap` (the newest verified
+//!   `BCSS` snapshot before the violation, or the start state) and
+//!   `DIR/violation.trace` (the text trace replayed from it).
 //!
 //! See EXPERIMENTS.md ("Fuzzing the protocols") for the workflow.
 
 use bc_engine::FaultInjection;
-use bc_experiments::cli::{or_exit, CliError, Flags};
+use bc_experiments::cli::{create_out_dir, or_exit, CliError, Flags};
 use bc_experiments::fuzz::{
     arrival_smoke, case_config, fork_smoke, fuzz, fuzz_arrival_plan, parse_fault, run_case, shrink,
-    trace_tail, variant_by_name, variants, with_quiet_panics, CaseSpec, Failure, ARRIVAL_VARIANTS,
-    FAULT_PLAN_VARIANTS,
+    trace_tail, variant_by_name, variants, violation_record, with_quiet_panics, CaseSpec, Failure,
+    ARRIVAL_VARIANTS, FAULT_PLAN_VARIANTS,
 };
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Instant;
 
@@ -53,13 +57,15 @@ struct Args {
     repro: Option<(String, String)>,
     arrivals: Option<u64>,
     fault: Option<FaultInjection>,
+    /// `--out DIR`: where `--repro` writes a failing case's record.
+    out: Option<PathBuf>,
     threads: Option<usize>,
 }
 
 const USAGE: &str = "usage: fuzz_protocols [--cases N] [--tasks N] [--seed N] [--threads N]\n\
                      \x20                     [--smoke] [--self-test] [--fork-smoke] [--arrival-smoke]\n\
                      \x20                     [--repro SPEC --variant NAME [--arrivals N]\n\
-                     \x20                      [--fault fb|leak:N|leakq:N|swallow]]\n\
+                     \x20                      [--fault fb|leak:N|leakq:N|swallow] [--out DIR]]\n\
                      defaults: cases=1000, tasks=250, seed=2003";
 
 fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
@@ -74,6 +80,7 @@ fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
         repro: None,
         arrivals: None,
         fault: None,
+        out: None,
         threads: None,
     };
     let (mut repro, mut variant) = (None, None);
@@ -94,6 +101,7 @@ fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
             "--fault" => {
                 out.fault = Some(parse_fault(&flags.value("--fault")?).map_err(CliError::Usage)?)
             }
+            "--out" => out.out = Some(PathBuf::from(flags.value("--out")?)),
             "--help" | "-h" => return Err(CliError::Help),
             other => return Err(CliError::unknown(other)),
         }
@@ -106,12 +114,16 @@ fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Args, CliError> {
     for (flag, set) in [
         ("--arrivals", out.arrivals.is_some()),
         ("--fault", out.fault.is_some()),
+        ("--out", out.out.is_some()),
     ] {
         if set && out.repro.is_none() {
             return Err(CliError::Usage(format!(
                 "{flag} only makes sense with --repro"
             )));
         }
+    }
+    if let Some(dir) = &out.out {
+        create_out_dir(dir)?;
     }
     Ok(out)
 }
@@ -225,6 +237,27 @@ fn self_test(seed: u64, tasks: u64) -> Result<String, String> {
     ))
 }
 
+/// Writes a failing case's `violation.snap` and `violation.trace` into
+/// `dir` (see [`violation_record`]).
+fn write_violation(dir: &Path, spec: &CaseSpec, case: &bc_engine::SimConfig) -> Result<(), String> {
+    let (snap, trace) = with_quiet_panics(|| violation_record(&spec.to_tree(), case))
+        .ok_or("the case's simulation cannot be built; nothing to record")?;
+    for (name, bytes) in [
+        ("violation.snap", snap.to_bytes()),
+        ("violation.trace", trace.into_bytes()),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, bytes)
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        eprintln!("wrote {}", path.display());
+    }
+    eprintln!(
+        "  (snapshot at event {}; `replay_suffix` on it reproduces the verdict)",
+        snap.events_processed()
+    );
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = or_exit(try_parse(std::env::args().skip(1)), USAGE);
     if let Some(n) = args.threads {
@@ -266,7 +299,8 @@ fn main() -> ExitCode {
         };
         // The spec's third segment, when present, is a fault schedule;
         // rebuild its plan so the repro runs the exact faulted case.
-        return match with_quiet_panics(|| run_case(&spec.to_tree(), &case_config(&spec, &cfg))) {
+        let case = case_config(&spec, &cfg);
+        return match with_quiet_panics(|| run_case(&spec.to_tree(), &case)) {
             Ok(()) => {
                 println!(
                     "PASS: {}-node tree, variant {name}, {} tasks — all invariants hold",
@@ -289,6 +323,12 @@ fn main() -> ExitCode {
                 eprintln!("trace tail of the shrunk case ({} event(s)):", tail.len());
                 for r in &tail {
                     eprintln!("  {r}");
+                }
+                if let Some(dir) = &args.out {
+                    if let Err(e) = write_violation(dir, &spec, &case) {
+                        eprintln!("error: {e}");
+                        return ExitCode::from(2);
+                    }
                 }
                 ExitCode::FAILURE
             }

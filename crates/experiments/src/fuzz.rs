@@ -24,7 +24,7 @@ use bc_engine::{
 };
 use bc_platform::{NodeId, Tree};
 use bc_simcore::split_seed;
-use bc_simcore::trace::{RingRecorder, TraceRecord, TraceSink};
+use bc_simcore::trace::{RingRecorder, TraceRecord, TraceSink, VecSink};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::IntoParallelIterator;
@@ -714,6 +714,32 @@ pub fn replay_suffix(snap: &SimSnapshot) -> (Result<(), String>, u64) {
     (verdict, replayed)
 }
 
+/// A failing case's post-mortem, as `fuzz_protocols --repro --out`
+/// writes it: the newest verified snapshot before the verdict (from
+/// [`run_case_snapshotting`] at [`FORK_SNAPSHOT_PERIOD`], or the start
+/// state when the run failed before the first capture), and the text
+/// trace of the suffix replayed from it, one record per line, up to and
+/// including the failing event. [`replay_suffix`] on the snapshot
+/// reproduces the case's verdict. `None` when the simulation cannot
+/// even be built.
+pub fn violation_record(tree: &Tree, cfg: &SimConfig) -> Option<(SimSnapshot, String)> {
+    let run = run_case_snapshotting(tree, cfg, FORK_SNAPSHOT_PERIOD);
+    let snap = match run.snapshot {
+        Some(snap) => *snap,
+        None => catch_unwind(AssertUnwindSafe(|| {
+            Simulation::new(tree.clone(), fuzz_config(cfg)).snapshot()
+        }))
+        .ok()?,
+    };
+    let build = || Simulation::from_snapshot_traced(&snap, SimWorkspace::new(), VecSink::new());
+    let (_, sim) = checked_run(build, |_| {});
+    let records = sim.map_or_else(Vec::new, |mut sim| {
+        std::mem::take(&mut sim.sink_mut().records)
+    });
+    let trace = records.iter().map(|r| format!("{r}\n")).collect();
+    Some((snap, trace))
+}
+
 /// Runs a case that must pass in fork mode and replays its last
 /// snapshot's suffix, which must reach the same clean end in exactly the
 /// events it skipped. `what` names the run in the error.
@@ -1215,6 +1241,43 @@ mod tests {
             "got: {}",
             failures[0].message
         );
+    }
+
+    #[test]
+    fn periodic_snapshot_resumes_exactly() {
+        // A snapshot kept by a fork-mode run resumes to the result of
+        // the run it was captured from.
+        let tree = bc_platform::RandomTreeConfig::default().generate(5);
+        let cfg = SimConfig::interruptible(2, 200);
+        let run = run_case_snapshotting(&tree, &cfg, 64);
+        run.verdict.expect("faithful run passes");
+        let snap = run.snapshot.expect("periodic capture must have fired");
+        assert!(run.snapshot_events >= 64);
+        let mut resumed = snap.resume();
+        while resumed.step() {}
+        assert_eq!(resumed.run(), Simulation::new(tree, cfg).run());
+    }
+
+    #[test]
+    fn violation_record_replays_to_the_verdict() {
+        // The FB off-by-one case fails before the first capture, so its
+        // record starts from the start state; the slow leak fails after
+        // two captures. Either record's trace ends at the violating event.
+        let spec = CaseSpec::decode("5|0:3:2;0:1:4;1:2:2").unwrap();
+        let tree = spec.to_tree();
+        for (variant, tasks, fault, captured_at) in [
+            ("ic-fb3", 250, FaultInjection::FbOffByOne, 0),
+            ("ic-fb2", 2000, FaultInjection::LeakTask { every: 300 }, 512),
+        ] {
+            let cfg = variant_by_name(variant, tasks).unwrap().with_fault(fault);
+            let cfg = case_config(&spec, &cfg);
+            let verdict = run_case(&tree, &cfg).expect_err("injected fault is caught");
+            let (snap, trace) = violation_record(&tree, &cfg).expect("buildable case");
+            assert_eq!(snap.events_processed(), captured_at);
+            assert_eq!(replay_suffix(&snap).0, Err(verdict));
+            let (_, tail) = trace_tail(&tree, &cfg, 1);
+            assert_eq!(trace.lines().last(), Some(tail[0].to_string().as_str()));
+        }
     }
 
     #[test]

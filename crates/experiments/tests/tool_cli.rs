@@ -1,15 +1,19 @@
 //! The experiment tools' command-line contract, through the built
 //! binaries: `--help` exits 0 with usage on stdout; an unknown flag or a
 //! malformed number exits 2 with `error: …` on stderr and no panic.
-//! Only parse paths run, so no binary starts any work. `fig4` stands for
-//! every binary that parses through `cli::parse`.
+//! These contract checks run only parse paths. `fig4` stands for every
+//! binary that parses through `cli::parse`. Two small runs pin what the
+//! tools report: the record `fuzz_protocols --repro --out` writes, and
+//! `bench_report --scaling-smoke`'s speedup failure.
 //!
 //! The same file pins `trace_dump`'s scenario resolution to the
 //! committed golden traces: recording a golden scenario as JSONL must
 //! reproduce `tests/golden/<tree>-<variant>.jsonl` byte for byte.
 
+use bc_engine::SimSnapshot;
+use bc_experiments::fuzz::replay_suffix;
 use bc_experiments::goldens::{golden_trees, golden_variants};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 /// Each tool, with one numeric flag to feed a malformed value.
@@ -76,10 +80,20 @@ fn malformed_numbers_exit_two() {
     }
 }
 
+/// A fresh scratch directory for one test, removed and recreated.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("bc-tool-cli-{name}-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create scratch dir");
+    dir
+}
+
 #[test]
 fn fuzz_repro_flags_need_repro() {
     let exe = env!("CARGO_BIN_EXE_fuzz_protocols");
-    for (flag, value) in [("--arrivals", "7"), ("--fault", "fb")] {
+    let never = std::env::temp_dir().join(format!("bc-tool-cli-never-{}", std::process::id()));
+    let never = never.to_str().expect("utf-8 temp path");
+    for (flag, value) in [("--arrivals", "7"), ("--fault", "fb"), ("--out", never)] {
         let args = [flag, value, "--cases", "2", "--tasks", "50"];
         let stderr = assert_usage_error(exe, &args);
         assert!(
@@ -88,6 +102,75 @@ fn fuzz_repro_flags_need_repro() {
         );
         assert!(stderr.contains("usage"), "{flag}: {stderr}");
     }
+    assert!(
+        !Path::new(never).exists(),
+        "a rejected --out created its directory"
+    );
+}
+
+#[test]
+fn fuzz_repro_out_writes_a_replayable_violation() {
+    let dir = scratch_dir("repro");
+    let out = run(
+        env!("CARGO_BIN_EXE_fuzz_protocols"),
+        &[
+            "--repro",
+            "5|0:3:2;0:1:4;1:2:2",
+            "--variant",
+            "ic-fb3",
+            "--fault",
+            "fb",
+            "--out",
+            dir.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    let stderr = text(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    let verdict = stderr
+        .lines()
+        .find_map(|l| l.strip_prefix("reproduced: "))
+        .unwrap_or_else(|| panic!("no verdict printed: {stderr}"));
+    let bytes = std::fs::read(dir.join("violation.snap")).expect("violation.snap written");
+    let snap = SimSnapshot::from_bytes(&bytes).expect("violation.snap decodes");
+    assert_eq!(replay_suffix(&snap).0, Err(verdict.to_string()));
+    let trace = std::fs::read_to_string(dir.join("violation.trace")).expect("trace written");
+    assert!(trace.lines().count() > 0, "empty violation.trace");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn scaling_smoke_names_its_real_baseline() {
+    let dir = scratch_dir("scaling");
+    let out = run(
+        env!("CARGO_BIN_EXE_bench_report"),
+        &[
+            "--scaling-smoke",
+            "--scaling-trees",
+            "2",
+            "--threads",
+            "2,4",
+            "--samples",
+            "1",
+            "--assert-threads-speedup",
+            "100",
+            "--out",
+            dir.to_str().expect("utf-8 temp path"),
+        ],
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let (stdout, stderr) = (text(&out.stdout), text(&out.stderr));
+    if stdout.contains("parallel speedup is not observable here") {
+        return; // a one-CPU host skips the assertion
+    }
+    assert!(
+        !out.status.success(),
+        "a 100x speedup cannot pass: {stdout}"
+    );
+    assert!(
+        stderr.contains("4-thread wall time is only")
+            && stderr.contains("faster than 2 thread(s) (required 100.00x)"),
+        "{stderr}"
+    );
 }
 
 #[test]

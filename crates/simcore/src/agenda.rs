@@ -49,12 +49,14 @@
 //! tier stores — so the merged order is bit-exactly the order the
 //! single-heap agenda produced (golden traces do not move).
 //!
-//! Tombstones exist in both tiers. Near tombstones are skimmed when
-//! their bucket reaches the front and compacted wholesale when they
-//! outnumber live near entries (interruptible-communication churn
-//! cancels mostly short-horizon events); far tombstones purge on the
-//! heap-local ratio, not the global live count, so a cancel-heavy near
-//! tier can no longer force pointless heap rebuilds (and vice versa).
+//! Tombstones exist in both tiers and follow one rule: a tombstone
+//! leaves when it is reached, and its slot recycles then. A near
+//! tombstone is skimmed when its bucket reaches the front, a far one
+//! when it reaches the top of the heap. The clock can only pass a near
+//! tombstone without reaching it while the near tier holds nothing
+//! live, so `near_front` skims the whole near tier as soon as its last
+//! live entry is gone. Retained entries therefore never exceed the
+//! events scheduled and not yet due, with no compaction pass.
 
 use crate::quad_heap::{PackedEvent, QuadHeap, MAX_SEQ, MAX_SLOT};
 
@@ -73,8 +75,6 @@ pub type Time = u64;
 pub const NEAR_BUCKETS: usize = 1024;
 /// Bitmap words backing the bucket-occupancy index.
 const NEAR_WORDS: usize = NEAR_BUCKETS / 64;
-/// Near-tier compaction floor (mirrors the far tier's 64-entry floor).
-const NEAR_PURGE_FLOOR: usize = 64;
 
 /// Handle to a scheduled event; survives the event firing (becomes stale).
 ///
@@ -157,10 +157,6 @@ pub struct Agenda<E> {
     live: usize,
     /// Live (non-cancelled) entries in the near tier.
     near_live: usize,
-    /// Total entries (live + tombstones) across all near buckets.
-    near_entries: usize,
-    /// Tombstones currently in the far heap.
-    far_dead: usize,
 }
 
 impl<E> Default for Agenda<E> {
@@ -182,8 +178,6 @@ impl<E> Agenda<E> {
             seq: 0,
             live: 0,
             near_live: 0,
-            near_entries: 0,
-            far_dead: 0,
         }
     }
 
@@ -215,8 +209,6 @@ impl<E> Agenda<E> {
         self.seq = 0;
         self.live = 0;
         self.near_live = 0;
-        self.near_entries = 0;
-        self.far_dead = 0;
     }
 
     /// Current simulation time.
@@ -285,7 +277,6 @@ impl<E> Agenda<E> {
             self.buckets[b].entries.push(key);
             self.bits[b / 64] |= 1u64 << (b % 64);
             self.near_live += 1;
-            self.near_entries += 1;
         }
         self.live += 1;
         EventHandle { slot, generation }
@@ -302,96 +293,13 @@ impl<E> Agenda<E> {
         // Wrapping: see the generation-arithmetic note on [`EventHandle`].
         slot.generation = slot.generation.wrapping_add(1);
         self.live -= 1;
-        // The entry remains in its tier as a tombstone; reuse of the slot
-        // is deferred until the tombstone leaves the tier, so neither
+        // The entry remains in its tier as a tombstone until it is
+        // reached; reuse of the slot is deferred until then, so neither
         // tier ever refers to a recycled slot with a matching generation.
-        let payload = slot.payload.take();
-        if slot.in_far {
-            // Compact when far tombstones dominate the far tier. The
-            // ratio is heap-local on purpose: near-tier churn must not
-            // trigger (pointless) heap rebuilds, and a tombstone-choked
-            // heap must compact even while thousands of near events are
-            // live. The 2× threshold amortizes the O(n) rebuild; the
-            // size floor keeps tiny heaps on the simple path.
-            self.far_dead += 1;
-            if self.heap.len() > 64 && self.far_dead * 2 > self.heap.len() {
-                self.purge_far_tombstones();
-            }
-        } else {
-            // Near tombstones are skimmed for free when their bucket
-            // reaches the front; the sweep below only matters when churn
-            // cancels faster than the clock drains (it reclaims slots
-            // and keeps bucket scans short).
+        if !slot.in_far {
             self.near_live -= 1;
-            let dead = self.near_entries - self.near_live;
-            if dead > NEAR_PURGE_FLOOR && dead > 2 * self.near_live {
-                self.sweep_near_tombstones();
-            }
         }
-        payload
-    }
-
-    /// Number of retained entries across both tiers, live plus tombstones
-    /// (capacity introspection for tests and benchmarks).
-    pub fn heap_entries(&self) -> usize {
-        self.heap.len() + self.near_entries
-    }
-
-    /// Rebuilds the far heap keeping only live entries, freeing the slots
-    /// of dropped tombstones. Safe because each slot has at most one
-    /// outstanding entry (a slot is never reused until its previous
-    /// entry leaves its tier).
-    fn purge_far_tombstones(&mut self) {
-        let slots = &self.slots;
-        let free = &mut self.free;
-        self.heap.retain(|entry| {
-            let slot = entry.slot();
-            if slots[slot as usize].payload.is_some() {
-                true
-            } else {
-                free.push(slot);
-                false
-            }
-        });
-        self.far_dead = 0;
-    }
-
-    /// Compacts every near bucket in place, dropping tombstones (freeing
-    /// their slots) and clearing the occupancy bit of emptied buckets.
-    /// Entry order within a bucket is preserved, so the merged pop order
-    /// is untouched.
-    fn sweep_near_tombstones(&mut self) {
-        let slots = &self.slots;
-        let free = &mut self.free;
-        let mut total = 0;
-        for (b, bucket) in self.buckets.iter_mut().enumerate() {
-            if bucket.entries.is_empty() {
-                continue;
-            }
-            let head = std::mem::take(&mut bucket.head);
-            let mut kept = 0;
-            bucket.entries.retain(|&e| {
-                // Entries before the drain head already left the tier
-                // (their slots were recycled at pop/skim time); drop them
-                // without touching the free list.
-                if kept < head {
-                    kept += 1;
-                    return false;
-                }
-                if slots[e.slot() as usize].payload.is_some() {
-                    true
-                } else {
-                    free.push(e.slot());
-                    false
-                }
-            });
-            if bucket.entries.is_empty() {
-                self.bits[b / 64] &= !(1u64 << (b % 64));
-            }
-            total += bucket.entries.len();
-        }
-        self.near_entries = total;
-        debug_assert_eq!(self.near_entries, self.near_live);
+        slot.payload.take()
     }
 
     /// True if the handle still refers to a pending event.
@@ -457,7 +365,6 @@ impl<E> Agenda<E> {
         let bucket = &mut self.buckets[b];
         debug_assert_eq!(bucket.entries[bucket.head], entry);
         bucket.head += 1;
-        self.near_entries -= 1;
         self.near_live -= 1;
         if bucket.head == bucket.entries.len() {
             bucket.entries.clear();
@@ -472,13 +379,7 @@ impl<E> Agenda<E> {
     fn near_front(&mut self) -> Option<PackedEvent> {
         loop {
             if self.near_live == 0 {
-                if self.near_entries > 0 {
-                    // All-dead near tier: reclaim the tombstones' slots
-                    // now (the single-heap agenda freed them at pop
-                    // time). Amortized free — the sweep zeroes
-                    // `near_entries`, so it cannot run twice in a row.
-                    self.sweep_near_tombstones();
-                }
+                self.skim_dead_near();
                 return None;
             }
             let b = self.first_bucket()?;
@@ -491,12 +392,34 @@ impl<E> Agenda<E> {
                 // Skim the tombstone: the entry leaves the tier, so its
                 // slot recycles now.
                 bucket.head += 1;
-                self.near_entries -= 1;
                 self.free.push(slot);
             }
             bucket.entries.clear();
             bucket.head = 0;
             self.bits[b / 64] &= !(1u64 << (b % 64));
+        }
+    }
+
+    /// Skims every near bucket of a near tier with no live entry left,
+    /// recycling the tombstones' slots in bucket-index order. Without
+    /// this, far pops could carry the clock past tombstones their
+    /// buckets never reach. Costs one scan of the empty bitmap otherwise.
+    fn skim_dead_near(&mut self) {
+        for w in 0..NEAR_WORDS {
+            let mut word = self.bits[w];
+            if word == 0 {
+                continue;
+            }
+            self.bits[w] = 0;
+            while word != 0 {
+                let b = w * 64 + word.trailing_zeros() as usize;
+                word &= word - 1;
+                let bucket = &mut self.buckets[b];
+                let dead = bucket.entries[bucket.head..].iter().map(|e| e.slot());
+                self.free.extend(dead);
+                bucket.entries.clear();
+                bucket.head = 0;
+            }
         }
     }
 
@@ -535,7 +458,6 @@ impl<E> Agenda<E> {
                 return Some(entry);
             }
             self.heap.pop();
-            self.far_dead -= 1;
             self.free.push(slot);
         }
         None
@@ -588,15 +510,29 @@ pub struct AgendaSnapshot<E> {
     pub live: u64,
     /// Live entries in the near tier.
     pub near_live: u64,
-    /// Near-tier entries including tombstones.
+    /// Near-tier entries including tombstones, after each drain head.
+    /// Derived from `buckets` at capture; kept for the `BCSS` layout.
     pub near_entries: u64,
-    /// Far-tier tombstone count.
+    /// Far-tier tombstones: heap entries whose slot holds no payload.
+    /// Derived from `heap` and `slots` at capture; kept for the `BCSS`
+    /// layout.
     pub far_dead: u64,
 }
 
 impl<E: Clone> Agenda<E> {
     /// Captures the agenda's complete state (see [`AgendaSnapshot`]).
     pub fn snapshot(&self) -> AgendaSnapshot<E> {
+        let near_entries = self
+            .buckets
+            .iter()
+            .map(|b| b.entries.len() - b.head)
+            .sum::<usize>();
+        let far_dead = self
+            .heap
+            .entries()
+            .iter()
+            .filter(|e| self.slots[e.slot() as usize].payload.is_none())
+            .count();
         AgendaSnapshot {
             heap: self.heap.entries().to_vec(),
             buckets: self
@@ -620,15 +556,16 @@ impl<E: Clone> Agenda<E> {
             seq: self.seq,
             live: self.live as u64,
             near_live: self.near_live as u64,
-            near_entries: self.near_entries as u64,
-            far_dead: self.far_dead as u64,
+            near_entries: near_entries as u64,
+            far_dead: far_dead as u64,
         }
     }
 
     /// Restores the agenda to a previously captured state, retaining
     /// allocations where possible. Everything scheduled since the capture
     /// is discarded; handles issued before the capture become exactly as
-    /// valid as they were at capture time.
+    /// valid as they were at capture time. The two tombstone counts are
+    /// not read back: they are derived from the tiers.
     pub fn restore(&mut self, snap: &AgendaSnapshot<E>) {
         self.heap.restore_from(&snap.heap);
         for b in &mut self.buckets {
@@ -664,8 +601,6 @@ impl<E: Clone> Agenda<E> {
         self.seq = snap.seq;
         self.live = snap.live as usize;
         self.near_live = snap.near_live as usize;
-        self.near_entries = snap.near_entries as usize;
-        self.far_dead = snap.far_dead as usize;
     }
 }
 
@@ -776,11 +711,24 @@ mod tests {
         assert!(a.is_empty());
     }
 
+    /// Entries the tiers retain, live plus tombstones, read off a
+    /// snapshot: the heap length plus each bucket's entries after its
+    /// drain head.
+    fn retained<E: Clone>(a: &Agenda<E>) -> usize {
+        let s = a.snapshot();
+        let near: usize = s
+            .buckets
+            .iter()
+            .map(|(_, head, e)| e.len() - *head as usize)
+            .sum();
+        s.heap.len() + near
+    }
+
     #[test]
-    fn purge_compacts_tombstone_heavy_tiers() {
-        // Half the events land in the near window, half in the far heap;
-        // cancelling almost all of them must compact BOTH tiers (neither
-        // tier's tombstones may linger until pop time).
+    fn tombstones_leave_when_reached() {
+        // Cancelling almost everything across both tiers: the tombstones
+        // wait to be reached, live events still fire in order, cancelled
+        // handles stay dead and freed slots are reusable.
         let mut a = Agenda::new();
         let handles: Vec<_> = (0..1000u64)
             .map(|i| a.schedule(10 + i * 4, i)) // delays 10..4006 straddle the window
@@ -789,14 +737,6 @@ mod tests {
             a.cancel(h);
         }
         assert_eq!(a.len(), 10);
-        assert!(
-            a.heap_entries() <= 2 * a.len().max(64),
-            "tiers kept {} entries for {} live events",
-            a.heap_entries(),
-            a.len()
-        );
-        // Cancelled handles stay dead, live events still fire in order,
-        // and freed slots are reusable.
         assert_eq!(a.cancel(handles[0]), None);
         let h = a.schedule(1, 5000);
         assert_eq!(a.next(), Some((1, 5000)));
@@ -806,36 +746,43 @@ mod tests {
             fired.push(v);
         }
         assert_eq!(fired, (990..1000).collect::<Vec<_>>());
-    }
+        assert_eq!(retained(&a), 0);
 
-    #[test]
-    fn far_purge_is_heap_local() {
-        // A tombstone-choked far heap must compact even while plenty of
-        // near events stay live (the old global-ratio heuristic would
-        // never fire here).
+        // Near events scheduled and cancelled while only far events pop:
+        // the clock passes their buckets without visiting them, so the
+        // all-dead near tier must be skimmed. The tiers never retain more
+        // than the events not yet due (fired or not, `time >= now`), and
+        // the slot table stays at the far events plus one round.
         let mut a = Agenda::new();
-        for i in 0..500u64 {
-            a.schedule(1 + (i % 800), i); // near tier, all live
+        let mut unfired: Vec<u64> = Vec::new(); // due times, cancelled included
+        for i in 0..200u64 {
+            a.schedule(2000 + 10 * i, i);
+            unfired.push(2000 + 10 * i);
         }
-        let far: Vec<_> = (0..200u64).map(|i| a.schedule(5000 + i, i)).collect();
-        for &h in &far[..199] {
-            a.cancel(h);
+        while !a.is_empty() {
+            for k in 5..8 {
+                let t = a.now() + k; // never a multiple of 10: no far time
+                let h = a.schedule_at(t, 0);
+                a.cancel(h);
+                unfired.push(t);
+            }
+            let (t, _) = a.next().expect("far events remain");
+            assert_eq!(t % 10, 0, "only far events fire");
+            unfired.retain(|&u| u != t);
+            let due_later = unfired.iter().filter(|&&u| u >= a.now()).count();
+            assert!(
+                retained(&a) <= due_later,
+                "retained {} entries for {due_later} events not yet due",
+                retained(&a)
+            );
+            assert!(a.snapshot().slots.len() <= 203);
         }
-        assert!(
-            a.heap_entries() <= 501 + 2 * 199,
-            "far tombstones lingered: {} entries",
-            a.heap_entries()
-        );
-        let mut fired = 0;
-        while a.next().is_some() {
-            fired += 1;
-        }
-        assert_eq!(fired, 501);
     }
 
     #[test]
     fn purge_preserves_cancel_reschedule_semantics() {
-        // Heavy churn crossing the purge threshold repeatedly.
+        // Heavy churn: each round cancels ~95% of what is pending, so
+        // tombstones pile up in the far heap between pops.
         let mut a = Agenda::new();
         let mut pending = Vec::new();
         for round in 0..20u64 {
@@ -1087,7 +1034,7 @@ mod tests {
         a.reset();
         assert_eq!(a.now(), 0);
         assert!(a.is_empty());
-        assert_eq!(a.heap_entries(), 0);
+        assert_eq!(retained(&a), 0);
         assert_eq!(a.next(), None);
         // Stale pre-reset handles must not resurrect post-reset events.
         let h = a.schedule(5, 999);

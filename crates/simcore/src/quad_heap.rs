@@ -159,7 +159,7 @@ impl QuadHeap {
     }
 
     /// Keeps only entries for which `keep` returns true, then restores
-    /// the heap property in O(n) (the agenda's tombstone purge).
+    /// the heap property in O(n).
     pub fn retain(&mut self, mut keep: impl FnMut(PackedEvent) -> bool) {
         self.data.retain(|&e| keep(e));
         self.heapify();

@@ -1,10 +1,10 @@
-//! Model-based test of the agenda: the production [`Agenda`] (packed-key
-//! 4-ary heap, tombstone cancellation, slot/generation recycling, purge
-//! compaction) against a deliberately naive reference — a sorted `Vec` of
-//! `(time, seq)` entries with none of those mechanisms.
+//! Model-based test of the agenda: the production [`Agenda`] (bucket
+//! calendar plus packed-key 4-ary heap, tombstone cancellation,
+//! slot/generation recycling) against a deliberately naive reference — a
+//! sorted `Vec` of `(time, seq)` entries with none of those mechanisms.
 //!
 //! The interleavings are weighted to stress exactly the machinery the
-//! reference lacks: cancel storms that cross the purge threshold, slot
+//! reference lacks: cancel storms that leave tombstones behind, slot
 //! reuse after fire/cancel (generation bumps), and mid-stream `reset()`.
 
 use bc_simcore::Agenda;
@@ -17,6 +17,9 @@ use proptest::prelude::*;
 struct ModelAgenda {
     /// `(time, seq, value)`, kept sorted ascending.
     entries: Vec<(u64, u64, u64)>,
+    /// Due times of cancelled events: the real agenda may still hold
+    /// them as tombstones, but never once they are due.
+    cancelled: Vec<u64>,
     now: u64,
     seq: u64,
 }
@@ -32,7 +35,9 @@ impl ModelAgenda {
 
     fn cancel(&mut self, seq: u64) -> Option<u64> {
         let i = self.entries.iter().position(|e| e.1 == seq)?;
-        Some(self.entries.remove(i).2)
+        let (time, _, value) = self.entries.remove(i);
+        self.cancelled.push(time);
+        Some(value)
     }
 
     fn next(&mut self) -> Option<(u64, u64)> {
@@ -44,11 +49,33 @@ impl ModelAgenda {
         Some((time, value))
     }
 
+    /// Scheduled events not yet fired and not yet due (`time >= now`),
+    /// cancelled ones included: the most entries the real agenda may
+    /// retain.
+    fn not_yet_due(&self) -> usize {
+        let cancelled = self.cancelled.iter().filter(|&&t| t >= self.now).count();
+        self.entries.len() + cancelled
+    }
+
     fn reset(&mut self) {
         self.entries.clear();
+        self.cancelled.clear();
         self.now = 0;
         self.seq = 0;
     }
+}
+
+/// Entries the real agenda retains, live plus tombstones, read off a
+/// snapshot: the heap length plus each bucket's entries after its drain
+/// head.
+fn retained(a: &Agenda<u64>) -> usize {
+    let s = a.snapshot();
+    let near: usize = s
+        .buckets
+        .iter()
+        .map(|(_, head, e)| e.len() - *head as usize)
+        .sum();
+    s.heap.len() + near
 }
 
 #[derive(Clone, Debug)]
@@ -66,19 +93,22 @@ enum Op {
         pick: usize,
     },
     Pop,
-    /// Schedule `n` events then cancel them all — the pattern that drives
-    /// the heap across its purge threshold.
+    /// Schedule `n` events then cancel them all, leaving `n` tombstones.
     CancelStorm {
         n: usize,
     },
     Reset,
 }
 
-/// Decodes a weighted `(code, arg)` pair into an op: 8/22 schedule,
-/// 4/22 cancel, 2/22 stale cancel, 6/22 pop, 1/22 storm, 1/22 reset.
+/// Decodes a weighted `(code, arg)` pair into an op: 8/22 schedule (a
+/// quarter of them past the near window, into the far heap), 4/22
+/// cancel, 2/22 stale cancel, 6/22 pop, 1/22 storm, 1/22 reset.
 fn decode(code: u8, arg: u64) -> Op {
     match code {
-        0..=7 => Op::Schedule { delay: arg },
+        0..=5 => Op::Schedule { delay: arg },
+        6..=7 => Op::Schedule {
+            delay: 1000 + arg * 40,
+        },
         8..=11 => Op::Cancel { pick: arg as usize },
         12..=13 => Op::CancelStale { pick: arg as usize },
         14..=19 => Op::Pop,
@@ -141,12 +171,13 @@ proptest! {
                         prop_assert_eq!(real.cancel(h), model.cancel(m));
                         stale.push(h);
                     }
-                    // The purge must have kept the heap near its live size.
+                    // Tombstones wait to be reached, but never past their
+                    // due time.
                     prop_assert!(
-                        real.heap_entries() <= 2 * real.len().max(64),
-                        "heap kept {} entries for {} live events",
-                        real.heap_entries(),
-                        real.len()
+                        retained(&real) <= model.not_yet_due(),
+                        "agenda retained {} entries for {} events not yet due",
+                        retained(&real),
+                        model.not_yet_due()
                     );
                 }
                 Op::Reset => {
@@ -157,6 +188,7 @@ proptest! {
             }
             prop_assert_eq!(real.len(), model.entries.len());
             prop_assert_eq!(real.is_empty(), model.entries.is_empty());
+            prop_assert!(retained(&real) <= model.not_yet_due());
         }
 
         // Drain to the end: identical tails.
