@@ -168,22 +168,26 @@ impl BufferLedger {
     }
 
     /// Current pool size.
+    #[inline]
     pub fn capacity(&self) -> u32 {
         self.capacity
     }
 
     /// Tasks currently held.
+    #[inline]
     pub fn held(&self) -> u32 {
         self.held
     }
 
     /// True if no tasks are held ("buffers all empty" in §3.1's wording).
+    #[inline]
     pub fn all_empty(&self) -> bool {
         self.held == 0
     }
 
     /// Empty buffers not yet covered by a request/in-flight delivery —
     /// the number of new requests the node should send to its parent.
+    #[inline]
     pub fn uncovered(&self) -> u32 {
         self.capacity - self.held - self.covered
     }
@@ -214,12 +218,14 @@ impl BufferLedger {
     }
 
     /// Marks `n` empty buffers as covered by freshly sent requests.
+    #[inline]
     pub fn note_requests_sent(&mut self, n: u32) {
         assert!(n <= self.uncovered(), "over-requesting");
         self.covered += n;
     }
 
     /// A task from the parent arrived: occupy a covered buffer.
+    #[inline]
     pub fn task_arrived(&mut self) {
         assert!(self.covered > 0, "delivery without coverage");
         assert!(self.held < self.capacity, "buffer overflow");
@@ -234,6 +240,7 @@ impl BufferLedger {
 
     /// Takes a task out of the pool (compute start or send start).
     /// The freed buffer becomes uncovered; the caller re-requests.
+    #[inline]
     pub fn take_task(&mut self) {
         assert!(self.held > 0, "taking from empty buffers");
         self.held -= 1;
@@ -250,6 +257,7 @@ impl BufferLedger {
 
     /// Applies a §3.1 growth rule. Returns true if a buffer was grown
     /// (the caller should then send a request to cover it).
+    #[inline]
     pub fn try_grow(&mut self, event: GrowthEvent, child_requests_outstanding: bool) -> bool {
         let BufferPolicy::Growable { cap, gate, .. } = self.policy else {
             return false;
@@ -295,6 +303,7 @@ impl BufferLedger {
     /// Decay (extension): reclaims one unused buffer if the pool is above
     /// its initial size and at least one buffer is empty and uncovered.
     /// Returns true if a buffer was reclaimed.
+    #[inline]
     pub fn try_shrink(&mut self) -> bool {
         let BufferPolicy::Growable {
             initial,
@@ -313,6 +322,7 @@ impl BufferLedger {
     }
 
     /// The decay window, if the policy has one.
+    #[inline]
     pub fn decay_after(&self) -> Option<u64> {
         match self.policy {
             BufferPolicy::Growable { decay_after, .. } => decay_after,

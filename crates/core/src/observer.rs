@@ -117,6 +117,7 @@ impl LatencyObserver {
     }
 
     /// Whether the engine should bypass estimates and read true weights.
+    #[inline]
     pub fn is_oracle(&self) -> bool {
         matches!(self.kind, ObserverKind::Oracle)
     }
@@ -133,6 +134,7 @@ impl LatencyObserver {
     }
 
     /// Records a completed transfer to `child` that took `duration`.
+    #[inline]
     pub fn observe(&mut self, child: usize, duration: u64) {
         self.samples[child] += 1;
         match self.kind {
@@ -154,6 +156,7 @@ impl LatencyObserver {
 
     /// Current estimate for `child`. Meaningless for oracle observers
     /// (the engine substitutes the true weight).
+    #[inline]
     pub fn estimate(&self, child: usize) -> u64 {
         self.estimates[child]
     }

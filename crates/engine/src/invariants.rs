@@ -40,7 +40,10 @@
 //!   `kid_compute`, `kid_gone`) equals what it caches.
 //! * **Work conservation** — after a service cascade no resource idles
 //!   with work available: a node holding a buffered task is computing,
-//!   and an IC node with occupied slots is transmitting.
+//!   an IC node with occupied slots is transmitting, a non-IC node
+//!   holding a task with an eligible requesting child is sending, and a
+//!   live non-root node has requested every empty buffer (unless it is
+//!   orphaned). Only the last two catch a service pass that never ran.
 //!
 //! At termination, [`Simulation::verify_terminal`] cross-checks the
 //! whole run against the independent steady-state theory (when no
@@ -662,8 +665,9 @@ impl<S: TraceSink> Simulation<S> {
     }
 
     /// Work conservation at node `i` after a drained cascade: no resource
-    /// idles with work available. Only meaningful mid-run (wind-down
-    /// stops servicing).
+    /// idles with work available, and no empty buffer goes unrequested
+    /// unless its node has given up on a presumed-dead parent. Only
+    /// meaningful mid-run (wind-down stops servicing).
     fn check_work_conservation(&self, i: usize) -> Result<(), InvariantViolation> {
         let n = &self.ws.st.hot[i];
         let has_task = if i == 0 {
@@ -677,15 +681,28 @@ impl<S: TraceSink> Simulation<S> {
                 format!("node {i} holds a task but its processor is idle"),
             );
         }
-        if matches!(self.cfg.protocol, Protocol::Interruptible)
-            && self.ws.st.active[i].is_none()
-            && self.ws.st.kid_slot[self.ws.st.krange(i)]
-                .iter()
-                .any(Option::is_some)
-        {
+        let st = &self.ws.st;
+        let ic = matches!(self.cfg.protocol, Protocol::Interruptible);
+        if ic && st.active[i].is_none() && st.kid_slot[st.krange(i)].iter().any(Option::is_some) {
             return fail(
                 "work-conservation",
                 format!("node {i} has occupied transfer slots but an idle link"),
+            );
+        }
+        // A child the service pass may send to (its `FA` form is exact
+        // without a fault plan too: the dead threshold is then `u8::MAX`).
+        let eligible = |k| self.wants_task::<true>(k);
+        if !ic && has_task && st.sending[i].is_none() && st.krange(i).any(eligible) {
+            return fail(
+                "work-conservation",
+                format!("node {i} holds a task and has a requesting child but an idle link"),
+            );
+        }
+        let uncovered = n.ledger.as_ref().map_or(0, |l| l.uncovered());
+        if uncovered > 0 && !(self.cur.fault_active && st.faults[i].orphaned) {
+            return fail(
+                "work-conservation",
+                format!("node {i} has {uncovered} uncovered buffer(s) but no request out"),
             );
         }
         Ok(())

@@ -146,7 +146,7 @@ impl<S: TraceSink> Simulation<S> {
     /// True if the row entry `k` is a child that may be sent a task:
     /// requesting, not gone and not presumed dead.
     #[inline(always)]
-    fn wants_task<const FA: bool>(&self, k: usize) -> bool {
+    pub(crate) fn wants_task<const FA: bool>(&self, k: usize) -> bool {
         self.ws.st.kid_pending[k] > 0
             && (!FA || self.ws.st.kid_missed[k] < self.cur.dead_threshold)
             && !self.ws.st.kid_gone[k]

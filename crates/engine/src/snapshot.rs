@@ -847,23 +847,43 @@ fn admit_logs_aligned(a: &ArrivalState) -> Result<(), SnapshotError> {
 mod tests {
     use super::*;
 
-    /// A committed golden capture, decoded. Its near tier holds live
-    /// entries and tombstones; its far heap is empty.
-    fn golden() -> SimSnapshot {
-        let hex = include_str!("../tests/fixtures/bcss_golden_ic_faults_mid_recovery.hex").trim();
+    /// A committed golden capture, decoded; it must re-encode verbatim.
+    fn decode(hex: &str) -> SimSnapshot {
+        let hex = hex.trim();
         let bytes: Vec<u8> = (0..hex.len())
             .step_by(2)
             .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex fixture"))
             .collect();
         let snap = SimSnapshot::from_bytes(&bytes).expect("golden decodes");
         assert_eq!(snap.to_bytes(), bytes, "golden re-encodes verbatim");
+        snap
+    }
+
+    /// A golden whose near tier holds live entries and tombstones and
+    /// whose far heap is empty.
+    fn golden() -> SimSnapshot {
+        let snap = decode(include_str!(
+            "../tests/fixtures/bcss_golden_ic_faults_mid_recovery.hex"
+        ));
         let agenda = &snap.ws.agenda;
         assert!(agenda.near_live > 0 && agenda.near_entries > agenda.near_live);
         snap
     }
 
-    fn corrupt_after(edit: impl FnOnce(&mut AgendaSnapshot<Event>)) -> SnapshotError {
-        let mut snap = golden();
+    /// A golden whose far heap holds live entries and one tombstone.
+    fn far_golden() -> SimSnapshot {
+        let snap = decode(include_str!(
+            "../tests/fixtures/bcss_golden_ic_paper_far_heap.hex"
+        ));
+        let agenda = &snap.ws.agenda;
+        assert!(agenda.heap.len() > 1 && agenda.far_dead == 1);
+        snap
+    }
+
+    fn corrupt_after(
+        mut snap: SimSnapshot,
+        edit: impl FnOnce(&mut AgendaSnapshot<Event>),
+    ) -> SnapshotError {
         edit(&mut snap.ws.agenda);
         SimSnapshot::from_bytes(&snap.to_bytes()).expect_err("edited agenda must not decode")
     }
@@ -871,23 +891,27 @@ mod tests {
     #[test]
     fn decode_recounts_agenda_counters() {
         let counters = SnapshotError::Corrupt("agenda counters disagree with the tiers");
-        assert_eq!(corrupt_after(|a| a.far_dead += 1), counters);
-        assert_eq!(corrupt_after(|a| a.near_entries -= 1), counters);
-        assert_eq!(corrupt_after(|a| a.near_live += 1), counters);
-        assert_eq!(corrupt_after(|a| a.live -= 1), counters);
+        assert_eq!(corrupt_after(golden(), |a| a.far_dead += 1), counters);
+        assert_eq!(corrupt_after(golden(), |a| a.near_entries -= 1), counters);
+        assert_eq!(corrupt_after(golden(), |a| a.near_live += 1), counters);
+        assert_eq!(corrupt_after(golden(), |a| a.live -= 1), counters);
+        // A real far tombstone, counted away.
+        assert_eq!(corrupt_after(far_golden(), |a| a.far_dead -= 1), counters);
     }
 
     #[test]
     fn decode_rejects_entries_past_the_slot_table() {
         let out_of_range = SnapshotError::Corrupt("agenda entry slot out of range");
         assert_eq!(
-            corrupt_after(|a| a
-                .heap
-                .push(PackedEvent::pack(1 << 40, 1, a.slots.len() as u32))),
+            corrupt_after(golden(), |a| a.heap.push(PackedEvent::pack(
+                1 << 40,
+                1,
+                a.slots.len() as u32
+            ))),
             out_of_range
         );
         assert_eq!(
-            corrupt_after(|a| {
+            corrupt_after(golden(), |a| {
                 let past = a.slots.len() as u32;
                 let (_, head, entries) = &mut a.buckets[0];
                 let e = &mut entries[*head as usize];

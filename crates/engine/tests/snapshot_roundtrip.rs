@@ -9,8 +9,8 @@
 use bc_core::{BufferPolicy, GrowthGate, ObserverKind};
 use bc_engine::{
     AdmissionPolicy, ArrivalPlan, ArrivalProcess, ChangeKind, FaultEvent, FaultInjection,
-    FaultKind, FaultPlan, PlannedChange, RunResult, SelectorKind, SimConfig, SimSnapshot,
-    SimWorkspace, Simulation, SnapshotError, TaskClass,
+    FaultKind, FaultPlan, PlannedChange, RecoveryTuning, RunResult, SelectorKind, SimConfig,
+    SimSnapshot, SimWorkspace, Simulation, SnapshotError, TaskClass,
 };
 use bc_platform::{NodeId, RandomTreeConfig, Tree};
 use bc_simcore::VecSink;
@@ -581,10 +581,11 @@ fn golden_faults() -> FaultPlan {
 }
 
 /// The golden captures. Between them they hold every `Event` variant in
-/// a live agenda, both protocols, fixed and growable buffers under each
-/// growth gate, every observer, every selector (round robin with a moved
-/// cursor), every change kind, fault injection, fault kind, arrival
-/// process and admission policy.
+/// a live agenda, both agenda tiers with tombstones in each, both
+/// protocols, fixed and growable buffers under each growth gate, every
+/// observer, every selector (round robin with a moved cursor), every
+/// change kind, fault injection, fault kind, arrival process and
+/// admission policy.
 fn golden_corpus() -> Vec<Golden> {
     let tree = golden_tree();
     let mut out = Vec::new();
@@ -694,6 +695,40 @@ fn golden_corpus() -> Vec<Golden> {
             .with_checked(false)
             .with_arrivals(golden_arrivals(AdmissionPolicy::Drop)),
         at: At::Time(20),
+        finishes: true,
+    });
+
+    // A paper-default tree (10 nodes, compute weights 502..5,939) under
+    // IC/FB=3: every pending compute completion of weight >= 1,024 sits
+    // in the far heap. Node 5's first request batch after start is lost,
+    // arming a 1,500-step request timeout (far); node 5 crashes at
+    // t = 900, which cancels it, so the capture at t = 1,000 holds one
+    // far tombstone.
+    out.push(Golden {
+        name: "ic_paper_far_heap",
+        tree: RandomTreeConfig::default().generate(44),
+        cfg: SimConfig::interruptible(3, 10_000)
+            .with_checked(false)
+            .with_fault_plan(FaultPlan {
+                seed: 9,
+                faults: vec![
+                    FaultEvent {
+                        at: 0,
+                        node: NodeId(5),
+                        kind: FaultKind::RequestLoss { batches: 1 },
+                    },
+                    FaultEvent {
+                        at: 900,
+                        node: NodeId(5),
+                        kind: FaultKind::Crash,
+                    },
+                ],
+                recovery: RecoveryTuning {
+                    request_timeout: 1_500,
+                    ..RecoveryTuning::default()
+                },
+            }),
+        at: At::Time(1_000),
         finishes: true,
     });
 

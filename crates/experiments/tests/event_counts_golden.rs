@@ -44,8 +44,8 @@ fn reference_campaign_event_counts_match_the_golden_fixture() {
     // In these fault-free batch runs an event is a compute completion or
     // a transfer completion. IC/FB=3's 445,354 transfer events match the
     // `transfer_done` count of the per-event-kind cycle profile recorded
-    // for this campaign (`kernel_profile` in BENCH_campaign.json, written
-    // by a since-deleted build feature). `transfer-complete` records
+    // for this campaign (the `kernel_profile` section of an older
+    // BENCH_campaign.json, written by a since-deleted build feature). `transfer-complete` records
     // outnumber them: a transfer preempted with no work left completes
     // inside the preempting event, without an event of its own.
     let ic = &counted[0];

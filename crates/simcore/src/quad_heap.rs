@@ -158,24 +158,6 @@ impl QuadHeap {
         Some(top)
     }
 
-    /// Keeps only entries for which `keep` returns true, then restores
-    /// the heap property in O(n).
-    pub fn retain(&mut self, mut keep: impl FnMut(PackedEvent) -> bool) {
-        self.data.retain(|&e| keep(e));
-        self.heapify();
-    }
-
-    fn heapify(&mut self) {
-        let n = self.data.len();
-        if n <= 1 {
-            return;
-        }
-        // Last parent: the parent of the last leaf.
-        for i in (0..=(n - 2) / ARITY).rev() {
-            self.sift_down(i);
-        }
-    }
-
     #[inline]
     fn sift_up(&mut self, mut i: usize) {
         let e = self.data[i];
@@ -317,26 +299,6 @@ mod tests {
             assert_eq!(Some(e), bin.pop().map(|Reverse(e)| e));
         }
         assert!(bin.is_empty());
-    }
-
-    #[test]
-    fn retain_keeps_heap_property() {
-        let mut h = QuadHeap::new();
-        for i in 0..500u64 {
-            h.push(PackedEvent::pack(500 - i, i, 0));
-        }
-        h.retain(|e| e.seq() % 3 == 0);
-        let mut last = None;
-        let mut n = 0;
-        while let Some(e) = h.pop() {
-            if let Some(prev) = last {
-                assert!(prev <= e);
-            }
-            assert_eq!(e.seq() % 3, 0);
-            last = Some(e);
-            n += 1;
-        }
-        assert_eq!(n, 167);
     }
 
     #[test]
