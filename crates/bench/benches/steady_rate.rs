@@ -1,8 +1,8 @@
 //! Theorem 1 bottom-up fold benchmarks at campaign scale. The fold's
 //! accumulators (`Σ c_i/w_i`, `Σ 1/w_i`) update in place; on shallow
 //! trees every step is word arithmetic, and only deep trees whose weights
-//! outgrow a word promote to the bignum tier, where the binary GCD of
-//! each reduction dominates.
+//! outgrow a word promote to the bignum tier, where the GCDs of each
+//! reduction dominate.
 
 use bandwidth_centric::prelude::*;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

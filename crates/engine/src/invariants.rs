@@ -61,7 +61,8 @@
 //! The per-event work is two comparisons; the sweep is O(nodes) and
 //! amortizes to O(1) per event. Checked mode defaults **on** under
 //! `debug_assertions` (the whole test suite runs checked) and **off**
-//! in release campaigns; see the committed `BENCH_campaign.json` budget.
+//! in release campaigns. At paper scale a checked run took 1.1–1.5× the
+//! time of an unchecked one (ROADMAP.md, "Measured at this re-anchor").
 //! The terminal oracle allocates (exact rational arithmetic), so the
 //! `alloc_free` tests opt out explicitly.
 

@@ -5,7 +5,9 @@
 //!   `BigInt`/`BigUint` machinery (the arithmetic every operation
 //!   performed before the two-tier representation).
 //! * `BENCH_campaign.json` — campaign-scale end-to-end numbers: the
-//!   Theorem 1 fold over a tree population, the LP oracle, a full
+//!   Theorem 1 fold over two tree populations (100 small random trees,
+//!   and the first 100 trees of the seed-2003 paper campaign) and over
+//!   one paper-scale tree, the LP oracle, a full
 //!   simulation campaign with its thread-scaling curve and its exact
 //!   event counts by kind (`event_counts`), and the paper-scale campaign
 //!   (`campaign_paper_scale`: 25 000 random trees, per-protocol
@@ -41,7 +43,7 @@ use bc_experiments::campaign::{
 };
 use bc_experiments::cli::{create_out_dir, number, or_exit, CliError, Flags};
 use bc_experiments::rational_baseline::{big_add, big_mul, big_sub_mul, small_operands};
-use bc_platform::RandomTreeConfig;
+use bc_platform::{RandomTreeConfig, Tree};
 use bc_rational::Rational;
 use bc_steady::{lp_optimal_rate, SteadyState};
 use rayon::prelude::*;
@@ -696,6 +698,37 @@ fn scaling_smoke(args: &Args) {
     }
 }
 
+/// Times `SteadyState::analyze` over every tree of `trees`.
+fn time_analyze(samples: usize, trees: &[Tree]) -> f64 {
+    time_ns(samples, || {
+        let mut acc = 0.0;
+        for t in trees {
+            acc += SteadyState::analyze(t).optimal_rate().to_f64();
+        }
+        assert!(acc > 0.0);
+    })
+}
+
+/// A Theorem 1 timing entry: wall time, per-tree µs (rounded to 1 ns),
+/// node count and how many optima are held in the big tier.
+fn analyze_value(trees: &[Tree], ns: f64) -> Value {
+    let big_optima = trees
+        .iter()
+        .filter(|t| !SteadyState::analyze(t).optimal_rate().is_small())
+        .count();
+    let nodes: usize = trees.iter().map(Tree::len).sum();
+    object(vec![
+        ("wall_ms", wall_ms(ns)),
+        (
+            "per_tree_us",
+            Value::Float((ns / trees.len() as f64).round() / 1e3),
+        ),
+        ("trees", Value::Int(trees.len() as i128)),
+        ("nodes", Value::Int(nodes as i128)),
+        ("big_optima", Value::Int(big_optima as i128)),
+    ])
+}
+
 fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
     // Theorem 1 fold over a population slice.
     let cfg = RandomTreeConfig {
@@ -706,13 +739,14 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
         compute_scale: 500,
     };
     let trees: Vec<_> = (0..100).map(|s| cfg.generate(s)).collect();
-    let analyze_ns = time_ns(samples, || {
-        let mut acc = 0.0;
-        for t in &trees {
-            acc += SteadyState::analyze(t).optimal_rate().to_f64();
-        }
-        assert!(acc > 0.0);
-    });
+    let analyze_ns = time_analyze(samples, &trees);
+
+    // The same fold over the paper's own population: the first 100 trees
+    // of the seed-2003 paper campaign, deep enough that many optima
+    // leave the small tier.
+    let population = CampaignConfig::paper(100, 10_000, 2003);
+    let paper_trees: Vec<_> = (0..population.trees).map(|i| population.tree(i)).collect();
+    let paper_population_ns = time_analyze(samples, &paper_trees);
 
     // Paper-scale single analysis (deep trees promote to the big tier).
     let paper_tree = RandomTreeConfig::default().generate(7);
@@ -780,13 +814,11 @@ fn campaign_report(samples: usize, scale: &CampaignScale) -> Value {
         ),
         (
             "steady_analyze_100_trees",
-            object(vec![
-                ("wall_ms", wall_ms(analyze_ns)),
-                (
-                    "per_tree_us",
-                    Value::Float(analyze_ns / 1e3 / trees.len() as f64),
-                ),
-            ]),
+            analyze_value(&trees, analyze_ns),
+        ),
+        (
+            "steady_analyze_paper_population_100_trees",
+            analyze_value(&paper_trees, paper_population_ns),
         ),
         (
             "steady_analyze_paper_scale_tree",

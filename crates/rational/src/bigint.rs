@@ -13,7 +13,7 @@ pub enum Sign {
 }
 
 impl Sign {
-    fn flip(self) -> Sign {
+    pub(crate) fn flip(self) -> Sign {
         match self {
             Sign::Negative => Sign::Positive,
             Sign::Zero => Sign::Zero,

@@ -10,11 +10,18 @@
 //! implemented are exactly those the scheduling stack needs: comparison,
 //! add/sub/mul, Knuth division, binary GCD, and shifts.
 //!
-//! The GCD is on the hot path of every big-tier `Rational` reduction, so
-//! it works in place: each operand's limbs are cloned once, the
-//! subtract-and-shift loop reuses those buffers, and once both operands
-//! fit two limbs the word-level `gcd_u128` (shared with the small tier)
-//! finishes.
+//! The GCD is on the hot path of every big-tier `Rational` reduction.
+//! `Rational` asks it for the GCD of two denominators, or of a numerator
+//! and a denominator, so its operands often differ in size, and it
+//! dispatches on their limb counts:
+//!
+//! * one operand a single limb `w`: the other is reduced to `big mod w`
+//!   without allocating, and the word-level `gcd_u64` finishes;
+//! * limb counts that differ: one Euclid `divrem` step replaces the longer
+//!   operand by its remainder, and the dispatch repeats on the pair;
+//! * equal limb counts: a binary GCD (shifts and subtractions) that
+//!   clones each operand's limbs once, subtracts and shifts in place, and
+//!   hands over to `gcd_u128` once both operands fit two limbs.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -362,43 +369,36 @@ impl BigUint {
         (quot, rem)
     }
 
-    /// Greatest common divisor: binary GCD (shifts and subtractions
-    /// only, which keeps reduction fast on multi-thousand-bit operands).
+    /// `self mod w` for a one-limb divisor, without allocating.
+    fn rem_u64(&self, w: u64) -> u64 {
+        self.limbs
+            .iter()
+            .rev()
+            .fold(0u128, |rem, &l| ((rem << 64) | l as u128) % w as u128) as u64
+    }
+
+    /// Greatest common divisor.
     ///
-    /// Each operand's limbs are cloned once; every step then subtracts
-    /// and shifts in place, so the loop allocates nothing. Once both
-    /// operands fit in two limbs the word-level `gcd_u128` finishes.
+    /// A one-limb operand `w` finishes at once in `gcd_u64(big mod w, w)`.
+    /// Operands of different limb counts take one Euclid step (the longer
+    /// is replaced by its remainder) before dispatching again. Operands of
+    /// equal limb count run a binary GCD: each operand's limbs are cloned
+    /// once, every step subtracts and shifts in place, and once both fit
+    /// two limbs the word-level `gcd_u128` finishes.
     pub fn gcd(&self, other: &BigUint) -> BigUint {
-        if self.is_zero() {
-            return other.clone();
-        }
-        if other.is_zero() {
-            return self.clone();
-        }
-        let mut a = self.clone();
-        let mut b = other.clone();
-        let (za, zb) = (a.trailing_zeros(), b.trailing_zeros());
-        let common = za.min(zb);
-        a.shr_assign(za);
-        b.shr_assign(zb);
-        // Invariant: a and b are odd.
-        loop {
-            if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
-                a = BigUint::from_u128(gcd_u128(x, y));
-                break;
-            }
-            match a.cmp_mag(&b) {
-                Ordering::Equal => break,
-                Ordering::Less => std::mem::swap(&mut a, &mut b),
-                Ordering::Greater => {}
-            }
-            a.sub_assign(&b);
-            a.shr_assign(a.trailing_zeros());
-        }
-        if common == 0 {
-            a
+        let (long, short) = if self.limbs.len() >= other.limbs.len() {
+            (self, other)
         } else {
-            a.shl(common)
+            (other, self)
+        };
+        match short.limbs.len() {
+            0 => long.clone(),
+            1 => {
+                let w = short.limbs[0];
+                BigUint::from_u64(gcd_u64(long.rem_u64(w), w))
+            }
+            n if n < long.limbs.len() => short.gcd(&long.divrem(short).1),
+            _ => binary_gcd(long.clone(), short.clone()),
         }
     }
 
@@ -449,7 +449,58 @@ impl BigUint {
     }
 }
 
+/// Binary GCD of two nonzero operands of equal limb count (at least
+/// two), in place: subtract the smaller from the larger and shift out
+/// the trailing zeros until both fit two limbs.
+fn binary_gcd(mut a: BigUint, mut b: BigUint) -> BigUint {
+    let (za, zb) = (a.trailing_zeros(), b.trailing_zeros());
+    let common = za.min(zb);
+    a.shr_assign(za);
+    b.shr_assign(zb);
+    // Invariant: a and b are odd.
+    loop {
+        if let (Some(x), Some(y)) = (a.to_u128(), b.to_u128()) {
+            a = BigUint::from_u128(gcd_u128(x, y));
+            break;
+        }
+        match a.cmp_mag(&b) {
+            Ordering::Equal => break,
+            Ordering::Less => std::mem::swap(&mut a, &mut b),
+            Ordering::Greater => {}
+        }
+        a.sub_assign(&b);
+        a.shr_assign(a.trailing_zeros());
+    }
+    if common == 0 {
+        a
+    } else {
+        a.shl(common)
+    }
+}
+
 /// Word-level binary GCD. `gcd(x, 0) = x`.
+pub(crate) fn gcd_u64(mut a: u64, mut b: u64) -> u64 {
+    if a == 0 {
+        return b;
+    }
+    if b == 0 {
+        return a;
+    }
+    let shift = (a | b).trailing_zeros();
+    a >>= a.trailing_zeros();
+    loop {
+        b >>= b.trailing_zeros();
+        if a > b {
+            std::mem::swap(&mut a, &mut b);
+        }
+        b -= a;
+        if b == 0 {
+            return a << shift;
+        }
+    }
+}
+
+/// Word-level binary GCD on two words. `gcd(x, 0) = x`.
 pub(crate) fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
     if a == 0 {
         return b;

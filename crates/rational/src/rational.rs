@@ -24,9 +24,33 @@
 //! that shrinks back demotes again. Because the mapping value → variant
 //! is injective, the derived `Eq`/`Hash` remain consistent, and results
 //! are bit-for-bit identical whichever path computed them.
+//!
+//! # Reduction on the smaller operands
+//!
+//! Operands are already reduced, so no operation takes the GCD of its
+//! full cross products. Following Knuth (TAOCP vol. 2, §4.5.1), as GMP's
+//! `mpq` does, each GCD runs on the operands' own parts:
+//!
+//! * **add/sub** `a/b ± c/d`: `g = gcd(b, d)`. If `g = 1`, `(a·d ± c·b) /
+//!   (b·d)` is already reduced. Otherwise `t = a·(d/g) ± c·(b/g)` can
+//!   share a factor only with `g`, so with `g2 = gcd(t, g)` the result
+//!   is `(t/g2) / ((b/g)·(d/g2))`.
+//! * **mul/div** `(a/b)·(c/d)`: the cross GCDs `g1 = gcd(a, d)` and
+//!   `g2 = gcd(c, b)` leave `((a/g1)·(c/g2)) / ((b/g2)·(d/g1))` reduced;
+//!   division multiplies by the swapped pair `d/c`.
+//!
+//! On the small tier every one of these GCDs is the word-level `gcd_u64`
+//! on 64-bit values (`t` is taken modulo `g` first), never a GCD of
+//! 128-bit products. On the big tier the operands are borrowed, not
+//! cloned, and a GCD with a one-limb operand (a small-tier denominator,
+//! say) finishes in one pass over the other's limbs (see
+//! [`BigUint::gcd`]). Big-tier comparison decides by sign, then by the
+//! bit lengths of the cross products, and multiplies only when those
+//! cannot decide.
 
 use crate::bigint::{BigInt, Sign};
-use crate::biguint::{gcd_u128, BigUint};
+use crate::biguint::{gcd_u128, gcd_u64, BigUint};
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::fmt;
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
@@ -167,9 +191,9 @@ impl Rational {
         }
     }
 
-    /// Builds the integer `v`.
+    /// Builds the integer `v` (over 1, so there is nothing to reduce).
     pub fn from_integer(v: i128) -> Self {
-        Rational::reduce128(v < 0, v.unsigned_abs(), 1)
+        Rational::from_reduced(v < 0, v.unsigned_abs(), 1)
     }
 
     /// Numerator (sign-carrying). Materialized on the small path, so the
@@ -197,11 +221,15 @@ impl Rational {
         matches!(self.repr, Repr::Small { .. })
     }
 
-    /// Both components as big integers (promotion for mixed-tier ops).
-    fn big_parts(&self) -> (BigInt, BigUint) {
+    /// Both components as big integers: borrowed on the big tier,
+    /// promoted on the small tier (mixed-tier ops).
+    fn big_parts(&self) -> (Cow<'_, BigInt>, Cow<'_, BigUint>) {
         match &self.repr {
-            Repr::Small { num, den } => (BigInt::from_i128(*num as i128), BigUint::from_u64(*den)),
-            Repr::Big { num, den } => (num.clone(), den.clone()),
+            Repr::Small { num, den } => (
+                Cow::Owned(BigInt::from_i128(*num as i128)),
+                Cow::Owned(BigUint::from_u64(*den)),
+            ),
+            Repr::Big { num, den } => (Cow::Borrowed(num), Cow::Borrowed(den)),
         }
     }
 
@@ -249,67 +277,79 @@ impl Rational {
 
     /// Exact sum.
     pub fn add_ref(&self, other: &Rational) -> Rational {
-        if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
-            (&self.repr, &other.repr)
-        {
-            // a/b + c/d = (a·d + c·b) / (b·d). Each cross product is at
-            // most 2^63·(2^64−1) < 2^127, so it fits i128; only the final
-            // sum can overflow, checked below.
-            let n1 = (*a as i128) * (*d as i128);
-            let n2 = (*c as i128) * (*b as i128);
-            if let Some(n) = n1.checked_add(n2) {
-                return Rational::reduce128(n < 0, n.unsigned_abs(), (*b as u128) * (*d as u128));
-            }
-        }
-        let (an, ad) = self.big_parts();
-        let (bn, bd) = other.big_parts();
-        let num = an.mul(&big(&bd)).add(&bn.mul(&big(&ad)));
-        Rational::from_parts(num, ad.mul(&bd))
+        self.add_signed(other, false)
     }
 
     /// Exact difference.
     pub fn sub_ref(&self, other: &Rational) -> Rational {
+        self.add_signed(other, true)
+    }
+
+    /// `self + other`, or `self − other` when `subtract`; reduced on the
+    /// denominators (see the module docs).
+    fn add_signed(&self, other: &Rational, subtract: bool) -> Rational {
         if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
             (&self.repr, &other.repr)
         {
-            let n1 = (*a as i128) * (*d as i128);
-            let n2 = (*c as i128) * (*b as i128);
-            if let Some(n) = n1.checked_sub(n2) {
-                return Rational::reduce128(n < 0, n.unsigned_abs(), (*b as u128) * (*d as u128));
+            // |c| ≤ 2^63, so −c fits i128.
+            let c = if subtract { -(*c as i128) } else { *c as i128 };
+            if let Some(sum) = add_small(*a, *b, c, *d) {
+                return sum;
             }
         }
-        self.add_ref(&other.neg_ref())
+        let (an, ad) = self.big_parts();
+        let (cn, cd) = other.big_parts();
+        let csign = if subtract {
+            cn.sign().flip()
+        } else {
+            cn.sign()
+        };
+        // a·y ± c·x as a signed big integer.
+        let cross = |x: &BigUint, y: &BigUint| {
+            BigInt::from_sign_mag(an.sign(), an.magnitude().mul(y))
+                .add(&BigInt::from_sign_mag(csign, cn.magnitude().mul(x)))
+        };
+        let g = ad.gcd(&cd);
+        let (ad1, cd1) = (div_exact(&ad, &g), div_exact(&cd, &g));
+        let t = cross(&ad1, &cd1);
+        if t.is_zero() {
+            return Rational::zero();
+        }
+        let g2 = if g.is_one() { g } else { t.magnitude().gcd(&g) };
+        let den = ad1.mul(&div_exact(&cd, &g2));
+        if g2.is_one() {
+            return Rational::from_reduced_parts(t, den);
+        }
+        let num = BigInt::from_sign_mag(t.sign(), t.magnitude().divrem(&g2).0);
+        Rational::from_reduced_parts(num, den)
     }
 
     /// Exact product.
     pub fn mul_ref(&self, other: &Rational) -> Rational {
+        let negative = self.is_negative() != other.is_negative();
         if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
             (&self.repr, &other.repr)
         {
-            // |a·c| ≤ 2^126 and b·d < 2^128: neither product can
-            // overflow its widened type.
-            let n = (*a as i128) * (*c as i128);
-            return Rational::reduce128(n < 0, n.unsigned_abs(), (*b as u128) * (*d as u128));
+            return mul_small(negative, a.unsigned_abs(), *b, c.unsigned_abs(), *d);
         }
         let (an, ad) = self.big_parts();
-        let (bn, bd) = other.big_parts();
-        Rational::from_parts(an.mul(&bn), ad.mul(&bd))
+        let (cn, cd) = other.big_parts();
+        mul_big(negative, an.magnitude(), &ad, cn.magnitude(), &cd)
     }
 
     /// Exact quotient. Panics if `other` is zero.
     pub fn div_ref(&self, other: &Rational) -> Rational {
         assert!(!other.is_zero(), "reciprocal of zero");
+        // a/b ÷ c/d = (a/b)·(d/|c|) with the sign of a·c.
+        let negative = self.is_negative() != other.is_negative();
         if let (Repr::Small { num: a, den: b }, Repr::Small { num: c, den: d }) =
             (&self.repr, &other.repr)
         {
-            // a/b ÷ c/d = (a·d) / (b·|c|) with the sign of a·c.
-            // a·d ≤ 2^63·(2^64−1) < 2^127 and b·|c| ≤ (2^64−1)·2^63 <
-            // 2^127: both fit their widened types.
-            let nmag = (a.unsigned_abs() as u128) * (*d as u128);
-            let dmag = (*b as u128) * (c.unsigned_abs() as u128);
-            return Rational::reduce128((*a < 0) != (*c < 0), nmag, dmag);
+            return mul_small(negative, a.unsigned_abs(), *b, *d, c.unsigned_abs());
         }
-        self.mul_ref(&other.recip())
+        let (an, ad) = self.big_parts();
+        let (cn, cd) = other.big_parts();
+        mul_big(negative, an.magnitude(), &ad, &cd, cn.magnitude())
     }
 
     /// Negation.
@@ -492,11 +532,81 @@ fn ratio_to_f64(n: &BigUint, d: &BigUint) -> f64 {
     v * 2f64.powi(e2 as i32)
 }
 
-fn big(u: &BigUint) -> BigInt {
-    if u.is_zero() {
-        BigInt::zero()
+/// `a/b + c/d` on the small tier (`c` widened so that a subtraction can
+/// pass `−c`). `None` if `a·(d/g) + c·(b/g)` overflows `i128`, which
+/// only operands near the top of both words reach.
+fn add_small(a: i64, b: u64, c: i128, d: u64) -> Option<Rational> {
+    let g = gcd_u64(b, d);
+    // Each term is at most 2^63·(2^64 − 1) < 2^127 in magnitude; only
+    // their sum can overflow.
+    let t = (a as i128 * (d / g) as i128).checked_add(c * (b / g) as i128)?;
+    let tmag = t.unsigned_abs();
+    // gcd(t, g) on words: t mod g < g ≤ 2^64 − 1.
+    let g2 = if g == 1 {
+        1
     } else {
-        BigInt::from_sign_mag(Sign::Positive, u.clone())
+        gcd_u64((tmag % g as u128) as u64, g)
+    };
+    Some(Rational::from_reduced(
+        t < 0,
+        tmag / g2 as u128,
+        (b / g) as u128 * (d / g2) as u128,
+    ))
+}
+
+/// `±(n1/d1)·(n2/d2)` for reduced word pairs, cancelled crosswise first so
+/// the product is already reduced.
+fn mul_small(negative: bool, n1: u64, d1: u64, n2: u64, d2: u64) -> Rational {
+    if n1 == 0 || n2 == 0 {
+        return Rational::zero();
+    }
+    let (g1, g2) = (gcd_u64(n1, d2), gcd_u64(n2, d1));
+    Rational::from_reduced(
+        negative,
+        (n1 / g1) as u128 * (n2 / g2) as u128,
+        (d1 / g2) as u128 * (d2 / g1) as u128,
+    )
+}
+
+/// [`mul_small`] on big magnitudes.
+fn mul_big(negative: bool, n1: &BigUint, d1: &BigUint, n2: &BigUint, d2: &BigUint) -> Rational {
+    if n1.is_zero() || n2.is_zero() {
+        return Rational::zero();
+    }
+    let (g1, g2) = (n1.gcd(d2), n2.gcd(d1));
+    let sign = if negative {
+        Sign::Negative
+    } else {
+        Sign::Positive
+    };
+    let num = div_exact(n1, &g1).mul(&div_exact(n2, &g2));
+    Rational::from_reduced_parts(
+        BigInt::from_sign_mag(sign, num),
+        div_exact(d1, &g2).mul(&div_exact(d2, &g1)),
+    )
+}
+
+/// `x / g` for a divisor `g` of `x`, borrowing `x` when `g = 1`.
+fn div_exact<'a>(x: &'a BigUint, g: &BigUint) -> Cow<'a, BigUint> {
+    if g.is_one() {
+        Cow::Borrowed(x)
+    } else {
+        Cow::Owned(x.divrem(g).0)
+    }
+}
+
+/// Compares the products `x·y` and `u·v` of nonzero magnitudes. A product
+/// of `lx`- and `ly`-bit factors has `lx + ly − 1` or `lx + ly` bits, so
+/// bit lengths decide unless the two ranges overlap; only then are the
+/// products formed.
+fn cmp_products(x: &BigUint, y: &BigUint, u: &BigUint, v: &BigUint) -> Ordering {
+    let (lp, lq) = (x.bit_len() + y.bit_len(), u.bit_len() + v.bit_len());
+    if lp + 1 < lq {
+        Ordering::Less
+    } else if lq + 1 < lp {
+        Ordering::Greater
+    } else {
+        x.mul(y).cmp_mag(&u.mul(v))
     }
 }
 
@@ -510,8 +620,21 @@ impl Ord for Rational {
             return ((*a as i128) * (*d as i128)).cmp(&((*c as i128) * (*b as i128)));
         }
         let (an, ad) = self.big_parts();
-        let (bn, bd) = other.big_parts();
-        an.mul(&big(&bd)).cmp(&bn.mul(&big(&ad)))
+        let (cn, cd) = other.big_parts();
+        // Sign first (Negative < Zero < Positive); then a·d vs c·b on
+        // magnitudes, reversed for two negatives.
+        match (an.sign(), cn.sign()) {
+            (Sign::Zero, Sign::Zero) => Ordering::Equal,
+            (sa, sc) if sa != sc => (sa as i8).cmp(&(sc as i8)),
+            (sa, _) => {
+                let ord = cmp_products(an.magnitude(), &cd, cn.magnitude(), &ad);
+                if sa == Sign::Negative {
+                    ord.reverse()
+                } else {
+                    ord
+                }
+            }
+        }
     }
 }
 
@@ -760,6 +883,10 @@ impl<'a> std::iter::Sum<&'a Rational> for Rational {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn big(u: &BigUint) -> BigInt {
+        BigInt::from_sign_mag(Sign::Positive, u.clone())
+    }
 
     fn r(n: i128, d: i128) -> Rational {
         Rational::new(n, d)

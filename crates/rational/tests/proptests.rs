@@ -594,3 +594,236 @@ proptest! {
         check_recip(&Rational::from_parts(BigInt::from_sign_mag(sign, n), d));
     }
 }
+
+// ---------------------------------------------------------------------
+// Reduction on the smaller operands.
+//
+// add/sub reduce on g = gcd(b, d) and then on g2 = gcd(t, g); mul/div
+// cancel crosswise before multiplying (Knuth, TAOCP vol. 2, §4.5.1).
+// Each operation is checked against a textbook oracle, `from_parts` of
+// the raw cross products, on 1-20-limb operands of both tiers, with
+// common factors forced into the operands so that `g > 1` and `g2 > 1`
+// run, and on results that are zero or demote to the small tier. The
+// GCD's one-limb and unequal-length dispatch is checked against Euclid.
+// ---------------------------------------------------------------------
+
+/// A generated operand: sign, numerator and denominator limbs, and
+/// whether to cut both to one 63-bit limb (a small-tier value unless a
+/// factor is multiplied in).
+type Operand = (bool, Vec<u64>, Vec<u64>, bool);
+
+fn operand() -> impl Strategy<Value = Operand> {
+    (
+        any::<bool>(),
+        prop::collection::vec(any::<u64>(), 1..=20),
+        prop::collection::vec(any::<u64>(), 1..=20),
+        any::<bool>(),
+    )
+}
+
+/// A factor of 0-3 random limbs (1 when empty or zero).
+fn factor() -> impl Strategy<Value = BigUint> {
+    prop::collection::vec(any::<u64>(), 0..=3).prop_map(|limbs| {
+        let f = from_limbs(&limbs);
+        if f.is_zero() {
+            BigUint::one()
+        } else {
+            f
+        }
+    })
+}
+
+/// `±(n·nf) / (d·df)`, reduced by `from_parts`.
+fn build(op: &Operand, nf: &BigUint, df: &BigUint) -> Rational {
+    let (negative, n, d, small) = op;
+    let (n, d) = if *small {
+        (BigUint::from_u64(n[0] >> 1), BigUint::from_u64(d[0] >> 1))
+    } else {
+        (from_limbs(n), from_limbs(d))
+    };
+    let d = if d.is_zero() { BigUint::one() } else { d };
+    let sign = if *negative {
+        bc_rational::Sign::Negative
+    } else {
+        bc_rational::Sign::Positive
+    };
+    Rational::from_parts(BigInt::from_sign_mag(sign, n.mul(nf)), d.mul(df))
+}
+
+fn positive(u: BigUint) -> BigInt {
+    BigInt::from_sign_mag(bc_rational::Sign::Positive, u)
+}
+
+/// `(a·d ± c·b) / (b·d)`, reduced only at the end.
+fn textbook_add(x: &Rational, y: &Rational, subtract: bool) -> Rational {
+    let (a, b, c, d) = (x.numer(), x.denom(), y.numer(), y.denom());
+    let ad = a.mul(&positive(d.clone()));
+    let cb = c.mul(&positive(b.clone()));
+    let num = if subtract { ad.sub(&cb) } else { ad.add(&cb) };
+    Rational::from_parts(num, b.mul(&d))
+}
+
+/// `(a·c) / (b·d)`, reduced only at the end.
+fn textbook_mul(x: &Rational, y: &Rational) -> Rational {
+    Rational::from_parts(x.numer().mul(&y.numer()), x.denom().mul(&y.denom()))
+}
+
+/// `(a·d) / (b·c)` with the sign moved to the numerator.
+fn textbook_div(x: &Rational, y: &Rational) -> Rational {
+    let num = x.numer().mul(&positive(y.denom()));
+    let c = y.numer();
+    let num = if c.is_negative() { num.neg() } else { num };
+    Rational::from_parts(num, x.denom().mul(c.magnitude()))
+}
+
+/// `a·d` against `c·b`.
+fn textbook_cmp(x: &Rational, y: &Rational) -> std::cmp::Ordering {
+    x.numer()
+        .mul(&positive(y.denom()))
+        .cmp(&y.numer().mul(&positive(x.denom())))
+}
+
+/// Every binary operation of `x` and `y` against the textbook oracle.
+fn check_against_textbook(x: &Rational, y: &Rational) {
+    assert_eq!(x.add_ref(y), textbook_add(x, y, false), "{x} + {y}");
+    assert_eq!(x.sub_ref(y), textbook_add(x, y, true), "{x} - {y}");
+    assert_eq!(x.mul_ref(y), textbook_mul(x, y), "{x} * {y}");
+    if !y.is_zero() {
+        assert_eq!(x.div_ref(y), textbook_div(x, y), "{x} / {y}");
+    }
+    assert_eq!(x.cmp(y), textbook_cmp(x, y), "{x} <=> {y}");
+}
+
+proptest! {
+    #[test]
+    fn add_sub_cmp_with_a_common_denominator_factor(x in operand(), y in operand(), k in factor()) {
+        // k divides both denominators, so gcd(b, d) > 1 unless a
+        // numerator cancels it.
+        let one = BigUint::one();
+        let (x, y) = (build(&x, &one, &k), build(&y, &one, &k));
+        check_against_textbook(&x, &y);
+        check_against_textbook(&y, &x);
+    }
+
+    #[test]
+    fn mul_div_with_cross_factors(x in operand(), y in operand(), f in factor(), h in factor()) {
+        // x = (n1·f)/(d1·h) and y = (n2·h)/(d2·f): x·y cancels f and h
+        // crosswise; z = (n2·f)/(d2·h) does the same for x ÷ z.
+        let xr = build(&x, &f, &h);
+        let yr = build(&y, &h, &f);
+        let zr = build(&y, &f, &h);
+        check_against_textbook(&xr, &yr);
+        check_against_textbook(&xr, &zr);
+        check_against_textbook(&yr, &zr);
+    }
+
+    #[test]
+    fn results_that_cancel_to_zero_or_demote(x in operand(), z in operand(), k in factor()) {
+        // y = z − x shares x's denominator, so x + y reduces through
+        // g2 = gcd(t, g) > 1 back to z; a small z demotes. w = z / x
+        // does the same for multiplication.
+        let x = build(&x, &BigUint::one(), &k);
+        let z = build(&(z.0, z.1, z.2, true), &BigUint::one(), &BigUint::one());
+        prop_assert!(z.is_small());
+        let y = textbook_add(&z, &x, true);
+        check_against_textbook(&x, &y);
+        prop_assert_eq!(x.add_ref(&y), z.clone());
+        prop_assert_eq!(y.add_ref(&x), z.clone());
+        prop_assert_eq!(z.sub_ref(&y), x.clone());
+        prop_assert!(x.sub_ref(&x).is_zero() && x.sub_ref(&x).is_small());
+        prop_assert!(x.add_ref(&x.neg_ref()).is_zero());
+        prop_assert_eq!(x.cmp(&x), std::cmp::Ordering::Equal);
+        prop_assert!(x.mul_ref(&Rational::zero()).is_zero());
+        if !x.is_zero() {
+            let w = textbook_div(&z, &x);
+            check_against_textbook(&x, &w);
+            prop_assert_eq!(x.mul_ref(&w), z.clone());
+            prop_assert_eq!(z.div_ref(&w), x.clone());
+            prop_assert_eq!(x.div_ref(&x), Rational::one());
+        }
+    }
+
+    #[test]
+    fn cmp_decides_close_neighbours(x in operand(), m in factor(), k in 1u64..=u64::MAX) {
+        // x ± 1/(b·m·k) differ from x by less than one unit of x's own
+        // denominator, so the cross products' bit lengths differ by at
+        // most one and the bit-length bound alone cannot always decide.
+        let x = build(&x, &BigUint::one(), &BigUint::one());
+        let delta = Rational::from_parts(
+            BigInt::one(),
+            x.denom().mul(&m).mul(&BigUint::from_u64(k)),
+        );
+        for (y, expect) in [
+            (x.add_ref(&delta), std::cmp::Ordering::Less),
+            (x.sub_ref(&delta), std::cmp::Ordering::Greater),
+        ] {
+            prop_assert_eq!(x.cmp(&y), expect);
+            prop_assert_eq!(y.cmp(&x), expect.reverse());
+            prop_assert_eq!(x.cmp(&y), textbook_cmp(&x, &y));
+            prop_assert_eq!(x.neg_ref().cmp(&y.neg_ref()), expect.reverse());
+        }
+    }
+
+    #[test]
+    fn biguint_gcd_with_a_one_limb_operand(
+        a in prop::collection::vec(any::<u64>(), 1..=20),
+        w in 1u64..=u32::MAX as u64,
+        c in 1u64..=u32::MAX as u64,
+    ) {
+        // y = w·c fits one limb; x shares the factor c.
+        let x = from_limbs(&a).mul(&BigUint::from_u64(c));
+        let y = BigUint::from_u64(w * c);
+        let expect = gcd_euclid(x.clone(), y.clone());
+        prop_assert_eq!(&x.gcd(&y), &expect);
+        prop_assert_eq!(&y.gcd(&x), &expect);
+        prop_assert_eq!(&x.mul(&y).gcd(&y), &y);
+    }
+
+    #[test]
+    fn biguint_gcd_on_unequal_lengths(
+        a in prop::collection::vec(any::<u64>(), 1..=20),
+        b in prop::collection::vec(any::<u64>(), 1..=20),
+        c in factor(),
+    ) {
+        let (x, y) = (from_limbs(&a).mul(&c), from_limbs(&b).mul(&c));
+        let expect = gcd_euclid(x.clone(), y.clone());
+        prop_assert_eq!(&x.gcd(&y), &expect);
+        prop_assert_eq!(&y.gcd(&x), &expect);
+        // The Euclid step's remainder is zero when one divides the other.
+        if !y.is_zero() {
+            prop_assert_eq!(&x.mul(&y).gcd(&y), &y);
+        }
+    }
+}
+
+#[test]
+fn knuth_branches_run_on_both_tiers() {
+    // 1/6 + 1/10: g = gcd(6, 10) = 2, t = 1·5 + 1·3 = 8, g2 = gcd(8, 2)
+    // = 2, so the sum is (8/2)/(3·(10/2)) = 4/15. The big case scales
+    // both denominators by p = 2^64 + 13 (g = 2p, g2 = 2 again), and
+    // subtracting 1/(10p) instead gives t = 2, g2 = 2.
+    let p = BigUint::one().shl(64).add(&BigUint::from_u64(13));
+    let frac = |n: i128, d: u64, scale: &BigUint| {
+        Rational::from_parts(BigInt::from_i128(n), BigUint::from_u64(d).mul(scale))
+    };
+    for scale in [BigUint::one(), p.clone()] {
+        let (x, y) = (frac(1, 6, &scale), frac(1, 10, &scale));
+        let g = gcd_euclid(x.denom(), y.denom());
+        assert!(!g.is_one());
+        let t = BigUint::from_u64(5).add(&BigUint::from_u64(3));
+        assert_eq!(gcd_euclid(t, g), BigUint::from_u64(2));
+        assert_eq!(x.add_ref(&y), frac(4, 15, &scale));
+        assert_eq!(x.sub_ref(&y), frac(1, 15, &scale));
+        check_against_textbook(&x, &y);
+        // Cross GCDs: (6/35)·(35/6) = 1 and (6/35) ÷ (12/35) = 1/2.
+        let (u, v) = (frac(6, 35, &scale), frac(35, 6, &BigUint::one()));
+        check_against_textbook(&u, &v);
+        check_against_textbook(&u, &frac(12, 35, &scale));
+        assert_eq!(u.div_ref(&frac(12, 35, &scale)), Rational::new(1, 2));
+    }
+    // A small sum whose reduced value still overflows the small tier.
+    let max = Rational::new(i64::MAX as i128, 1);
+    let half = Rational::new(1, 2);
+    check_against_textbook(&max, &half);
+    assert!(!max.add_ref(&half).is_small());
+}

@@ -37,9 +37,8 @@ impl PackedEvent {
     /// The bound checks are unconditional: an overflowing `seq` or `slot`
     /// would silently wrap into the neighboring bit fields and corrupt
     /// global event ordering, which in a release campaign would mean
-    /// wrong results rather than a crash. Both branches are trivially
-    /// predictable (never taken), so they are free on the hot path — see
-    /// the committed `BENCH_campaign.json` budget.
+    /// wrong results rather than a crash. Both branches are never taken,
+    /// so they predict perfectly.
     #[inline]
     pub fn pack(time: u64, seq: u64, slot: u32) -> Self {
         assert!(seq <= MAX_SEQ, "agenda sequence number overflow");
