@@ -160,11 +160,6 @@ impl LatencyObserver {
     pub fn estimate(&self, child: usize) -> u64 {
         self.estimates[child]
     }
-
-    /// Number of samples recorded for `child`.
-    pub fn sample_count(&self, child: usize) -> u64 {
-        self.samples[child]
-    }
 }
 
 #[cfg(test)]
@@ -223,21 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn sample_counts() {
-        let mut o = LatencyObserver::new(ObserverKind::LastSample { initial: 1 }, 2);
-        o.observe(1, 5);
-        o.observe(1, 5);
-        assert_eq!(o.sample_count(0), 0);
-        assert_eq!(o.sample_count(1), 2);
-    }
-
-    #[test]
     fn children_can_join_later() {
         let mut o = LatencyObserver::new(ObserverKind::LastSample { initial: 9 }, 1);
         o.observe(0, 5);
         o.add_child();
         assert_eq!(o.estimate(1), 9);
-        assert_eq!(o.sample_count(1), 0);
         o.observe(1, 2);
         assert_eq!(o.estimate(1), 2);
         // Existing child unaffected.

@@ -211,22 +211,6 @@ impl RunStatsAccumulator {
             crashes: u128le(input)?,
         })
     }
-
-    /// Mean end time across runs (0 when empty).
-    pub fn mean_end_time(&self) -> f64 {
-        if self.runs == 0 {
-            return 0.0;
-        }
-        self.end_time_sum as f64 / self.runs as f64
-    }
-
-    /// Mean events per run (0 when empty).
-    pub fn mean_events(&self) -> f64 {
-        if self.runs == 0 {
-            return 0.0;
-        }
-        self.events as f64 / self.runs as f64
-    }
 }
 
 #[cfg(test)]
@@ -317,6 +301,5 @@ mod tests {
         assert_eq!(acc.end_time_min, 10);
         assert_eq!(acc.end_time_max, 90);
         assert_eq!(acc.runs, 3);
-        assert!((acc.mean_end_time() - 50.0).abs() < 1e-12);
     }
 }

@@ -3,7 +3,7 @@
 
 use crate::arrivals::ArrivalPlan;
 use bc_core::{BufferPolicy, GrowthGate, ObserverKind};
-use bc_platform::NodeId;
+use bc_platform::{NodeId, Tree};
 
 /// Communication discipline (§3.1 vs §3.2).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -367,8 +367,10 @@ impl SimConfig {
         self
     }
 
-    /// Validates internal consistency.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Validates internal consistency and the configuration's fit to
+    /// `tree`, the platform the run starts on. This is the one fallible
+    /// check; [`crate::Simulation::traced`] panics where it fails.
+    pub fn validate(&self, tree: &Tree) -> Result<(), String> {
         if self.total_tasks == 0 {
             return Err("total_tasks must be >= 1".into());
         }
@@ -406,6 +408,13 @@ impl SimConfig {
                 if f.node == NodeId::ROOT {
                     return Err("faults cannot target the repository".into());
                 }
+                if f.node.index() >= tree.len() {
+                    return Err(format!(
+                        "fault targets unknown node {} (tree has {})",
+                        f.node,
+                        tree.len()
+                    ));
+                }
                 match f.kind {
                     FaultKind::RequestLoss { batches: 0 } => {
                         return Err("RequestLoss needs batches >= 1".into())
@@ -437,18 +446,19 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bc_platform::examples::fig1_tree;
 
     #[test]
     fn presets() {
         let ic = SimConfig::interruptible(3, 1000);
         assert_eq!(ic.protocol, Protocol::Interruptible);
         assert_eq!(ic.buffers, BufferPolicy::Fixed(3));
-        ic.validate().unwrap();
+        ic.validate(&fig1_tree()).unwrap();
 
         let nic = SimConfig::non_interruptible(1, 1000);
         assert_eq!(nic.protocol, Protocol::NonInterruptible);
         assert!(nic.buffers.growable());
-        nic.validate().unwrap();
+        nic.validate(&fig1_tree()).unwrap();
 
         let fixed = SimConfig::non_interruptible_fixed(2, 1000);
         assert_eq!(fixed.protocol, Protocol::NonInterruptible);
@@ -482,7 +492,7 @@ mod tests {
                 compute: 7,
             },
         });
-        ok.validate().unwrap();
+        ok.validate(&fig1_tree()).unwrap();
         let bad = SimConfig::interruptible(2, 10).with_change(PlannedChange {
             after_tasks: 5,
             node: NodeId::ROOT,
@@ -491,13 +501,13 @@ mod tests {
                 compute: 7,
             },
         });
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(&fig1_tree()).is_err());
         let bad = SimConfig::interruptible(2, 10).with_change(PlannedChange {
             after_tasks: 5,
             node: NodeId::ROOT,
             kind: ChangeKind::Leave,
         });
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(&fig1_tree()).is_err());
     }
 
     #[test]
@@ -511,10 +521,10 @@ mod tests {
         assert!(!cfg.checked);
         let cfg = cfg.with_fault(FaultInjection::FbOffByOne);
         assert_eq!(cfg.fault, Some(FaultInjection::FbOffByOne));
-        cfg.validate().unwrap();
+        cfg.validate(&fig1_tree()).unwrap();
         assert!(SimConfig::interruptible(3, 10)
             .with_fault(FaultInjection::LeakTask { every: 0 })
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
     }
 
@@ -527,29 +537,35 @@ mod tests {
         };
         SimConfig::interruptible(3, 10)
             .with_fault_plan(plan(FaultKind::Crash, NodeId(1)))
-            .validate()
+            .validate(&fig1_tree())
             .unwrap();
         assert!(SimConfig::interruptible(3, 10)
             .with_fault_plan(plan(FaultKind::Crash, NodeId::ROOT))
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
+        // Figure 1's tree has nodes P0..P7.
+        let unknown = SimConfig::interruptible(3, 10)
+            .with_fault_plan(plan(FaultKind::Crash, NodeId(8)))
+            .validate(&fig1_tree())
+            .unwrap_err();
+        assert!(unknown.contains("unknown node P8"), "{unknown}");
         assert!(SimConfig::interruptible(3, 10)
             .with_fault_plan(plan(FaultKind::RequestLoss { batches: 0 }, NodeId(1)))
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
         assert!(SimConfig::interruptible(3, 10)
             .with_fault_plan(plan(FaultKind::LinkOutage { duration: 0 }, NodeId(1)))
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
         assert!(SimConfig::interruptible(3, 10)
             .with_fault_plan(plan(FaultKind::DuplicateDelivery { copies: 0 }, NodeId(1)))
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
         let mut degenerate = FaultPlan::default();
         degenerate.recovery.request_timeout = 0;
         assert!(SimConfig::interruptible(3, 10)
             .with_fault_plan(degenerate)
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
     }
 
@@ -559,31 +575,35 @@ mod tests {
         let plan = ArrivalPlan::poisson(5, 4, 30, 6);
         let cfg = SimConfig::interruptible(3, 1).with_arrivals(plan.clone());
         assert_eq!(cfg.total_tasks, plan.total_units());
-        cfg.validate().unwrap();
+        cfg.validate(&fig1_tree()).unwrap();
         // Desynchronized total_tasks is rejected.
         let mut bad = SimConfig::interruptible(3, 1).with_arrivals(plan);
         bad.total_tasks = 7;
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(&fig1_tree()).is_err());
         // The new self-test fault validates like the others.
         assert!(SimConfig::interruptible(3, 10)
             .with_fault(FaultInjection::LeakQueuedTask { every: 0 })
-            .validate()
+            .validate(&fig1_tree())
             .is_err());
         SimConfig::interruptible(3, 10)
             .with_fault(FaultInjection::LeakQueuedTask { every: 2 })
-            .validate()
+            .validate(&fig1_tree())
             .unwrap();
     }
 
     #[test]
     fn invalid_configs() {
-        assert!(SimConfig::interruptible(3, 0).validate().is_err());
-        assert!(SimConfig::interruptible(0, 10).validate().is_err());
+        assert!(SimConfig::interruptible(3, 0)
+            .validate(&fig1_tree())
+            .is_err());
+        assert!(SimConfig::interruptible(0, 10)
+            .validate(&fig1_tree())
+            .is_err());
         let bad = SimConfig::interruptible(1, 10).with_change(PlannedChange {
             after_tasks: 1,
             node: NodeId(1),
             kind: ChangeKind::CommTime(0),
         });
-        assert!(bad.validate().is_err());
+        assert!(bad.validate(&fig1_tree()).is_err());
     }
 }

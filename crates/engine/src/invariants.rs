@@ -69,7 +69,7 @@
 use crate::config::Protocol;
 use crate::sim::Simulation;
 use bc_core::BufferPolicy;
-use bc_platform::{NodeId, Tree};
+use bc_platform::NodeId;
 use bc_rational::Rational;
 use bc_simcore::{TraceRecord, TraceSink};
 use bc_steady::{lp_optimal_rate, SteadyState};
@@ -847,8 +847,18 @@ impl<S: TraceSink> Simulation<S> {
         // slack — far below the campaign's task counts, so a simulator
         // that kept "computing" on crashed capacity still trips it.
         if let Some(last_crash) = self.cur.fstats.last_crash_time {
-            let surv = self.surviving_tree();
-            let rate_post = SteadyState::analyze(&surv).optimal_rate();
+            // The original tree minus crashed (and departed) subtrees;
+            // only the rate is read, so the numbering cannot matter.
+            let gone: Vec<NodeId> = self
+                .ws
+                .st
+                .hot
+                .iter()
+                .enumerate()
+                .filter(|(_, n)| n.crashed || n.departed)
+                .map(|(i, _)| NodeId(i as u32))
+                .collect();
+            let rate_post = SteadyState::analyze(&self.tree.without_subtrees(&gone)).optimal_rate();
             let span = end_time.saturating_sub(last_crash);
             let after = times.iter().filter(|&&t| t > last_crash).count() as u64;
             let mut slack: u64 = 2;
@@ -872,28 +882,5 @@ impl<S: TraceSink> Simulation<S> {
             }
         }
         Ok(())
-    }
-
-    /// The platform left standing after all faults: the original tree
-    /// minus crashed (and departed) subtrees, rebuilt in preorder with
-    /// child order preserved. Only meaningful on a statically configured
-    /// run (no scripted changes), which is the only place it is called.
-    fn surviving_tree(&self) -> Tree {
-        let mut surv = Tree::new(self.tree.compute_time(NodeId::ROOT));
-        let mut map = vec![NodeId::ROOT; self.ws.st.hot.len()];
-        let mut stack = vec![0usize];
-        while let Some(d) = stack.pop() {
-            for &c in &self.ws.st.kid_node[self.ws.st.krange(d)] {
-                let c = c as usize;
-                if self.ws.st.hot[c].crashed || self.ws.st.hot[c].departed {
-                    continue;
-                }
-                let id = NodeId(c as u32);
-                map[c] =
-                    surv.add_child(map[d], self.tree.comm_time(id), self.tree.compute_time(id));
-                stack.push(c);
-            }
-        }
-        surv
     }
 }

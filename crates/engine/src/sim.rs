@@ -773,20 +773,12 @@ macro_rules! mono {
 impl<S: TraceSink> Simulation<S> {
     /// Builds a simulation whose event loop streams every protocol event
     /// into `sink` (see [`TraceEvent`] for the taxonomy). Run it with
-    /// [`Simulation::run_traced`] to get the sink back.
+    /// [`Simulation::run_traced`] to get the sink back. Panics where
+    /// [`SimConfig::validate`] or [`Tree::validate`] fails.
     pub fn traced(tree: Tree, cfg: SimConfig, mut ws: SimWorkspace, sink: S) -> Simulation<S> {
-        cfg.validate().expect("invalid SimConfig");
+        cfg.validate(&tree).expect("invalid SimConfig");
         tree.validate().expect("invalid Tree");
         let n = tree.len();
-        if let Some(plan) = &cfg.fault_plan {
-            for f in &plan.faults {
-                assert!(
-                    f.node.index() < n,
-                    "fault targets unknown node {} (tree has {n})",
-                    f.node
-                );
-            }
-        }
 
         ws.agenda.reset();
         ws.clear_scratch(n);

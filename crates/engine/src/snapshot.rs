@@ -384,22 +384,10 @@ impl Wire for Tree {
             return Err(SnapshotError::Corrupt("empty tree"));
         }
         let root_w = u64::get(r)?;
-        if root_w == 0 {
-            return Err(SnapshotError::Corrupt("zero compute weight"));
-        }
-        let mut tree = Tree::new(root_w);
-        for id in 1..n {
-            let parent = NodeId::get(r)?;
-            let (comm, compute) = (u64::get(r)?, u64::get(r)?);
-            if parent.index() >= id {
-                return Err(SnapshotError::Corrupt("parent does not precede child"));
-            }
-            if comm == 0 || compute == 0 {
-                return Err(SnapshotError::Corrupt("zero edge/compute weight"));
-            }
-            tree.add_child(parent, comm, compute);
-        }
-        Ok(tree)
+        let rows = (1..n)
+            .map(|_| Ok((NodeId::get(r)?.index(), u64::get(r)?, u64::get(r)?)))
+            .collect::<Result<Vec<_>, SnapshotError>>()?;
+        Tree::from_rows(root_w, &rows).map_err(|_| SnapshotError::Corrupt("invalid tree"))
     }
 }
 

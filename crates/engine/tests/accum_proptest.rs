@@ -120,15 +120,16 @@ proptest! {
         prop_assert_eq!(&right, &acc);
     }
 
-    /// The derived means agree with a naive recomputation from the runs.
+    /// The run count and sums a mean is derived from, and the extremes,
+    /// agree with a naive recomputation from the runs.
     #[test]
     fn means_match_naive_recomputation(runs in prop::collection::vec(arb_run(), 1..16)) {
         let acc = fold_all(&runs);
-        let n = runs.len() as f64;
-        let end_sum: f64 = runs.iter().map(|r| r.end_time as f64).sum();
-        let ev_sum: f64 = runs.iter().map(|r| r.events_processed as f64).sum();
-        prop_assert!((acc.mean_end_time() - end_sum / n).abs() < 1e-6);
-        prop_assert!((acc.mean_events() - ev_sum / n).abs() < 1e-6);
+        let end_sum: u128 = runs.iter().map(|r| u128::from(r.end_time)).sum();
+        let ev_sum: u128 = runs.iter().map(|r| u128::from(r.events_processed)).sum();
+        prop_assert_eq!(acc.runs, runs.len() as u64);
+        prop_assert_eq!(acc.end_time_sum, end_sum);
+        prop_assert_eq!(acc.events, ev_sum);
         prop_assert_eq!(acc.end_time_min, runs.iter().map(|r| r.end_time).min().unwrap());
         prop_assert_eq!(acc.end_time_max, runs.iter().map(|r| r.end_time).max().unwrap());
     }

@@ -351,7 +351,7 @@ fn log2_bucket(v: u64) -> usize {
 /// rate is accumulated in fixed point (microtasks per timestep, rounded
 /// from the correctly-rounded `to_f64` of the exact rational) for the
 /// same reason — an `f64` sum would be grouping-sensitive.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CampaignAccumulator {
     /// Raw engine-level facts (events, end times, buffers, faults).
     pub run_stats: RunStatsAccumulator,
@@ -380,26 +380,6 @@ pub struct CampaignAccumulator {
     /// Sum of optimal rates in fixed point (microtasks per timestep,
     /// `round(rate * 1e6)` per tree).
     pub rate_micros_sum: u128,
-}
-
-impl Default for CampaignAccumulator {
-    fn default() -> Self {
-        CampaignAccumulator {
-            run_stats: RunStatsAccumulator::default(),
-            reached: 0,
-            onset_sum: 0,
-            onset_max: 0,
-            onset_hist: [0; HIST_BUCKETS],
-            max_buffers_hist: [0; HIST_BUCKETS],
-            nodes_sum: 0,
-            nodes_max: 0,
-            depth_sum: 0,
-            depth_max: 0,
-            used_size_sum: 0,
-            used_depth_sum: 0,
-            rate_micros_sum: 0,
-        }
-    }
 }
 
 impl CampaignAccumulator {

@@ -12,7 +12,7 @@
 use bc_engine::{ChangeKind, PlannedChange, SimConfig, Simulation};
 use bc_metrics::ascii_table;
 use bc_platform::{NodeId, RandomTreeConfig};
-use bc_steady::{without_subtree, SteadyState};
+use bc_steady::SteadyState;
 use rayon::prelude::*;
 
 /// Configuration of the elasticity experiment.
@@ -89,7 +89,7 @@ fn run_one(cfg: &ElasticityConfig, index: usize) -> TreeElasticity {
     let added = joined_tree.add_child(NodeId::ROOT, cfg.join_comm, cfg.join_compute);
     debug_assert_eq!(added, joined_id);
     let joined_opt = SteadyState::analyze(&joined_tree).optimal_rate().to_f64();
-    let departed_tree = without_subtree(&joined_tree, victim);
+    let departed_tree = joined_tree.without_subtrees(&[victim]);
     let departed_opt = SteadyState::analyze(&departed_tree).optimal_rate().to_f64();
 
     let sim_cfg = SimConfig::interruptible(3, cfg.tasks)

@@ -128,13 +128,10 @@ impl CaseSpec {
         self.nodes.is_empty()
     }
 
-    /// Rebuilds the tree.
+    /// Rebuilds the tree. Panics on a spec that names no valid tree;
+    /// [`CaseSpec::decode`] rejects those.
     pub fn to_tree(&self) -> Tree {
-        let mut tree = Tree::new(self.root_compute);
-        for &(parent, comm, compute) in &self.nodes {
-            tree.add_child(NodeId(parent as u32), comm, compute);
-        }
-        tree
+        Tree::from_rows(self.root_compute, &self.nodes).expect("invalid CaseSpec tree")
     }
 
     /// Serializes the spec for a `--repro` command line:
@@ -188,24 +185,10 @@ impl CaseSpec {
                         .parse::<u64>()
                         .map_err(|_| format!("node {}: bad {what} in {entry:?}", k + 1))
                 };
-                let parent = num("parent")? as usize;
-                let comm = num("comm")?;
-                let compute = num("compute")?;
-                if parent > k {
-                    return Err(format!(
-                        "node {}: parent {parent} does not precede it",
-                        k + 1
-                    ));
-                }
-                if comm == 0 || compute == 0 {
-                    return Err(format!("node {}: weights must be >= 1", k + 1));
-                }
-                nodes.push((parent, comm, compute));
+                nodes.push((num("parent")? as usize, num("comm")?, num("compute")?));
             }
         }
-        if root_compute == 0 {
-            return Err("root compute time must be >= 1".into());
-        }
+        Tree::from_rows(root_compute, &nodes).map_err(|e| e.to_string())?;
         let mut faults = Vec::new();
         if let Some(seg) = fault_segment {
             for entry in seg.split(';') {
@@ -1111,7 +1094,7 @@ mod tests {
             assert_eq!(plan.seed, FUZZ_FAULT_SEED);
             SimConfig::interruptible(3, 100)
                 .with_fault_plan(plan)
-                .validate()
+                .validate(&decoded.to_tree())
                 .unwrap();
         }
     }

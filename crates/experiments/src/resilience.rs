@@ -257,40 +257,18 @@ pub fn fault_plan_for(
     }
 }
 
-/// The platform left standing after the plan's crashes: every crashed
-/// subtree removed, remaining nodes re-numbered in preorder. Matches the
-/// engine's own surviving-tree reconstruction.
-fn surviving(tree: &Tree, plan: &FaultPlan) -> Tree {
+fn run_one(cfg: &ResilienceConfig, index: usize, variant: Variant, tier: Intensity) -> RunOutcome {
+    let tree = crate::campaign::campaign_tree(&cfg.tree_config, cfg.seed, index);
+    let plan = fault_plan_for(&tree, cfg.tasks, cfg.seed, index, tier);
+    let last_fault = plan.faults.iter().map(|f| f.at).max().unwrap_or(0);
+    // The platform left standing after the plan's crashes.
     let crashed: Vec<NodeId> = plan
         .faults
         .iter()
         .filter(|f| f.kind == FaultKind::Crash)
         .map(|f| f.node)
         .collect();
-    let mut surv = Tree::new(tree.compute_time(NodeId::ROOT));
-    let mut stack: Vec<(NodeId, NodeId)> = tree
-        .children(NodeId::ROOT)
-        .iter()
-        .rev()
-        .map(|&c| (c, NodeId::ROOT))
-        .collect();
-    while let Some((id, mapped_parent)) = stack.pop() {
-        if crashed.contains(&id) {
-            continue;
-        }
-        let mapped = surv.add_child(mapped_parent, tree.comm_time(id), tree.compute_time(id));
-        for &c in tree.children(id).iter().rev() {
-            stack.push((c, mapped));
-        }
-    }
-    surv
-}
-
-fn run_one(cfg: &ResilienceConfig, index: usize, variant: Variant, tier: Intensity) -> RunOutcome {
-    let tree = crate::campaign::campaign_tree(&cfg.tree_config, cfg.seed, index);
-    let plan = fault_plan_for(&tree, cfg.tasks, cfg.seed, index, tier);
-    let last_fault = plan.faults.iter().map(|f| f.at).max().unwrap_or(0);
-    let rate_post = SteadyState::analyze(&surviving(&tree, &plan)).optimal_rate();
+    let rate_post = SteadyState::analyze(&tree.without_subtrees(&crashed)).optimal_rate();
 
     let sim_cfg = variant
         .config(cfg.tasks)
@@ -504,31 +482,9 @@ mod tests {
                 assert_eq!(a.seed, b.seed);
                 SimConfig::interruptible(3, cfg.tasks)
                     .with_fault_plan(a)
-                    .validate()
+                    .validate(&tree)
                     .expect("generated plan validates");
             }
         }
-    }
-
-    #[test]
-    fn surviving_tree_drops_crashed_subtrees() {
-        let mut tree = Tree::new(10);
-        let a = tree.add_child(NodeId::ROOT, 2, 5);
-        let b = tree.add_child(a, 3, 7);
-        let _c = tree.add_child(b, 1, 4);
-        let _d = tree.add_child(NodeId::ROOT, 4, 9);
-        let plan = FaultPlan {
-            seed: 0,
-            faults: vec![FaultEvent {
-                at: 10,
-                node: b,
-                kind: FaultKind::Crash,
-            }],
-            recovery: RecoveryTuning::default(),
-        };
-        let surv = surviving(&tree, &plan);
-        assert_eq!(surv.len(), 3); // root, a, d — b's subtree gone
-        assert_eq!(surv.comm_time(NodeId(1)), 2);
-        assert_eq!(surv.comm_time(NodeId(2)), 4);
     }
 }

@@ -152,37 +152,6 @@ pub fn per_class_throughput(completed_per_class: &[u64], end_time: u64) -> Vec<R
         .collect()
 }
 
-/// Rolling-window service rate: at each sample instant `t = window,
-/// window + stride, …` (clamped to cover the last completion), the
-/// exact number of completions in `(t − window, t]` divided by the
-/// window. This is the open-world utilization curve — under sustained
-/// load it plateaus at the platform's service capacity, and dips mark
-/// faults or arrival lulls.
-///
-/// Returns `(t, rate)` pairs; empty when there are no completions or
-/// `window`/`stride` is 0. `completions` must be sorted ascending (the
-/// engine's completion log is).
-pub fn rolling_utilization(completions: &[u64], window: u64, stride: u64) -> Vec<(u64, Rational)> {
-    if completions.is_empty() || window == 0 || stride == 0 {
-        return Vec::new();
-    }
-    let end = *completions.last().unwrap();
-    let mut out = Vec::new();
-    let mut t = window;
-    loop {
-        let lo = t - window; // exclusive
-        let hi = t; // inclusive
-        let begin = completions.partition_point(|&c| c <= lo);
-        let count = completions[begin..].partition_point(|&c| c <= hi);
-        out.push((t, Rational::new(count as i128, window as i128)));
-        if t >= end {
-            break;
-        }
-        t = t.saturating_add(stride).min(end.max(window));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -267,30 +236,5 @@ mod tests {
         );
         assert_eq!(per_class_throughput(&[5], 0), vec![Rational::zero()]);
         assert!(per_class_throughput(&[], 10).is_empty());
-    }
-
-    #[test]
-    fn rolling_utilization_counts_windows_exactly() {
-        // Completions at 2, 4, 9, 10, 10, 19; window 10, stride 5.
-        // t=10: (0,10]  → {2,4,9,10,10} = 5 → 1/2
-        // t=15: (5,15]  → {9,10,10}     = 3 → 3/10
-        // t=19: (9,19]  → {10,10,19}    = 3 → 3/10  (clamped to end)
-        let u = rolling_utilization(&[2, 4, 9, 10, 10, 19], 10, 5);
-        assert_eq!(
-            u,
-            vec![
-                (10, Rational::new(1, 2)),
-                (15, Rational::new(3, 10)),
-                (19, Rational::new(3, 10)),
-            ]
-        );
-        assert!(rolling_utilization(&[], 10, 5).is_empty());
-        assert!(rolling_utilization(&[3], 0, 5).is_empty());
-        assert!(rolling_utilization(&[3], 10, 0).is_empty());
-        // A single early completion still yields the first window.
-        assert_eq!(
-            rolling_utilization(&[3], 10, 5),
-            vec![(10, Rational::new(1, 10))]
-        );
     }
 }

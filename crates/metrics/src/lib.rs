@@ -25,10 +25,8 @@ pub mod stats;
 pub mod timeline;
 pub mod windows;
 
-pub use latency::{
-    latency_profile, per_class_throughput, rolling_utilization, LatencyProfile, LatencySummary,
-};
-pub use onset::{detect_onset, onset_cdf, reached_optimal, OnsetConfig};
+pub use latency::{latency_profile, per_class_throughput, LatencyProfile, LatencySummary};
+pub use onset::{detect_onset, onset_cdf, OnsetConfig};
 pub use plot::Chart;
 pub use recovery::{chunk_rates, degraded_fraction, time_to_rate};
 pub use stats::{ascii_table, csv, median, percentile, Histogram};

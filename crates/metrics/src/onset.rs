@@ -51,11 +51,6 @@ pub fn detect_onset(completions: &[u64], optimal: &Rational, cfg: OnsetConfig) -
     None
 }
 
-/// Convenience: did the run reach optimal steady state at all?
-pub fn reached_optimal(completions: &[u64], optimal: &Rational, cfg: OnsetConfig) -> bool {
-    detect_onset(completions, optimal, cfg).is_some()
-}
-
 /// Builds the Fig 4 style cumulative curve: for each probe `x`, the
 /// fraction of runs whose onset window is ≤ `x` (runs that never reach
 /// the optimum count toward no probe).
@@ -131,11 +126,10 @@ mod tests {
     fn short_run_cannot_cross_threshold() {
         // N = 400 → windows up to 200 only; threshold 300 unreachable.
         let times = steady(400, 3);
-        assert!(!reached_optimal(
-            &times,
-            &Rational::new(1, 3),
-            OnsetConfig::default()
-        ));
+        assert_eq!(
+            detect_onset(&times, &Rational::new(1, 3), OnsetConfig::default()),
+            None
+        );
     }
 
     #[test]

@@ -2,9 +2,7 @@
 //! campaign code can legitimately produce (empty runs, one-task runs,
 //! runs whose every window ties the optimum exactly).
 
-use bc_metrics::{
-    detect_onset, normalized_curve, onset_cdf, reached_optimal, window_rates, OnsetConfig,
-};
+use bc_metrics::{detect_onset, normalized_curve, onset_cdf, window_rates, OnsetConfig};
 use bc_rational::Rational;
 
 #[test]
@@ -64,7 +62,6 @@ fn detect_onset_counts_exact_ties_as_crossings() {
     // A hair above the optimum, the same ties all fail.
     let above = Rational::new(1_000_001, 6_000_000);
     assert_eq!(detect_onset(&times, &above, OnsetConfig::default()), None);
-    assert!(!reached_optimal(&times, &above, OnsetConfig::default()));
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! communication times `c_i`. This crate provides:
 //!
 //! * [`tree::Tree`] — the arena-based platform tree with validation and
-//!   runtime mutation (for the adaptability experiment of §4.2.3);
+//!   runtime mutation (for the adaptability experiment of §4.2.3), built
+//!   from outside input by [`Tree::from_rows`] and pruned by
+//!   [`Tree::without_subtrees`];
 //! * [`generator::RandomTreeConfig`] — the exact §4.1 random-tree
 //!   generator `(m, n, b, d, x)`;
 //! * [`examples`] — the concrete trees of Figures 1 and 2;

@@ -113,10 +113,11 @@ impl Deserialize for Tree {
 }
 
 /// Errors surfaced by [`Tree::validate`] (after deserializing untrusted
-/// data, for instance).
+/// data, for instance) and by [`Tree::from_rows`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TreeError {
     Empty,
+    ParentNotBefore { node: NodeId, parent: usize },
     RootHasParent,
     MultipleRoots { second: NodeId },
     BadParentLink { node: NodeId },
@@ -132,6 +133,9 @@ impl fmt::Display for TreeError {
         match self {
             TreeError::Empty => write!(f, "tree has no nodes"),
             TreeError::RootHasParent => write!(f, "node 0 has a parent"),
+            TreeError::ParentNotBefore { node, parent } => {
+                write!(f, "{node} names parent {parent}, which does not precede it")
+            }
             TreeError::MultipleRoots { second } => {
                 write!(f, "{second} has no parent but is not node 0")
             }
@@ -157,7 +161,9 @@ impl Tree {
     /// Creates a tree containing only a root with the given compute time.
     ///
     /// The root is the data repository: it both computes tasks and feeds
-    /// its subtrees.
+    /// its subtrees. Panics on a zero weight, so it is for callers whose
+    /// weights are already known good; weights from outside the program
+    /// go through [`Tree::from_rows`].
     pub fn new(root_compute_time: u64) -> Self {
         assert!(root_compute_time >= 1, "compute_time must be >= 1");
         Tree {
@@ -171,7 +177,8 @@ impl Tree {
     }
 
     /// Adds a child under `parent` with edge weight `comm_time` and node
-    /// weight `compute_time`; returns its id.
+    /// weight `compute_time`; returns its id. Panics on an unknown parent
+    /// or a zero weight, like [`Tree::new`].
     pub fn add_child(&mut self, parent: NodeId, comm_time: u64, compute_time: u64) -> NodeId {
         assert!(parent.index() < self.nodes.len(), "unknown parent {parent}");
         assert!(comm_time >= 1, "comm_time must be >= 1");
@@ -185,6 +192,63 @@ impl Tree {
         });
         self.nodes[parent.index()].children.push(id);
         id
+    }
+
+    /// Builds a tree from explicit rows: the root's compute time, then
+    /// row `k` as node `k + 1`'s `(parent, comm_time, compute_time)`.
+    /// Every parent precedes its child and every weight is ≥ 1, or the
+    /// first offending node is named in the error. This is the one
+    /// builder for trees from outside the program (requests, reproducer
+    /// specs, snapshot bytes); it accepts exactly the trees
+    /// [`Tree::new`] and [`Tree::add_child`] build.
+    pub fn from_rows(
+        root_compute_time: u64,
+        rows: &[(usize, u64, u64)],
+    ) -> Result<Tree, TreeError> {
+        if root_compute_time == 0 {
+            return Err(TreeError::ZeroComputeTime { node: NodeId::ROOT });
+        }
+        let mut tree = Tree::new(root_compute_time);
+        tree.nodes.reserve(rows.len());
+        for (k, &(parent, comm_time, compute_time)) in rows.iter().enumerate() {
+            let node = NodeId(k as u32 + 1);
+            if parent > k {
+                return Err(TreeError::ParentNotBefore { node, parent });
+            }
+            if comm_time == 0 {
+                return Err(TreeError::ZeroCommTime { node });
+            }
+            if compute_time == 0 {
+                return Err(TreeError::ZeroComputeTime { node });
+            }
+            tree.add_child(NodeId(parent as u32), comm_time, compute_time);
+        }
+        Ok(tree)
+    }
+
+    /// The tree without the subtrees rooted at `removed` (several roots,
+    /// possibly nested): the platform left when those nodes leave and
+    /// take their descendants with them (§3). The remaining nodes are
+    /// renumbered in preorder, each child list keeping its order.
+    /// Panics if `removed` holds the root (removing the repository
+    /// removes the application).
+    pub fn without_subtrees(&self, removed: &[NodeId]) -> Tree {
+        assert!(
+            !removed.contains(&NodeId::ROOT),
+            "cannot remove the repository"
+        );
+        let mut out = Tree::new(self.root().compute_time);
+        // (old id, new id of its parent), popped in preorder.
+        let mut stack = vec![(NodeId::ROOT, NodeId::ROOT)];
+        while let Some((id, new_parent)) = stack.pop() {
+            let new_id = match id {
+                NodeId::ROOT => NodeId::ROOT,
+                _ if removed.contains(&id) => continue,
+                _ => out.add_child(new_parent, self.comm_time(id), self.compute_time(id)),
+            };
+            stack.extend(self.children(id).iter().rev().map(|&c| (c, new_id)));
+        }
+        out
     }
 
     /// Number of nodes.
@@ -536,6 +600,132 @@ mod tests {
         assert_ne!(json, corrupted, "fixture must actually change");
         let bad: Tree = serde_json::from_str(&corrupted).unwrap();
         assert!(bad.validate().is_err());
+    }
+
+    /// The rows that rebuild `t`: each non-root node's parent and weights
+    /// in id order.
+    fn rows(t: &Tree) -> Vec<(usize, u64, u64)> {
+        t.ids()
+            .skip(1)
+            .map(|id| {
+                let parent = t.parent(id).unwrap().index();
+                (parent, t.comm_time(id), t.compute_time(id))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn from_rows_rejects_each_malformed_row() {
+        let err = |root, rows: &[(usize, u64, u64)]| Tree::from_rows(root, rows).unwrap_err();
+        assert_eq!(
+            err(0, &[]),
+            TreeError::ZeroComputeTime { node: NodeId::ROOT }
+        );
+        assert_eq!(
+            err(5, &[(0, 1, 1), (1, 0, 1)]),
+            TreeError::ZeroCommTime { node: NodeId(2) }
+        );
+        assert_eq!(
+            err(5, &[(0, 1, 0)]),
+            TreeError::ZeroComputeTime { node: NodeId(1) }
+        );
+        // Row 1 is node 2: its parent must be node 0 or 1.
+        let late = err(5, &[(0, 1, 1), (2, 1, 1)]);
+        assert_eq!(
+            late,
+            TreeError::ParentNotBefore {
+                node: NodeId(2),
+                parent: 2
+            }
+        );
+        assert!(late.to_string().contains("does not precede"), "{late}");
+        assert_eq!(
+            err(5, &[(usize::MAX, 1, 1)]),
+            TreeError::ParentNotBefore {
+                node: NodeId(1),
+                parent: usize::MAX
+            }
+        );
+    }
+
+    #[test]
+    fn from_rows_accepts_exactly_the_trees_add_child_builds() {
+        let mut built = vec![Tree::new(1), chain(6), crate::examples::fig1_tree()];
+        built.extend((0..8).map(|seed| crate::RandomTreeConfig::default().generate(seed)));
+        for t in built {
+            let back = Tree::from_rows(t.compute_time(NodeId::ROOT), &rows(&t)).unwrap();
+            back.validate().unwrap();
+            assert_eq!(format!("{back:?}"), format!("{t:?}"));
+        }
+    }
+
+    #[test]
+    fn without_subtrees_renumbers_in_preorder() {
+        // Arena order differs from preorder: root's children P1..P3 come
+        // first, grandchildren after.
+        let mut t = Tree::new(10);
+        let a = t.add_child(NodeId::ROOT, 2, 5);
+        let d = t.add_child(NodeId::ROOT, 4, 9);
+        let g = t.add_child(NodeId::ROOT, 5, 3);
+        let b = t.add_child(a, 3, 7);
+        let _e = t.add_child(a, 6, 8);
+        let c = t.add_child(b, 1, 4);
+        let _f = t.add_child(d, 2, 2);
+        let _h = t.add_child(g, 7, 6);
+        // Several roots, one nested inside another's subtree.
+        let cut = t.without_subtrees(&[b, c, g]);
+        cut.validate().unwrap();
+        // Left: root, a, e, d, f, numbered in that (pre)order.
+        let expected = Tree::from_rows(10, &[(0, 2, 5), (1, 6, 8), (0, 4, 9), (3, 2, 2)]).unwrap();
+        assert_eq!(format!("{cut:?}"), format!("{expected:?}"));
+        // Removing nothing renumbers in preorder too.
+        let all = t.without_subtrees(&[]);
+        let expected = Tree::from_rows(
+            10,
+            &[
+                (0, 2, 5),
+                (1, 3, 7),
+                (2, 1, 4),
+                (1, 6, 8),
+                (0, 4, 9),
+                (5, 2, 2),
+                (0, 5, 3),
+                (7, 7, 6),
+            ],
+        )
+        .unwrap();
+        assert_eq!(format!("{all:?}"), format!("{expected:?}"));
+    }
+
+    #[test]
+    fn without_subtrees_preserves_validity_and_counts() {
+        let t = crate::examples::fig1_tree();
+        // Remove P1 (and its two leaves): 8 → 5 nodes.
+        let cut = t.without_subtrees(&[NodeId(1)]);
+        cut.validate().unwrap();
+        assert_eq!(cut.len(), 5);
+        // Remove a leaf: 8 → 7.
+        let leaf = t.ids().find(|&id| t.is_leaf(id)).unwrap();
+        assert_eq!(t.without_subtrees(&[leaf]).len(), 7);
+    }
+
+    #[test]
+    fn without_subtrees_drops_a_crashed_subtree() {
+        let mut tree = Tree::new(10);
+        let a = tree.add_child(NodeId::ROOT, 2, 5);
+        let b = tree.add_child(a, 3, 7);
+        let _c = tree.add_child(b, 1, 4);
+        let _d = tree.add_child(NodeId::ROOT, 4, 9);
+        let surv = tree.without_subtrees(&[b]);
+        assert_eq!(surv.len(), 3); // root, a, d — b's subtree gone
+        assert_eq!(surv.comm_time(NodeId(1)), 2);
+        assert_eq!(surv.comm_time(NodeId(2)), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot remove the repository")]
+    fn without_subtrees_cannot_remove_root() {
+        let _ = crate::examples::fig1_tree().without_subtrees(&[NodeId(2), NodeId::ROOT]);
     }
 
     #[test]

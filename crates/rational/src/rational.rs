@@ -473,15 +473,6 @@ impl Rational {
             other.clone()
         }
     }
-
-    /// `max` by value.
-    pub fn max_ref(&self, other: &Rational) -> Rational {
-        if self >= other {
-            self.clone()
-        } else {
-            other.clone()
-        }
-    }
 }
 
 /// Correctly-rounded `n/d` for positive big integers (round-half-even).
@@ -1079,7 +1070,6 @@ mod tests {
     #[test]
     fn min_max() {
         assert_eq!(r(1, 2).min_ref(&r(1, 3)), r(1, 3));
-        assert_eq!(r(1, 2).max_ref(&r(1, 3)), r(1, 2));
     }
 
     #[test]

@@ -92,30 +92,20 @@ pub enum TreeSpec {
 }
 
 impl TreeSpec {
-    /// Builds and validates the tree.
+    /// Builds the tree, or says why the spec names none.
     pub fn build(&self) -> Result<Tree, String> {
-        let tree = match self {
-            TreeSpec::Random { config, seed } => config.generate(*seed),
+        match self {
+            TreeSpec::Random { config, seed } => {
+                config
+                    .validate()
+                    .map_err(|e| format!("invalid tree.random: {e}"))?;
+                Ok(config.generate(*seed))
+            }
             TreeSpec::Explicit {
                 root_compute,
                 nodes,
-            } => {
-                let mut tree = Tree::new(*root_compute);
-                for (k, &(parent, comm, compute)) in nodes.iter().enumerate() {
-                    if parent > k {
-                        return Err(format!(
-                            "tree node {} names parent {parent}, which does not precede it",
-                            k + 1
-                        ));
-                    }
-                    tree.add_child(NodeId(parent as u32), comm, compute);
-                }
-                tree
-            }
-        };
-        tree.validate()
-            .map_err(|e| format!("invalid tree: {e:?}"))?;
-        Ok(tree)
+            } => Tree::from_rows(*root_compute, nodes).map_err(|e| format!("invalid tree: {e}")),
+        }
     }
 }
 
@@ -416,7 +406,7 @@ mod tests {
         let fp = spec.cfg.fault_plan.as_ref().unwrap();
         assert_eq!(fp.faults.len(), 1);
         assert_eq!(fp.seed, DEFAULT_FAULT_SEED);
-        spec.cfg.validate().unwrap();
+        spec.cfg.validate(&tree).unwrap();
     }
 
     #[test]

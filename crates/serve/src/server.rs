@@ -13,7 +13,9 @@
 use crate::pool::WorkspacePool;
 use crate::proto::{parse_request, summary_value, to_hex, OpenSpec, Request};
 use bc_engine::durability::{take_bytes, take_u64_le};
-use bc_engine::{RunResult, SimSnapshot, SimWorkspace, Simulation, TraceRecord, TraceSink};
+use bc_engine::{
+    RunResult, SimConfig, SimSnapshot, SimWorkspace, Simulation, TraceRecord, TraceSink,
+};
 use bc_metrics::{latency_profile, per_class_throughput, LatencyProfile};
 use bc_simcore::{Time, TraceEvent};
 use rayon::IntoParallelIterator;
@@ -177,37 +179,21 @@ impl Session {
     }
 
     /// Steps up to `budget` events, streaming trace/metric lines.
-    /// Returns `(events_stepped, finished_workspace)`.
-    fn step_n(
-        &mut self,
-        name: &str,
-        budget: u64,
-        out: &mut Vec<String>,
-    ) -> (u64, Option<SimWorkspace>) {
-        let mut did = 0;
+    /// Returns the workspace of a run that finished.
+    fn step_n(&mut self, name: &str, budget: u64, out: &mut Vec<String>) -> Option<SimWorkspace> {
         let mut finished = false;
         if let State::Live(sim) = &mut self.state {
             sim.start();
-            for _ in 0..budget {
-                if !sim.step() {
-                    finished = true;
-                    break;
-                }
-                did += 1;
-            }
+            finished = !(0..budget).all(|_| sim.step());
         }
         self.drain_trace(name, out);
         self.drain_metrics(name, out);
-        if finished {
-            let summary = self.progress();
-            out.push(line("stepped", Some(name), with_more(summary, false)));
-            let ws = self.finalize(name, out);
-            (did, Some(ws))
-        } else {
-            let summary = self.progress();
-            out.push(line("stepped", Some(name), with_more(summary, true)));
-            (did, None)
-        }
+        out.push(line(
+            "stepped",
+            Some(name),
+            with_more(self.progress(), !finished),
+        ));
+        finished.then(|| self.finalize(name, out))
     }
 
     /// Runs to completion, streaming metric lines at the configured
@@ -242,6 +228,32 @@ impl Session {
         }
     }
 
+    /// The session's `BCSS` bytes: a live run is captured without
+    /// disturbing it, a paused one re-encodes its snapshot. `None` for a
+    /// done or poisoned session, which holds no engine state.
+    fn snapshot_bytes(&mut self) -> Option<Vec<u8>> {
+        match &mut self.state {
+            State::Live(sim) => {
+                sim.start();
+                Some(sim.snapshot().to_bytes())
+            }
+            State::Paused(snap) => Some(snap.to_bytes()),
+            State::Done(_) | State::Poisoned(_) => None,
+            State::Moving => unreachable!("transient state escaped"),
+        }
+    }
+
+    /// Quarantines the session after a panic and returns the `poisoned`
+    /// error line that replaces whatever the failed operation emitted.
+    fn poison(&mut self, name: &str, payload: Box<dyn std::any::Any + Send>) -> String {
+        self.state = State::Poisoned(panic_message(payload));
+        err_line_code(
+            Some(name),
+            "poisoned",
+            &format!("sim {name:?} panicked and was quarantined"),
+        )
+    }
+
     /// Progress fields of a live session.
     fn progress(&self) -> Vec<(&'static str, Value)> {
         match &self.state {
@@ -271,6 +283,15 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "non-string panic payload".to_string()
     }
+}
+
+/// The arrival plan's class names, in plan order (none for a closed
+/// batch), for per-class throughput in `done`/`metrics`.
+fn class_names(cfg: &SimConfig) -> Vec<String> {
+    cfg.arrivals
+        .as_ref()
+        .map(|p| p.classes.iter().map(|c| c.name.clone()).collect())
+        .unwrap_or_default()
 }
 
 fn with_more(mut fields: Vec<(&'static str, Value)>, more: bool) -> Vec<(&'static str, Value)> {
@@ -513,10 +534,7 @@ impl Server {
             Request::Open { sim, spec } => self.open(&sim, &spec, &mut out),
             Request::Step { sim, events } => {
                 self.with_session(&sim, &mut out, |s, name, out| match s.state {
-                    State::Live(_) => {
-                        let (_, ws) = s.step_n(name, events, out);
-                        Ok(ws)
-                    }
+                    State::Live(_) => Ok(s.step_n(name, events, out)),
                     _ => Err(format!("sim {name:?} is {}, not live", s.state_name())),
                 })
             }
@@ -578,19 +596,11 @@ impl Server {
                 }
             },
             Request::Snapshot { sim } => self.with_session(&sim, &mut out, |s, name, out| {
-                let bytes = match &mut s.state {
-                    State::Live(sim) => {
-                        sim.start();
-                        sim.snapshot().to_bytes()
-                    }
-                    State::Paused(snap) => snap.to_bytes(),
-                    State::Done(_) | State::Poisoned(_) => {
-                        return Err(format!(
-                            "sim {name:?} is {}; nothing to snapshot",
-                            s.state_name()
-                        ))
-                    }
-                    State::Moving => unreachable!("transient state escaped"),
+                let Some(bytes) = s.snapshot_bytes() else {
+                    return Err(format!(
+                        "sim {name:?} is {}; nothing to snapshot",
+                        s.state_name()
+                    ));
                 };
                 s.drain_trace(name, out);
                 out.push(line(
@@ -663,12 +673,7 @@ impl Server {
                     Ok(Err(msg)) => out.push(err_line(Some(name), &msg)),
                     Err(payload) => {
                         out.truncate(emitted);
-                        s.state = State::Poisoned(panic_message(payload));
-                        out.push(err_line_code(
-                            Some(name),
-                            "poisoned",
-                            &format!("sim {name:?} panicked and was quarantined"),
-                        ));
+                        out.push(s.poison(name, payload));
                     }
                 }
             }
@@ -698,7 +703,7 @@ impl Server {
             Ok(t) => t,
             Err(msg) => return out.push(err_line(Some(name), &msg)),
         };
-        if let Err(msg) = spec.cfg.validate() {
+        if let Err(msg) = spec.cfg.validate(&tree) {
             return out.push(err_line(Some(name), &msg));
         }
         let nodes = tree.len();
@@ -710,12 +715,7 @@ impl Server {
             trace: spec.trace,
             metrics_every: spec.metrics_every,
             next_metric: spec.metrics_every.max(1),
-            classes: spec
-                .cfg
-                .arrivals
-                .as_ref()
-                .map(|p| p.classes.iter().map(|c| c.name.clone()).collect())
-                .unwrap_or_default(),
+            classes: class_names(&spec.cfg),
         };
         out.push(line(
             "opened",
@@ -746,12 +746,7 @@ impl Server {
         // A restored session starts untraced and unmetered; its state
         // (and results) are exactly the captured run's continuation.
         let sink = StreamSink::new(false);
-        let classes = snap
-            .cfg()
-            .arrivals
-            .as_ref()
-            .map(|p| p.classes.iter().map(|c| c.name.clone()).collect())
-            .unwrap_or_default();
+        let classes = class_names(snap.cfg());
         let sim = Simulation::from_snapshot_traced(&snap, self.pool.acquire(), sink);
         let fields = vec![
             ("t", Value::Int(sim.now() as i128)),
@@ -798,13 +793,7 @@ impl Server {
                 match catch_unwind(AssertUnwindSafe(|| s.run_to_end(&name, &mut lines))) {
                     Ok(ws) => (name, s, lines, ws),
                     Err(payload) => {
-                        lines.clear();
-                        s.state = State::Poisoned(panic_message(payload));
-                        lines.push(err_line_code(
-                            Some(&name),
-                            "poisoned",
-                            &format!("sim {name:?} panicked and was quarantined"),
-                        ));
+                        let lines = vec![s.poison(&name, payload)];
                         (name, s, lines, None)
                     }
                 }
@@ -846,14 +835,9 @@ impl Server {
     pub fn journal_bytes(&mut self) -> Vec<u8> {
         let mut entries: Vec<(&String, u8, u64, u64, Vec<u8>)> = Vec::new();
         for (name, s) in self.sessions.iter_mut() {
-            let (live, snap_bytes) = match &mut s.state {
-                State::Live(sim) => {
-                    sim.start();
-                    (true, sim.snapshot().to_bytes())
-                }
-                State::Paused(snap) => (false, snap.to_bytes()),
-                State::Done(_) | State::Poisoned(_) => continue,
-                State::Moving => unreachable!("transient state escaped"),
+            let live = matches!(s.state, State::Live(_));
+            let Some(snap_bytes) = s.snapshot_bytes() else {
+                continue;
             };
             let flags = (s.trace as u8) | ((live as u8) << 1);
             entries.push((name, flags, s.metrics_every, s.next_metric, snap_bytes));
@@ -926,12 +910,7 @@ impl Server {
                     continue;
                 }
             };
-            let classes: Vec<String> = snap
-                .cfg()
-                .arrivals
-                .as_ref()
-                .map(|p| p.classes.iter().map(|c| c.name.clone()).collect())
-                .unwrap_or_default();
+            let classes = class_names(snap.cfg());
             let state = if was_live {
                 let sink = StreamSink::new(trace);
                 let ws = self.pool.acquire();

@@ -385,6 +385,49 @@ fn errors_are_isolated_and_sessions_survive() {
     assert_eq!(field_str(&metrics[0], "state"), "done");
 }
 
+/// Opens whose tree or fault plan names no platform the engine can run:
+/// five bad `tree.random` configs, a zero root weight, a zero link
+/// weight, a parent that follows its child, and a fault on a node the
+/// tree lacks. Each gets exactly one `error` line and no panic (a panic
+/// in `handle_line` ends the process and every session in it), and a
+/// session already open steps on exactly as on a server that never saw
+/// them.
+#[test]
+fn malformed_opens_get_one_error_line_each() {
+    let bad = [
+        r#"{"cmd":"open","sim":"bad","tree":{"random":{"seed":7,"min_nodes":0,"max_nodes":9,"comm_min":1,"comm_max":4,"compute_scale":3}},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"random":{"seed":7,"min_nodes":10,"max_nodes":9,"comm_min":1,"comm_max":4,"compute_scale":3}},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"random":{"seed":7,"min_nodes":5,"max_nodes":9,"comm_min":0,"comm_max":4,"compute_scale":3}},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"random":{"seed":7,"min_nodes":5,"max_nodes":9,"comm_min":5,"comm_max":4,"compute_scale":3}},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"random":{"seed":7,"min_nodes":5,"max_nodes":9,"comm_min":1,"comm_max":4,"compute_scale":0}},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"root_compute":0,"nodes":[[0,1,1]]},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"root_compute":2,"nodes":[[0,0,1]]},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"root_compute":2,"nodes":[[0,1,1],[2,1,1]]},"tasks":5}"#,
+        r#"{"cmd":"open","sim":"bad","tree":{"root_compute":2,"nodes":[[0,1,1]]},"tasks":5,"faults":[{"kind":"crash","at":3,"node":4}]}"#,
+    ];
+    let step = r#"{"cmd":"step","sim":"keep","events":40}"#;
+    let mut reference = Server::new();
+    let mut server = Server::new();
+    assert_eq!(
+        cmd(&mut server, &open_line("keep", true)),
+        cmd(&mut reference, &open_line("keep", true))
+    );
+    assert_eq!(cmd(&mut server, step), cmd(&mut reference, step));
+    for line in bad {
+        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| cmd(&mut server, line)))
+            .unwrap_or_else(|_| panic!("handle_line panicked on {line}"));
+        assert_eq!(out.len(), 1, "expected one line for {line}: {out:?}");
+        assert_eq!(
+            ev_of(&out[0]),
+            "error",
+            "expected error for {line}: {out:?}"
+        );
+    }
+    for line in [step, r#"{"cmd":"status"}"#, r#"{"cmd":"run","sim":"keep"}"#] {
+        assert_eq!(cmd(&mut server, line), cmd(&mut reference, line), "{line}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Crash recovery and hardening
 // ---------------------------------------------------------------------

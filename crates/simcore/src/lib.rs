@@ -24,5 +24,5 @@ pub mod trace;
 
 pub use agenda::{Agenda, AgendaSnapshot, EventHandle, SlotSnapshot, Time, NEAR_BUCKETS};
 pub use quad_heap::{PackedEvent, QuadHeap};
-pub use rng::{job_rng, split_seed};
+pub use rng::split_seed;
 pub use trace::{NullSink, RingRecorder, TraceEvent, TraceRecord, TraceSink, VecSink};

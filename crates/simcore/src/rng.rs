@@ -5,9 +5,6 @@
 //! campaign seed and its index so that results are reproducible
 //! regardless of thread scheduling, chunking, or partial re-runs.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-
 /// SplitMix64 step — the standard way to stretch one `u64` seed into many
 /// well-decorrelated ones.
 pub fn split_seed(seed: u64, index: u64) -> u64 {
@@ -17,22 +14,13 @@ pub fn split_seed(seed: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// A [`SmallRng`] for the `index`-th job of a campaign.
-pub fn job_rng(campaign_seed: u64, index: u64) -> SmallRng {
-    SmallRng::seed_from_u64(split_seed(campaign_seed, index))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::Rng;
 
     #[test]
     fn deterministic() {
         assert_eq!(split_seed(42, 7), split_seed(42, 7));
-        let a: u64 = job_rng(1, 2).random();
-        let b: u64 = job_rng(1, 2).random();
-        assert_eq!(a, b);
     }
 
     #[test]

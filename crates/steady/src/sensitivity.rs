@@ -15,35 +15,6 @@ use crate::analysis::SteadyState;
 use bc_platform::{NodeId, Tree};
 use bc_rational::Rational;
 
-/// Rebuilds `tree` without the subtree rooted at `removed`.
-///
-/// Panics if `removed` is the root (removing the repository removes the
-/// application).
-pub fn without_subtree(tree: &Tree, removed: NodeId) -> Tree {
-    assert!(removed != NodeId::ROOT, "cannot remove the repository");
-    // Collect the removed set.
-    let mut gone = vec![false; tree.len()];
-    let mut stack = vec![removed];
-    while let Some(id) = stack.pop() {
-        gone[id.index()] = true;
-        stack.extend(tree.children(id).iter().copied());
-    }
-    // Rebuild in preorder, skipping the removed set.
-    let mut out = Tree::new(tree.compute_time(NodeId::ROOT));
-    let mut map = vec![None::<NodeId>; tree.len()];
-    map[0] = Some(NodeId::ROOT);
-    for id in tree.preorder() {
-        if id == NodeId::ROOT || gone[id.index()] {
-            continue;
-        }
-        let parent = tree.parent(id).expect("non-root has parent");
-        let new_parent = map[parent.index()].expect("preorder maps parents first");
-        map[id.index()] =
-            Some(out.add_child(new_parent, tree.comm_time(id), tree.compute_time(id)));
-    }
-    out
-}
-
 /// One node's criticality entry.
 #[derive(Clone, Debug)]
 pub struct Criticality {
@@ -63,7 +34,7 @@ pub fn node_criticality(tree: &Tree) -> Vec<Criticality> {
         .ids()
         .filter(|&id| id != NodeId::ROOT)
         .map(|id| {
-            let rate_without = SteadyState::analyze(&without_subtree(tree, id)).optimal_rate();
+            let rate_without = SteadyState::analyze(&tree.without_subtrees(&[id])).optimal_rate();
             let loss = base.sub_ref(&rate_without);
             Criticality {
                 node: id,
@@ -81,24 +52,6 @@ mod tests {
     use super::*;
     use bc_platform::examples::fig1_tree;
     use bc_platform::RandomTreeConfig;
-
-    #[test]
-    fn removal_preserves_validity_and_counts() {
-        let t = fig1_tree();
-        // Remove P1 (and its two leaves): 8 → 5 nodes.
-        let cut = without_subtree(&t, NodeId(1));
-        cut.validate().unwrap();
-        assert_eq!(cut.len(), 5);
-        // Remove a leaf: 8 → 7.
-        let leaf = t.ids().find(|&id| t.is_leaf(id)).unwrap();
-        assert_eq!(without_subtree(&t, leaf).len(), 7);
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot remove the repository")]
-    fn cannot_remove_root() {
-        let _ = without_subtree(&fig1_tree(), NodeId::ROOT);
-    }
 
     #[test]
     fn losing_a_starved_subtree_costs_nothing() {
